@@ -29,7 +29,6 @@ from .fields import (
     DiffusionSpec,
     DriftSpec,
     EdgeFieldSet,
-    allen_cahn_drift,
     allen_cahn_system,
     build_diffusion,
     build_edge_fields,
@@ -57,7 +56,7 @@ from .noise import (
     white_noise_model,
 )
 from .report import Check, ValidationReport
-from .sde import Problem, SolverConfig, em_step, simulate_path
+from .sde import Problem, SolverConfig, simulate_path
 from .semigroup import (
     SpectralData,
     check_contraction,

@@ -1,24 +1,23 @@
 """Monte Carlo orchestration and statistical estimators.
 
-Everything here is deterministic given (configuration, base seed): the
-trajectory fan-out derives per-trajectory noise streams from counter-based
-keys, and all reductions are associative in trajectory order regardless of
-which thread finished first.
+Everything here is deterministic given (configuration, base seed): each
+trajectory derives its noise stream from counter-based keys, trajectories
+run serially in id order through ``simulate_path``, and every reduction
+follows that order.
 """
 
 from __future__ import annotations
 
 import math
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .assembly import DiscreteSystem
 from .errors import ConfigurationError, InsufficientResolution, LadderTooShort
+from .graph import weighted_incidence
 from .mesh import _GAUSS_XI
-from .noise import IncrementSampler, coupled_sampler
+from .noise import coupled_sampler
 from .sde import Problem, Stepper, simulate_path
 from .trajectory import TrajectorySet
 
@@ -46,41 +45,22 @@ class EnsembleStats:
     n_trajectories: int
 
 
-def run_trajectories(problem: Problem, trajectory_ids, threads: int = 1) -> list[TrajectorySet]:
-    """Simulate the given trajectory ids, optionally across a thread pool.
+def run_trajectories(problem: Problem, trajectory_ids) -> list[TrajectorySet]:
+    """Simulate the given trajectory ids serially, in the order given.
 
-    Results come back ordered by id; each worker keeps its own prefactorized
-    stepper so no mutable state is shared.
+    One prefactorized stepper serves every trajectory.
     """
-    ids = list(trajectory_ids)
     cfg = problem.config
-
-    def make_stepper():
-        return Stepper(problem.system, cfg.dt, cfg.scheme, problem.drift, problem.diffusion)
-
-    if threads <= 1:
-        stepper = make_stepper()
-        return [simulate_path(problem, i, stepper) for i in ids]
-
-    local = threading.local()
-
-    def work(i):
-        stepper = getattr(local, "stepper", None)
-        if stepper is None:
-            stepper = make_stepper()
-            local.stepper = stepper
-        return simulate_path(problem, i, stepper)
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(work, ids))
+    stepper = Stepper(problem.system, cfg.dt, cfg.scheme, problem.drift, problem.diffusion)
+    return [simulate_path(problem, i, stepper) for i in trajectory_ids]
 
 
 def monte_carlo(problem: Problem, n_trajectories: int, q: float = 4.0,
-                quantiles=(0.5, 0.9), threads: int = 1) -> EnsembleStats:
+                quantiles=(0.5, 0.9)) -> EnsembleStats:
     """Ensemble statistics: pointwise mean/variance and path sup-norm moments."""
     if n_trajectories < 2:
         raise ConfigurationError("need at least two trajectories for ensemble statistics")
-    trajs = run_trajectories(problem, range(n_trajectories), threads)
+    trajs = run_trajectories(problem, range(n_trajectories))
     stack = np.stack([t.states for t in trajs])
     sups = np.array([t.sup_norm for t in trajs])
     return EnsembleStats(
@@ -182,9 +162,14 @@ def einf_norm_rows(rows):
 
 
 def estimate_holder_exponent(problem: Problem, lags, n_trajectories: int,
-                             norm: str = "E2", burn_fraction: float = 0.25,
-                             threads: int = 1) -> ExponentEstimate:
+                             norm: str = "E2", burn_fraction: float = 0.25) -> ExponentEstimate:
     """Empirical temporal Hölder exponent of the state in E2 or sup norm."""
+    if norm == "E2":
+        norm_fn = e2_norm_rows(problem.system)
+    elif norm == "Einf":
+        norm_fn = einf_norm_rows
+    else:
+        raise ValueError(f"unknown norm {norm!r}")
     lags = _validate_lags(lags)
     dt = problem.config.dt
     if lags[0] < 4.0 * dt:
@@ -197,13 +182,7 @@ def estimate_holder_exponent(problem: Problem, lags, n_trajectories: int,
     run_problem = problem.with_config(snapshot_stride=stride)
     if run_problem.config.n_steps % stride != 0:
         raise ConfigurationError("snapshot stride must divide the step count")
-    trajs = run_trajectories(run_problem, range(n_trajectories), threads)
-    if norm == "E2":
-        norm_fn = e2_norm_rows(problem.system)
-    elif norm == "Einf":
-        norm_fn = einf_norm_rows
-    else:
-        raise ValueError(f"unknown norm {norm!r}")
+    trajs = run_trajectories(run_problem, range(n_trajectories))
     return holder_exponent_from_paths(trajs[0].times, [t.states for t in trajs],
                                       lags, norm_fn, burn_fraction)
 
@@ -213,7 +192,7 @@ def estimate_holder_exponent(problem: Problem, lags, n_trajectories: int,
 # ---------------------------------------------------------------------------
 
 def estimate_strong_order(problem: Problem, dt_ladder, n_trajectories: int,
-                          norm: str = "E2", threads: int = 1) -> ExponentEstimate:
+                          norm: str = "E2") -> ExponentEstimate:
     """Coupled-noise self-convergence order at the final time.
 
     The finest ladder entry defines the reference path; every coarser level
@@ -244,38 +223,23 @@ def estimate_strong_order(problem: Problem, dt_ladder, n_trajectories: int,
     else:
         raise ValueError(f"unknown norm {norm!r}")
 
-    steppers = {float(dt): Stepper(system, float(dt), problem.config.scheme,
-                                   problem.drift, problem.diffusion)
-                for dt in ladder}
+    levels = []
+    for dt, ratio in zip(ladder, [1, *ratios]):
+        level = problem.with_config(dt=float(dt), snapshot_stride=int(round(t_end / dt)))
+        stepper = Stepper(system, float(dt), problem.config.scheme,
+                          problem.drift, problem.diffusion)
+        levels.append((level, stepper, int(ratio)))
 
-    def final_state(dt, sampler):
-        u = np.asarray(problem.initial, dtype=float).copy()
-        stepper = steppers[float(dt)]
-        n_steps = int(round(t_end / dt))
-        for step in range(n_steps):
-            dW = sampler(step, dt) if sampler is not None else None
-            u = stepper.step(u, step * dt, dW)
-        return u
-
-    def one_trajectory(traj_id):
-        if problem.noise is not None:
-            ref_sampler = IncrementSampler(problem.noise, traj_id)
-        else:
-            ref_sampler = None
-        reference = final_state(dt_ref, ref_sampler)
-        errs = np.empty(ratios.size)
-        for i, (dt, ratio) in enumerate(zip(ladder[1:], ratios)):
-            sampler = (coupled_sampler(problem.noise, traj_id, int(ratio))
-                       if problem.noise is not None else None)
-            errs[i] = norm_fn(final_state(float(dt), sampler) - reference)
-        return errs
-
-    if threads <= 1:
-        all_errs = [one_trajectory(i) for i in range(n_trajectories)]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            all_errs = list(pool.map(one_trajectory, range(n_trajectories)))
-    means = np.mean(np.stack(all_errs), axis=0)
+    all_errs = []
+    for traj_id in range(n_trajectories):
+        finals = []
+        for level, stepper, ratio in levels:
+            # the reference level draws the trajectory's own fine stream
+            sampler = (coupled_sampler(problem.noise, traj_id, ratio)
+                       if ratio > 1 and problem.noise is not None else None)
+            finals.append(simulate_path(level, traj_id, stepper, sampler).final_state())
+        all_errs.append([norm_fn(u - finals[0]) for u in finals[1:]])
+    means = np.mean(np.array(all_errs), axis=0)
     slope, half_width, r2, residuals = _ols_loglog(ladder[1:], means)
     return ExponentEstimate(slope, half_width, r2, ladder[1:], means, residuals)
 
@@ -292,19 +256,14 @@ def vertex_residual(trajectory: TrajectorySet, system: DiscreteSystem) -> np.nda
     one-sided piecewise-linear slopes of the stored states.
     """
     mesh = system.mesh
-    M = system.vertex_matrix.entries
-    mu = system.fields.weights
-    c_end = system.fields.conductance_endpoints()
-    h = mesh.h
+    w_plus, w_minus = weighted_incidence(mesh.graph, system.fields.weights,
+                                         system.fields.conductance_endpoints())
     states = np.atleast_2d(trajectory.states)
-    q = states[:, mesh.vertex_dofs]
-    residual = q @ M.T
-    edges0 = mesh.graph.edge_array()
-    for j, (a, b) in enumerate(edges0):
-        d_start = (states[:, mesh.edge_dofs[j, 1]] - states[:, mesh.edge_dofs[j, 0]]) / h
-        d_end = (states[:, mesh.edge_dofs[j, -1]] - states[:, mesh.edge_dofs[j, -2]]) / h
-        residual[:, a] += mu[j] * c_end[j, 0] * d_start
-        residual[:, b] -= mu[j] * c_end[j, 1] * d_end
+    dofs = mesh.edge_dofs
+    d_start = (states[:, dofs[:, 1]] - states[:, dofs[:, 0]]) / mesh.h
+    d_end = (states[:, dofs[:, -1]] - states[:, dofs[:, -2]]) / mesh.h
+    residual = (states[:, mesh.vertex_dofs] @ system.vertex_matrix.entries.T
+                + d_start @ w_plus.T - d_end @ w_minus.T)
     return np.abs(residual).max(axis=1)
 
 

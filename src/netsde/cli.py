@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -94,8 +93,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="override the configured trajectory count")
         cmd.add_argument("--output-dir", default=None,
                          help="artifact directory (overrides config output_dir)")
-        cmd.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                         help="parallel trajectories (default: machine parallelism)")
+        cmd.add_argument("--threads", type=int, default=None,
+                         help="accepted and ignored: trajectories run serially in id order")
         if name in ("validate", "spectrum"):
             cmd.add_argument("--dump-matrices", action="store_true",
                              help="write assembled matrices in Matrix Market format")
@@ -184,7 +183,7 @@ def _snapshot_rows(model: BuiltModel, trajectory):
 def _cmd_simulate(args, config: RunConfig, out_dir: Path) -> int:
     model = build_model(config)
     n_traj = config.experiment["trajectories"] if config.experiment["name"] == "simulate" else 1
-    trajectories = run_trajectories(model.problem, range(n_traj), threads=args.threads)
+    trajectories = run_trajectories(model.problem, range(n_traj))
     artifacts = []
     for traj in trajectories:
         name = f"trajectory_{traj.trajectory_id:04d}.csv"
@@ -209,7 +208,7 @@ def _cmd_holder(args, config: RunConfig, out_dir: Path) -> int:
     exp = config.experiment
     estimate = estimate_holder_exponent(
         model.problem, exp["lags"], exp["trajectories"], norm=exp["norm"],
-        burn_fraction=exp["burn_fraction"], threads=args.threads)
+        burn_fraction=exp["burn_fraction"])
     fitted = np.exp(np.log(estimate.values) - estimate.residuals)
     _write_csv(out_dir / "holder.csv", ["lag", "mean_increment", "fitted"],
                zip(estimate.ladder, estimate.values, fitted))
@@ -232,8 +231,7 @@ def _cmd_convergence(args, config: RunConfig, out_dir: Path) -> int:
         raise ConfigurationError("config experiment.name must be 'convergence' for this command")
     exp = config.experiment
     estimate = estimate_strong_order(
-        model.problem, exp["dt_ladder"], exp["trajectories"], norm=exp["norm"],
-        threads=args.threads)
+        model.problem, exp["dt_ladder"], exp["trajectories"], norm=exp["norm"])
     fitted = np.exp(np.log(estimate.values) - estimate.residuals)
     _write_csv(out_dir / "convergence.csv", ["dt", "error", "fitted"],
                zip(estimate.ladder, estimate.values, fitted))
@@ -260,6 +258,8 @@ _COMMANDS = {
 
 def run_command(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if args.threads is not None:
+        _log("warning", "--threads is ignored; trajectories run serially in id order")
     try:
         config = parse_config(args.config)
         config = config.with_overrides(seed=args.seed, trajectories=args.trajectories,

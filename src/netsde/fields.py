@@ -200,14 +200,24 @@ def polynomial_drift(degree: int, coefficients, n_edges: int,
 
 
 def eval_drift(spec: DriftSpec, t, x, edge: int, value):
-    """Evaluate the reaction polynomial on an edge (1-based index)."""
-    coeffs = spec.coefficients[edge - 1]
+    """Evaluate the reaction polynomial on an edge (1-based index).
+
+    Detected constant coefficients enter as floats (so ``x`` may be None when
+    the whole row is constant) and lower-order terms with the constant
+    coefficient zero are skipped; the leading term is always evaluated.
+    """
+    consts = spec.constant_values[edge - 1]
+    coeff = [fn(t, x) if c is None else c
+             for fn, c in zip(spec.coefficients[edge - 1], consts)]
     d = spec.top_power
     value = np.asarray(value, dtype=float)
-    acc = -coeffs[d](t, x) * value ** d
+    acc = -coeff[d] * value ** d
     for l in range(1, d):
-        acc = acc + coeffs[l](t, x) * value ** l
-    return acc + coeffs[0](t, x)
+        if consts[l] != 0.0:
+            acc = acc + coeff[l] * value ** l
+    if consts[0] != 0.0:
+        acc = acc + coeff[0]
+    return acc
 
 
 def validate_drift(spec: DriftSpec, graph: MetricGraph, horizon: float = 1.0,
@@ -299,17 +309,6 @@ class AllenCahnSpec:
     def well_energy(self, eta):
         """Double-well density H(eta) = (eta^2 - beta^2)^2 / 4."""
         return 0.25 * (np.asarray(eta) ** 2 - self.beta ** 2) ** 2
-
-
-def allen_cahn_drift(betas, base_fields: EdgeFieldSet):
-    """Rewrite per-edge double wells as one cubic drift plus potential shifts.
-
-    Returns ``(DriftSpec, EdgeFieldSet)``: the common drift
-    ``f(eta) = -eta^3 + beta^2 eta`` with ``beta = max_j beta_j`` and the
-    fields with potentials ``p_j + (beta^2 - beta_j^2)``.
-    """
-    spec = allen_cahn_system(betas, base_fields)
-    return spec.drift, spec.fields
 
 
 def allen_cahn_system(betas, base_fields: EdgeFieldSet) -> AllenCahnSpec:

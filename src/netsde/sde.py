@@ -10,9 +10,9 @@ dt*max|F|)``, and the noise coefficient acting diagonally on nodal values
 variant skips taming; exponential Euler applies the exact semigroup to each
 term through the spectral decomposition instead of the implicit solve.
 
-Trajectories are embarrassingly parallel: each one derives its own noise
-stream from (seed, trajectory, step), owns its state vector, and shares
-only frozen inputs.
+Every march runs through ``simulate_path``.  Each trajectory derives its own
+noise stream from (seed, trajectory, step) and owns its state vector, so a
+trajectory's path does not depend on which others run or in what order.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import scipy.sparse.linalg as spla
 
 from .assembly import DiscreteSystem
 from .errors import BlowupDetected, ConfigurationError, LinearSolveFailure
-from .fields import DiffusionSpec, DriftSpec
+from .fields import DiffusionSpec, DriftSpec, eval_drift
 from .mesh import Mesh
 from .noise import IncrementSampler, NoiseModel
 from .semigroup import SpectralData, generalized_eigs
@@ -77,30 +77,14 @@ def nodal_drift_evaluator(spec: DriftSpec | None, mesh: Mesh):
 
     Vertex dofs evaluate through their representative edge; under the
     vertex-compatibility assumption every incident edge gives the same
-    value there.  Constant shared coefficients take a fast path without
-    per-edge loops.
+    value there.  One constant coefficient row shared by all edges is
+    evaluated on the whole vector at once.
     """
     if spec is None:
         return None
-    d = spec.top_power
-    consts = spec.constant_values
-    shared_constant = (
-        spec.is_constant()
-        and all(consts[j] == consts[0] for j in range(1, spec.n_edges))
-    )
-    if shared_constant:
-        coeff = np.asarray(consts[0], dtype=float)
-
-        def evaluate_const(t, u):
-            acc = -coeff[d] * u ** d
-            for l in range(1, d):
-                if coeff[l] != 0.0:
-                    acc = acc + coeff[l] * u ** l
-            if coeff[0] != 0.0:
-                acc = acc + coeff[0]
-            return acc
-
-        return evaluate_const
+    rows = spec.constant_values
+    if spec.is_constant() and all(row == rows[0] for row in rows):
+        return lambda t, u: eval_drift(spec, t, None, 1, u)
 
     by_edge = [np.flatnonzero(mesh.dof_edge == j) for j in range(mesh.n_edges)]
     xs = [mesh.dof_x[idx] for idx in by_edge]
@@ -108,13 +92,7 @@ def nodal_drift_evaluator(spec: DriftSpec | None, mesh: Mesh):
     def evaluate(t, u):
         out = np.empty_like(u)
         for j, idx in enumerate(by_edge):
-            coeffs = spec.coefficients[j]
-            x = xs[j]
-            v = u[idx]
-            acc = -np.broadcast_to(coeffs[d](t, x), x.shape) * v ** d
-            for l in range(1, d):
-                acc = acc + np.broadcast_to(coeffs[l](t, x), x.shape) * v ** l
-            out[idx] = acc + np.broadcast_to(coeffs[0](t, x), x.shape)
+            out[idx] = eval_drift(spec, t, xs[j], j + 1, u[idx])
         return out
 
     return evaluate
@@ -192,23 +170,15 @@ class Stepper:
         return out
 
 
-def em_step(state: np.ndarray, t: float, dt: float, system: DiscreteSystem,
-            drift: DriftSpec | None = None, diffusion: DiffusionSpec | None = None,
-            increment: np.ndarray | None = None,
-            scheme: str = "semi_implicit_tamed",
-            spectral: SpectralData | None = None) -> np.ndarray:
-    """One Euler-Maruyama step; convenience wrapper building a fresh Stepper."""
-    stepper = Stepper(system, dt, scheme, drift, diffusion, spectral)
-    return stepper.step(np.asarray(state, dtype=float), t, increment)
-
-
 def simulate_path(problem: Problem, trajectory_id: int = 0,
-                  stepper: Stepper | None = None) -> TrajectorySet:
+                  stepper: Stepper | None = None, sampler=None) -> TrajectorySet:
     """March one full trajectory and collect snapshots.
 
-    Raises BlowupDetected (tagged with the trajectory id) when the nodal sup
-    norm exceeds the configured guard, which signals scheme instability and
-    should not occur with taming.
+    ``sampler(step, dt)`` supplies the noise increments; it defaults to the
+    trajectory's own stream ``IncrementSampler(problem.noise, trajectory_id)``
+    and is ignored without a noise model.  Raises BlowupDetected (tagged with
+    the trajectory id) when the nodal sup norm exceeds the configured guard,
+    which signals scheme instability and should not occur with taming.
     """
     cfg = problem.config
     n_steps = cfg.n_steps
@@ -217,8 +187,9 @@ def simulate_path(problem: Problem, trajectory_id: int = 0,
             "noise model and diffusion coefficients must be supplied together")
     if stepper is None:
         stepper = Stepper(problem.system, cfg.dt, cfg.scheme, problem.drift, problem.diffusion)
-    sampler = None
-    if problem.noise is not None:
+    if problem.noise is None:
+        sampler = None
+    elif sampler is None:
         sampler = IncrementSampler(problem.noise, trajectory_id)
 
     u = np.asarray(problem.initial, dtype=float).copy()

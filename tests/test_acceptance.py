@@ -6,8 +6,6 @@ tolerance.  Random instances are drawn from fixed seeds so every run is
 deterministic.
 """
 
-import os
-
 import numpy as np
 import pytest
 
@@ -29,8 +27,6 @@ from netsde.trajectory import TrajectorySet
 
 from _oracles import robin_eigenfunction, robin_eigenvalues
 from conftest import record_acceptance
-
-THREADS = min(4, os.cpu_count() or 1)
 
 STAR_CONSERVED_M = np.array([
     [-3.0, 1.0, 1.0, 1.0],
@@ -268,12 +264,12 @@ def test_criterion_8_holder_exponents():
     lags = np.array([1e-4, 2e-4, 5e-4, 1e-3, 2e-3, 5e-3, 1e-2])
     white = estimate_holder_exponent(
         _holder_network_problem("white"), lags, n_trajectories=200,
-        norm="E2", burn_fraction=1.0 / 3.0, threads=THREADS)
+        norm="E2", burn_fraction=1.0 / 3.0)
     assert 0.20 <= white.estimate <= 0.30
 
     colored = estimate_holder_exponent(
         _holder_network_problem("colored"), lags, n_trajectories=200,
-        norm="E2", burn_fraction=1.0 / 3.0, threads=THREADS)
+        norm="E2", burn_fraction=1.0 / 3.0)
     assert 0.40 <= colored.estimate <= 0.55
     record_acceptance(
         8, "Hölder exponents", True,
@@ -289,7 +285,7 @@ def test_criterion_9_strong_self_convergence():
                       interpolate(sys.mesh, lambda x: np.sin(np.pi * x)),
                       None, build_diffusion(1, 1.0), white_noise_model(sys, seed=77))
     ladder = 0.128 / np.array([4096.0, 128.0, 64.0, 32.0, 16.0])
-    est = estimate_strong_order(problem, ladder, n_trajectories=100, threads=THREADS)
+    est = estimate_strong_order(problem, ladder, n_trajectories=100)
     assert est.estimate >= 0.2
     assert est.r_squared >= 0.95
     record_acceptance(9, "strong self-convergence", True,

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from netsde import analysis
 from netsde.analysis import (
     ExponentEstimate,
     allen_cahn_energy,
@@ -17,8 +18,8 @@ from netsde.errors import ConfigurationError, InsufficientResolution, LadderTooS
 from netsde.fields import build_diffusion, build_edge_fields, polynomial_drift
 from netsde.graph import VertexMatrix, build_graph
 from netsde.mesh import build_mesh, interpolate
-from netsde.noise import white_noise_model
-from netsde.sde import Problem, SolverConfig, simulate_path
+from netsde.noise import IncrementSampler, coupled_sampler, white_noise_model
+from netsde.sde import Problem, SolverConfig, Stepper, simulate_path
 from netsde.trajectory import TrajectorySet
 from netsde.semigroup import semigroup_apply, solve_heat
 
@@ -72,6 +73,16 @@ class TestHolderCalibration:
         with pytest.raises(InsufficientResolution):
             estimate_holder_exponent(problem, [2e-3, 4e-3, 8e-3, 16e-3], n_trajectories=2)
 
+    def test_unknown_norm_rejected_before_marching(self, monkeypatch):
+        def march(*args, **kwargs):
+            raise AssertionError("trajectories marched before the norm was checked")
+
+        monkeypatch.setattr(analysis, "run_trajectories", march)
+        problem = heat_noise_problem(dt=1e-3, t_end=0.2)
+        with pytest.raises(ValueError, match="unknown norm"):
+            estimate_holder_exponent(problem, np.array([4, 8, 16, 32]) * 1e-3,
+                                     n_trajectories=2, norm="L1")
+
     def test_estimator_deterministic_given_seed(self):
         problem = heat_noise_problem(dt=1e-3, t_end=0.2, seed=5)
         lags = np.array([4, 8, 16, 32]) * 1e-3
@@ -103,7 +114,7 @@ class TestMonteCarlo:
         # so the gap is pure Monte Carlo error
         problem = heat_noise_problem(n_int=5, dt=1e-3, t_end=0.2, seed=8)
         problem = problem.with_config(scheme="exponential_euler")
-        stats = monte_carlo(problem, n_trajectories=400, threads=1)
+        stats = monte_carlo(problem, n_trajectories=400)
         exact_mean = semigroup_apply(problem.system, 0.2, problem.initial)
         err = problem.system.e2_norm(stats.mean[-1] - exact_mean)
         decay_gap = problem.system.e2_norm(problem.initial - exact_mean)
@@ -112,7 +123,7 @@ class TestMonteCarlo:
 
     def test_standard_error_shrinks_with_doubling(self):
         problem = heat_noise_problem(n_int=4, dt=2e-3, t_end=0.2, seed=3)
-        trajs = run_trajectories(problem, range(128), threads=1)
+        trajs = run_trajectories(problem, range(128))
         sups = np.array([t.sup_norm ** 4 for t in trajs])
         se_64 = sups[:64].std() / np.sqrt(64)
         se_128 = sups.std() / np.sqrt(128)
@@ -122,15 +133,62 @@ class TestMonteCarlo:
         with pytest.raises(ConfigurationError):
             monte_carlo(heat_noise_problem(), n_trajectories=1)
 
-    def test_threaded_run_is_bitwise_identical(self):
+    def test_trajectories_follow_requested_ids(self):
         problem = heat_noise_problem(t_end=0.05, seed=13)
-        serial = run_trajectories(problem, range(6), threads=1)
-        threaded = run_trajectories(problem, range(6), threads=3)
-        for a, b in zip(serial, threaded):
-            assert np.array_equal(a.states, b.states)
+        trajs = run_trajectories(problem, [5, 0, 3])
+        assert [t.trajectory_id for t in trajs] == [5, 0, 3]
+        for i, traj in zip([5, 0, 3], trajs):
+            assert np.array_equal(traj.states, simulate_path(problem, i).states)
+
+
+def reference_strong_order_errors(problem, ladder, n_trajectories, norm_fn):
+    """Per-level mean errors from a hand-written stepping loop per ladder
+    level, the way the estimator marched before it shared simulate_path."""
+    ladder = np.sort(np.asarray(ladder, dtype=float))
+    dt_ref = float(ladder[0])
+    ratios = np.round(ladder[1:] / dt_ref).astype(int)
+    t_end = problem.config.t_end
+    steppers = {float(dt): Stepper(problem.system, float(dt), problem.config.scheme,
+                                   problem.drift, problem.diffusion)
+                for dt in ladder}
+
+    def final_state(dt, sampler):
+        u = np.asarray(problem.initial, dtype=float).copy()
+        stepper = steppers[float(dt)]
+        for step in range(int(round(t_end / dt))):
+            u = stepper.step(u, step * dt, sampler(step, dt))
+        return u
+
+    all_errs = []
+    for traj_id in range(n_trajectories):
+        reference = final_state(dt_ref, IncrementSampler(problem.noise, traj_id))
+        errs = np.empty(ratios.size)
+        for i, (dt, ratio) in enumerate(zip(ladder[1:], ratios)):
+            sampler = coupled_sampler(problem.noise, traj_id, int(ratio))
+            errs[i] = norm_fn(final_state(float(dt), sampler) - reference)
+        all_errs.append(errs)
+    return np.mean(np.stack(all_errs), axis=0)
 
 
 class TestStrongOrder:
+    @pytest.mark.parametrize("scheme", ["semi_implicit_tamed", "exponential_euler"])
+    def test_values_match_reference_loop(self, scheme):
+        drift = polynomial_drift(1, [0.0, 1.0, 0.0, 1.0], n_edges=1)
+        problem = heat_noise_problem(n_int=6, t_end=0.0625, seed=4, drift=drift)
+        problem = problem.with_config(scheme=scheme)
+        ladder = 0.0625 / np.array([256.0, 32.0, 16.0, 8.0])
+        est = estimate_strong_order(problem, ladder, n_trajectories=3)
+        expected = reference_strong_order_errors(problem, ladder, 3, problem.system.e2_norm)
+        assert np.array_equal(est.values, expected)
+
+    def test_diffusion_without_noise_rejected(self):
+        problem = heat_noise_problem()
+        bad = Problem(problem.system, problem.config, problem.initial,
+                      None, problem.diffusion, None)
+        with pytest.raises(ConfigurationError, match="supplied together"):
+            estimate_strong_order(bad, 0.25 / np.array([256.0, 32.0, 16.0, 8.0]),
+                                  n_trajectories=1)
+
     def test_deterministic_linear_drift_first_order(self):
         # explicit linear reaction, no noise: global order 1 in dt
         graph = build_graph(2, [(1, 2)])

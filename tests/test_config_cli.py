@@ -199,6 +199,25 @@ class TestCli:
         assert 0.0 < summary["exponent"] < 1.0
         assert (out / "holder.csv").exists()
 
+    def test_threads_flag_is_ignored_with_a_warning(self, tmp_path, capsys):
+        cfg = minimal_config(
+            solver={"dt": 1e-3, "t_end": 0.1},
+            experiment={"name": "holder", "lags": [4e-3, 8e-3, 16e-3, 32e-3],
+                        "trajectories": 3, "norm": "E2", "burn_fraction": 0.25},
+        )
+        path = write_config(tmp_path, cfg)
+        outs = {}
+        for threads in ("1", "3"):
+            outs[threads] = tmp_path / f"threads{threads}"
+            assert run_command(["holder", "--config", str(path), "--output-dir",
+                                str(outs[threads]), "--threads", threads]) == 0
+            warnings = [line for line in capsys.readouterr().err.splitlines()
+                        if line.startswith("netsde: warning:")]
+            assert len(warnings) == 1 and "--threads" in warnings[0]
+        manifest = json.loads((outs["1"] / "manifest.json").read_text())
+        for name in ["manifest.json"] + manifest["artifacts"]:
+            assert (outs["1"] / name).read_bytes() == (outs["3"] / name).read_bytes()
+
     def test_convergence_command(self, tmp_path):
         cfg = minimal_config(
             solver={"dt": 1e-3, "t_end": 0.064},

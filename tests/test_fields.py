@@ -9,7 +9,6 @@ from netsde.errors import (
 )
 from netsde.expressions import parse_expression
 from netsde.fields import (
-    allen_cahn_drift,
     allen_cahn_system,
     build_diffusion,
     build_edge_fields,
@@ -64,7 +63,7 @@ class TestDrift:
 
     def test_allen_cahn_roots(self):
         fields = build_edge_fields(2)
-        drift, _ = allen_cahn_drift([2.0, 2.0], fields)
+        drift = allen_cahn_system([2.0, 2.0], fields).drift
         for eta in (-2.0, 0.0, 2.0):
             assert eval_drift(drift, 0.0, 0.0, 1, eta) == 0.0
         assert eval_drift(drift, 0.0, 0.0, 1, 1.0) == 3.0  # -1 + 4
@@ -79,15 +78,15 @@ class TestDrift:
 
     def test_equal_betas_leave_potential_alone(self):
         fields = build_edge_fields(2, potential=0.25)
-        _, shifted = allen_cahn_drift([2.0, 2.0], fields)
+        shifted = allen_cahn_system([2.0, 2.0], fields).fields
         assert shifted.potential[0](0.3) == 0.25
 
     def test_nonpositive_beta_rejected(self):
         with pytest.raises(NonpositiveBeta):
-            allen_cahn_drift([1.0, 0.0], build_edge_fields(2))
+            allen_cahn_system([1.0, 0.0], build_edge_fields(2))
 
     def test_odd_symmetry(self):
-        drift, _ = allen_cahn_drift([1.5], build_edge_fields(1))
+        drift = allen_cahn_system([1.5], build_edge_fields(1)).drift
         etas = np.linspace(-4.0, 4.0, 41)
         np.testing.assert_allclose(
             eval_drift(drift, 0.0, 0.0, 1, -etas),
@@ -95,7 +94,7 @@ class TestDrift:
 
     def test_validate_constant_coefficients_pass(self):
         g = build_graph(3, [(1, 2), (2, 3)])
-        drift, _ = allen_cahn_drift([1.0, 1.0], build_edge_fields(2))
+        drift = allen_cahn_system([1.0, 1.0], build_edge_fields(2)).drift
         report = validate_drift(drift, g)
         assert report.passed
         assert report.check("vertex_compatibility").measured == 0.0
@@ -116,7 +115,7 @@ class TestDrift:
 
     def test_allen_cahn_passes_validation_with_own_bounds(self):
         g = build_graph(4, [(1, 2), (1, 3), (1, 4)])
-        drift, _ = allen_cahn_drift([1.0, 2.0, 0.5], build_edge_fields(3))
+        drift = allen_cahn_system([1.0, 2.0, 0.5], build_edge_fields(3)).drift
         assert drift.lower_bound == 1.0
         assert validate_drift(drift, g).passed
 
@@ -130,7 +129,7 @@ class TestDrift:
 
 class TestDissipativity:
     def test_constants_fit_on_coarse_grid_hold_on_fine_grid(self):
-        drift, _ = allen_cahn_drift([2.0], build_edge_fields(1))
+        drift = allen_cahn_system([2.0], build_edge_fields(1)).drift
         a, b = dissipativity_constants(drift, n=101)
         assert np.isfinite(a) and a >= 0.0 and b == 0.5
         f = lambda eta: eval_drift(drift, 0.0, 0.0, 1, eta)

@@ -1,14 +1,26 @@
 import numpy as np
 import pytest
 
-from netsde.analysis import allen_cahn_energy
+from netsde.analysis import allen_cahn_energy, estimate_strong_order
 from netsde.assembly import assemble_form
 from netsde.errors import BlowupDetected, ConfigurationError
-from netsde.fields import allen_cahn_system, build_diffusion, build_edge_fields
+from netsde.expressions import parse_expression
+from netsde.fields import (
+    allen_cahn_system,
+    build_diffusion,
+    build_edge_fields,
+    polynomial_drift,
+)
 from netsde.graph import VertexMatrix, build_graph
 from netsde.mesh import build_mesh, eval_state, interpolate
 from netsde.noise import sample_noise_increment, white_noise_model
-from netsde.sde import Problem, SolverConfig, em_step, simulate_path
+from netsde.sde import (
+    Problem,
+    SolverConfig,
+    Stepper,
+    nodal_drift_evaluator,
+    simulate_path,
+)
 from netsde.semigroup import solve_heat
 
 
@@ -49,21 +61,23 @@ class TestEmStep:
         sys = conserved_heat_system()
         rng = np.random.default_rng(1)
         u = rng.standard_normal(sys.ndof)
-        stepped = em_step(u, 0.0, 0.01, sys)
+        stepped = Stepper(sys, 0.01, "semi_implicit_tamed").step(u, 0.0, None)
         reference = solve_heat(sys, u, horizon=0.01, dt=0.01).final_state()
         np.testing.assert_allclose(stepped, reference, atol=1e-13)
 
     def test_constant_state_preserved_in_conserved_config(self):
         sys = conserved_heat_system()
         u = np.full(sys.ndof, 3.0)
-        np.testing.assert_allclose(em_step(u, 0.0, 0.05, sys), u, atol=1e-12)
+        stepped = Stepper(sys, 0.05, "semi_implicit_tamed").step(u, 0.0, None)
+        np.testing.assert_allclose(stepped, u, atol=1e-12)
 
     def test_well_bottom_is_fixed_point(self):
         problem, spec = allen_cahn_problem(betas=(2.0, 2.0, 2.0), initial=2.0, conserved=True)
         sys = problem.system
         u = problem.initial
         # rho = 0, the potential is unshifted, f(beta) = 0: u stays at beta
-        stepped = em_step(u, 0.0, 0.01, sys, drift=spec.drift)
+        stepper = Stepper(sys, 0.01, "semi_implicit_tamed", drift=spec.drift)
+        stepped = stepper.step(u, 0.0, None)
         np.testing.assert_allclose(stepped, u, atol=1e-12)
 
     def test_one_step_gaussian_moments_match_dense_oracle(self):
@@ -77,11 +91,12 @@ class TestEmStep:
         Minv = np.linalg.inv(G - dt * sys.form_matrix.toarray())
         mean_oracle = Minv @ (G @ u0)
         cov_oracle = dt * Minv @ G @ Minv.T
+        stepper = Stepper(sys, dt, "semi_implicit_tamed", diffusion=diffusion)
         n_rep = 20000
         outs = np.empty((n_rep, sys.ndof))
         for rep in range(n_rep):
             dW = sample_noise_increment(noise, rep, 0, dt)
-            outs[rep] = em_step(u0, 0.0, dt, sys, diffusion=diffusion, increment=dW)
+            outs[rep] = stepper.step(u0, 0.0, dW)
         emp_mean = outs.mean(axis=0)
         emp_cov = np.cov(outs.T)
         mean_se = np.sqrt(np.diag(cov_oracle) / n_rep)
@@ -139,6 +154,13 @@ class TestSimulatePath:
         traj = simulate_path(tamed)
         assert np.isfinite(traj.sup_norm)
 
+    def test_strong_order_ladder_honours_blowup_guard(self):
+        plain, _ = allen_cahn_problem(scheme="semi_implicit_plain", n_int=2, dt=0.5,
+                                      t_end=5.0, betas=(1.0, 1.0, 1.0), initial=50.0)
+        with pytest.raises(BlowupDetected) as err:
+            estimate_strong_order(plain, [0.0625, 0.125, 0.25, 0.5], n_trajectories=1)
+        assert err.value.trajectory_id == 0
+
     def test_snapshot_stride(self):
         problem, _ = allen_cahn_problem(t_end=0.01, dt=1e-3)
         problem = problem.with_config(snapshot_stride=5)
@@ -159,6 +181,68 @@ class TestSimulatePath:
         traj = simulate_path(Problem(sys, cfg, u0))
         exact = solve_heat(sys, u0, horizon=0.2, dt=0.2, method="spectral").final_state()
         np.testing.assert_allclose(traj.final_state(), exact, atol=1e-10)
+
+
+def reference_nodal_drift(spec, mesh):
+    """The nodal reaction evaluator as it stood before it dispatched to
+    ``eval_drift``: the arithmetic that every stored artifact was made with."""
+    d = spec.top_power
+    consts = spec.constant_values
+    if spec.is_constant() and all(consts[j] == consts[0] for j in range(1, spec.n_edges)):
+        coeff = np.asarray(consts[0], dtype=float)
+
+        def evaluate_const(t, u):
+            acc = -coeff[d] * u ** d
+            for l in range(1, d):
+                if coeff[l] != 0.0:
+                    acc = acc + coeff[l] * u ** l
+            if coeff[0] != 0.0:
+                acc = acc + coeff[0]
+            return acc
+
+        return evaluate_const
+
+    by_edge = [np.flatnonzero(mesh.dof_edge == j) for j in range(mesh.n_edges)]
+    xs = [mesh.dof_x[idx] for idx in by_edge]
+
+    def evaluate(t, u):
+        out = np.empty_like(u)
+        for j, idx in enumerate(by_edge):
+            coeffs = spec.coefficients[j]
+            x = xs[j]
+            v = u[idx]
+            acc = -np.broadcast_to(coeffs[d](t, x), x.shape) * v ** d
+            for l in range(1, d):
+                acc = acc + np.broadcast_to(coeffs[l](t, x), x.shape) * v ** l
+            out[idx] = acc + np.broadcast_to(coeffs[0](t, x), x.shape)
+        return out
+
+    return evaluate
+
+
+class TestNodalDrift:
+    @pytest.mark.parametrize("kind", ["allen_cahn", "per_edge_constants", "expressions",
+                                      "degree_five"])
+    def test_bytes_match_reference_evaluator(self, kind):
+        mesh = build_mesh(build_graph(4, [(1, 2), (1, 3), (1, 4)]), 24)
+        expr = lambda text: parse_expression(text, ("t", "x"))
+        spec = {
+            "allen_cahn": lambda: allen_cahn_system([1.0, 1.5, 0.5], build_edge_fields(3)).drift,
+            "per_edge_constants": lambda: polynomial_drift(
+                1, [[0.0, 1.0, 0.0, 1.0], [0.0, 2.0, 0.0, 1.0], [0.5, 1.0, -0.25, 1.5]],
+                n_edges=3),
+            "expressions": lambda: polynomial_drift(
+                1, [0.0, expr("1 + x*(1 - x)"), 0.0, expr("1 + 0.5*sin(t)")], n_edges=3),
+            "degree_five": lambda: polynomial_drift(
+                2, [0.25, 1.0, 0.0, -0.5, 0.0, 2.0], n_edges=3),
+        }[kind]()
+        new = nodal_drift_evaluator(spec, mesh)
+        old = reference_nodal_drift(spec, mesh)
+        rng = np.random.default_rng(2024)
+        for _ in range(50):
+            t = float(rng.uniform(0.0, 1.0))
+            u = 2.0 * rng.standard_normal(mesh.ndof)
+            assert new(t, u).tobytes() == old(t, u).tobytes()
 
 
 class TestEnergyDecay:
