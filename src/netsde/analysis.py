@@ -16,7 +16,8 @@ import numpy as np
 from .assembly import DiscreteSystem
 from .errors import ConfigurationError, InsufficientResolution, LadderTooShort
 from .graph import weighted_incidence
-from .mesh import _GAUSS_XI
+from .fields import well_density
+from .mesh import edge_integral
 from .noise import coupled_sampler
 from .sde import Problem, Stepper, simulate_path
 from .trajectory import TrajectorySet
@@ -164,6 +165,8 @@ def einf_norm_rows(rows):
 def estimate_holder_exponent(problem: Problem, lags, n_trajectories: int,
                              norm: str = "E2", burn_fraction: float = 0.25) -> ExponentEstimate:
     """Empirical temporal Hölder exponent of the state in E2 or sup norm."""
+    if n_trajectories < 1:
+        raise ConfigurationError(f"need at least one trajectory, got {n_trajectories}")
     if norm == "E2":
         norm_fn = e2_norm_rows(problem.system)
     elif norm == "Einf":
@@ -200,6 +203,8 @@ def estimate_strong_order(problem: Problem, dt_ladder, n_trajectories: int,
     reference stream (decoupled noise would make levels independent and is
     rejected).  The regression is over the coarser levels only.
     """
+    if n_trajectories < 1:
+        raise ConfigurationError(f"need at least one trajectory, got {n_trajectories}")
     ladder = np.sort(np.asarray(dt_ladder, dtype=float))
     if ladder.size < 4:
         raise LadderTooShort(
@@ -277,15 +282,6 @@ def allen_cahn_energy(system: DiscreteSystem, beta: float, state: np.ndarray) ->
     state = np.asarray(state, dtype=float)
     quad_part = 0.5 * float(state @ ((system.stiffness_potential + system.vertex_coupling)
                                      @ state))
-    mesh = system.mesh
-    h = mesh.h
-    well = 0.0
-    for j in range(mesh.n_edges):
-        nodes = state[mesh.edge_dofs[j]]
-        left, right = nodes[:-1], nodes[1:]
-        acc = 0.0
-        for xi in _GAUSS_XI:
-            vals = (1.0 - xi) * left + xi * right
-            acc += 0.5 * h * np.sum(0.25 * (vals ** 2 - beta ** 2) ** 2)
-        well += system.fields.weights[j] * acc
+    well = edge_integral(system.mesh, state, lambda vals: well_density(vals, beta),
+                         system.fields.weights)
     return quad_part + well

@@ -201,48 +201,45 @@ def _cmd_simulate(args, config: RunConfig, out_dir: Path) -> int:
     return 0
 
 
-def _cmd_holder(args, config: RunConfig, out_dir: Path) -> int:
-    model = build_model(config)
-    if config.experiment["name"] != "holder":
-        raise ConfigurationError("config experiment.name must be 'holder' for this command")
+def _write_estimate(out_dir: Path, config: RunConfig, command: str, estimate,
+                    columns, summary_key: str):
+    """Write ``<command>.csv`` (ladder, value, fitted), the summary and manifest."""
     exp = config.experiment
-    estimate = estimate_holder_exponent(
-        model.problem, exp["lags"], exp["trajectories"], norm=exp["norm"],
-        burn_fraction=exp["burn_fraction"])
     fitted = np.exp(np.log(estimate.values) - estimate.residuals)
-    _write_csv(out_dir / "holder.csv", ["lag", "mean_increment", "fitted"],
+    _write_csv(out_dir / f"{command}.csv", [*columns, "fitted"],
                zip(estimate.ladder, estimate.values, fitted))
     _write_json(out_dir / "summary.json", {
-        "exponent": estimate.estimate,
+        summary_key: estimate.estimate,
         "half_width": estimate.half_width,
         "r_squared": estimate.r_squared,
         "norm": exp["norm"],
         "trajectories": exp["trajectories"],
     })
-    _write_manifest(out_dir, "holder", config, ["holder.csv", "summary.json"])
+    _write_manifest(out_dir, command, config, [f"{command}.csv", "summary.json"])
+
+
+def _cmd_holder(args, config: RunConfig, out_dir: Path) -> int:
+    if config.experiment["name"] != "holder":
+        raise ConfigurationError("config experiment.name must be 'holder' for this command")
+    exp = config.experiment
+    model = build_model(config)
+    estimate = estimate_holder_exponent(
+        model.problem, exp["lags"], exp["trajectories"], norm=exp["norm"],
+        burn_fraction=exp["burn_fraction"])
+    _write_estimate(out_dir, config, "holder", estimate, ("lag", "mean_increment"), "exponent")
     _log("info", f"estimated exponent {estimate.estimate:.4f} "
                  f"± {estimate.half_width:.4f} (R²={estimate.r_squared:.4f})")
     return 0
 
 
 def _cmd_convergence(args, config: RunConfig, out_dir: Path) -> int:
-    model = build_model(config)
     if config.experiment["name"] != "convergence":
         raise ConfigurationError("config experiment.name must be 'convergence' for this command")
     exp = config.experiment
+    model = build_model(config)
     estimate = estimate_strong_order(
         model.problem, exp["dt_ladder"], exp["trajectories"], norm=exp["norm"])
-    fitted = np.exp(np.log(estimate.values) - estimate.residuals)
-    _write_csv(out_dir / "convergence.csv", ["dt", "error", "fitted"],
-               zip(estimate.ladder, estimate.values, fitted))
-    _write_json(out_dir / "summary.json", {
-        "order": estimate.estimate,
-        "half_width": estimate.half_width,
-        "r_squared": estimate.r_squared,
-        "norm": exp["norm"],
-        "trajectories": exp["trajectories"],
-    })
-    _write_manifest(out_dir, "convergence", config, ["convergence.csv", "summary.json"])
+    _write_estimate(out_dir, config, "convergence", estimate, ("dt", "error"), "order")
     _log("info", f"observed order {estimate.estimate:.4f} (R²={estimate.r_squared:.4f})")
     return 0
 

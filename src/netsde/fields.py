@@ -308,7 +308,12 @@ class AllenCahnSpec:
 
     def well_energy(self, eta):
         """Double-well density H(eta) = (eta^2 - beta^2)^2 / 4."""
-        return 0.25 * (np.asarray(eta) ** 2 - self.beta ** 2) ** 2
+        return well_density(eta, self.beta)
+
+
+def well_density(eta, beta: float):
+    """Double-well density H(eta) = (eta^2 - beta^2)^2 / 4."""
+    return 0.25 * (np.asarray(eta) ** 2 - beta ** 2) ** 2
 
 
 def allen_cahn_system(betas, base_fields: EdgeFieldSet) -> AllenCahnSpec:
@@ -347,6 +352,7 @@ class DiffusionSpec:
     functions: tuple
     lipschitz: tuple = ()          # pairs (radius, constant)
     linear_growth: float | None = None
+    constant_values: tuple = ()    # [edge] float or None, detected constants; () if unknown
 
     @property
     def n_edges(self) -> int:
@@ -358,12 +364,22 @@ def build_diffusion(n_edges: int, function, lipschitz=(), linear_growth=None) ->
     fns = tuple(as_edge_function(v, variables=("t", "x", "u")) for v in specs)
     lip = tuple((float(r), float(c)) for r, c in lipschitz)
     growth = None if linear_growth is None else float(linear_growth)
-    return DiffusionSpec(fns, lip, growth)
+    return DiffusionSpec(fns, lip, growth, tuple(_constant_of(v) for v in specs))
 
 
 def eval_diffusion(spec: DiffusionSpec, t, x, edge: int, value):
     """Evaluate g on an edge (1-based index)."""
     return spec.functions[edge - 1](t, x, value)
+
+
+def _worst_on_lattice(spec: DiffusionSpec, ts, xs, etas, measure) -> float:
+    """max(0, largest ``measure(g_j values, eta grid)``) on the (t, x, eta) lattice."""
+    tg, xg, eg = np.meshgrid(ts, xs, etas, indexing="ij")
+    worst = 0.0
+    for g in spec.functions:
+        vals = np.broadcast_to(g(tg, xg, eg), tg.shape)
+        worst = max(worst, float(measure(vals, eg).max()))
+    return worst
 
 
 def validate_diffusion(spec: DiffusionSpec, horizon: float = 1.0, n_time: int = 9,
@@ -379,25 +395,15 @@ def validate_diffusion(spec: DiffusionSpec, horizon: float = 1.0, n_time: int = 
     checks = []
     for radius, constant in spec.lipschitz:
         etas = np.linspace(-radius, radius, n_value)
-        worst = 0.0
-        for j in range(spec.n_edges):
-            g = spec.functions[j]
-            tg, xg, eg = np.meshgrid(ts, xs, etas, indexing="ij")
-            vals = np.broadcast_to(g(tg, xg, eg), tg.shape)
-            slopes = np.abs(np.diff(vals, axis=2)) / np.abs(np.diff(etas))
-            worst = max(worst, float(slopes.max()))
+        worst = _worst_on_lattice(spec, ts, xs, etas, lambda vals, eg: (
+            np.abs(np.diff(vals, axis=2)) / np.abs(np.diff(etas))))
         tol = constant * (1.0 + 1e-9) + 1e-12
         checks.append(Check(f"lipschitz_radius_{radius:g}", worst <= tol, worst, constant))
     if spec.linear_growth is not None:
         radius = max([r for r, _ in spec.lipschitz], default=10.0)
         etas = np.linspace(-radius, radius, n_value)
-        worst = 0.0
-        for j in range(spec.n_edges):
-            g = spec.functions[j]
-            tg, xg, eg = np.meshgrid(ts, xs, etas, indexing="ij")
-            vals = np.abs(np.broadcast_to(g(tg, xg, eg), tg.shape))
-            ratio = vals / (1.0 + np.abs(eg))
-            worst = max(worst, float(ratio.max()))
+        worst = _worst_on_lattice(spec, ts, xs, etas,
+                                  lambda vals, eg: np.abs(vals) / (1.0 + np.abs(eg)))
         tol = spec.linear_growth * (1.0 + 1e-9) + 1e-12
         checks.append(Check("linear_growth", worst <= tol, worst, spec.linear_growth))
     if not checks:

@@ -37,10 +37,6 @@ class Mesh:
     def n_edges(self) -> int:
         return self.graph.n_edges
 
-    def vertex_values(self, state: np.ndarray) -> np.ndarray:
-        """The vector (q_1, ..., q_n) of vertex values of a state."""
-        return np.asarray(state)[..., self.vertex_dofs]
-
 
 def build_mesh(graph: MetricGraph, n_interior: int) -> Mesh:
     """Mesh every edge with ``n_interior >= 1`` interior nodes."""
@@ -120,6 +116,21 @@ def eval_state(mesh: Mesh, state: np.ndarray, edge: int, x):
 _GAUSS_XI = np.array([0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)])
 
 
+def edge_integral(mesh: Mesh, state: np.ndarray, density, weights) -> float:
+    """sum_j weights[j] * int_0^1 density(u_h) dx for the piecewise-linear
+    interpolant u_h of ``state``, by 2-point Gauss quadrature per element."""
+    h = mesh.h
+    total = 0.0
+    for j in range(mesh.n_edges):
+        nodes = state[mesh.edge_dofs[j]]
+        left, right = nodes[:-1], nodes[1:]
+        acc = 0.0
+        for xi in _GAUSS_XI:
+            acc += 0.5 * h * np.sum(density((1.0 - xi) * left + xi * right))
+        total += weights[j] * acc
+    return total
+
+
 def discrete_norms(mesh: Mesh, state: np.ndarray, p, weights=None) -> float:
     """Edge-space norm of a state: weighted L^p over edges, or sup norm.
 
@@ -138,14 +149,5 @@ def discrete_norms(mesh: Mesh, state: np.ndarray, p, weights=None) -> float:
         mu = np.ones(mesh.n_edges)
     else:
         mu = np.asarray(weights, dtype=float)
-    total = 0.0
-    h = mesh.h
-    for j in range(mesh.n_edges):
-        nodes = state[mesh.edge_dofs[j]]
-        left, right = nodes[:-1], nodes[1:]
-        acc = 0.0
-        for xi in _GAUSS_XI:
-            vals = (1.0 - xi) * left + xi * right
-            acc += 0.5 * h * np.sum(np.abs(vals) ** p)
-        total += mu[j] * acc
+    total = edge_integral(mesh, state, lambda vals: np.abs(vals) ** p, mu)
     return float(total ** (1.0 / p))

@@ -9,7 +9,9 @@ Dirichlet sine basis of its weighted L2 space, mode k scaled by
 ``amplitude * k^{-s}`` with decay ``s > 1/2``.  The increment factor is the
 rectangular matrix of mode loads against the nodal basis, computed with
 exact piecewise-linear-times-sine integrals, and the covariance
-``dt * G_R = dt * (factor @ factor.T)`` has finite trace.
+``dt * G_R = dt * (factor @ factor.T)`` has finite trace.  Every edge carries
+the same uniform mesh, so one (nodes x modes) load table serves every edge;
+each edge scales it by its weight and amplitude.
 
 Streams are deterministic functions of (base seed, trajectory, step): the
 Philox key packs ``(seed << 64) | trajectory`` and the 256-bit block counter
@@ -19,13 +21,12 @@ step's block range.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.sparse as sp
 
 from .assembly import DiscreteSystem, noise_covariance_factor
-from .errors import DecayTooSlow
+from .errors import DecayTooSlow, DimensionMismatch
 from .mesh import Mesh
 
 _MASK64 = (1 << 64) - 1
@@ -47,8 +48,7 @@ class NoiseModel:
         return self.factor.shape[1]
 
     def with_seed(self, seed: int) -> "NoiseModel":
-        return NoiseModel(self.kind, self.factor, int(seed), self.covariance_trace,
-                          self.decay, self.n_modes)
+        return replace(self, seed=int(seed))
 
 
 def white_noise_model(system: DiscreteSystem, seed: int = 0, lumped: bool = False) -> NoiseModel:
@@ -58,24 +58,27 @@ def white_noise_model(system: DiscreteSystem, seed: int = 0, lumped: bool = Fals
     return NoiseModel("white", factor, int(seed), trace)
 
 
-def _linear_times_sine(a, b, omega, x0, x1):
-    """Exact integral of (a + b*x) * sin(omega*x) over [x0, x1]."""
-    def antideriv(x):
-        return -(a + b * x) * np.cos(omega * x) / omega + b * np.sin(omega * x) / omega ** 2
-    return antideriv(x1) - antideriv(x0)
+def _mode_loads(mesh: Mesh, n_modes: int) -> np.ndarray:
+    """Unweighted loads int phi_a(x) sin(k pi x) dx, (nodes, modes) on one edge.
 
-
-def _hat_sine_loads(mesh: Mesh, edge: int, omega: float) -> np.ndarray:
-    """Unweighted loads int phi_a(x) sin(omega x) dx for one edge's nodes."""
+    Each element [x0, x1] adds the exact integral of its descending hat to
+    its left node and of its ascending hat to its right node.
+    """
     h = mesh.h
-    n_nodes = mesh.n_interior + 2
-    loads = np.zeros(n_nodes)
-    lefts = h * np.arange(mesh.n_interior + 1)
-    for k, x0 in enumerate(lefts):
-        x1 = x0 + h
-        # descending hat of the left node, ascending hat of the right node
-        loads[k] += _linear_times_sine(x1 / h, -1.0 / h, omega, x0, x1)
-        loads[k + 1] += _linear_times_sine(-x0 / h, 1.0 / h, omega, x0, x1)
+    x0 = (h * np.arange(mesh.n_interior + 1))[:, None]
+    x1 = x0 + h
+    omega = np.array([k * np.pi for k in range(1, n_modes + 1)])
+    # Python's float ** 2 (C pow) and numpy's square differ in the last bit
+    # for some k (the first is 2207); colored factors use the former
+    omega_sq = np.array([w ** 2 for w in omega.tolist()])
+
+    def antideriv(a, b, x):
+        # of (a + b*x) * sin(omega*x), per element and mode
+        return -(a + b * x) * np.cos(omega * x) / omega + b * np.sin(omega * x) / omega_sq
+
+    loads = np.zeros((mesh.n_interior + 2, n_modes))
+    loads[:-1] += antideriv(x1 / h, -1.0 / h, x1) - antideriv(x1 / h, -1.0 / h, x0)
+    loads[1:] += antideriv(-x0 / h, 1.0 / h, x1) - antideriv(-x0 / h, 1.0 / h, x0)
     return loads
 
 
@@ -85,6 +88,7 @@ def colored_noise_operator(system: DiscreteSystem, decay: float, seed: int = 0,
 
     ``decay`` must exceed 1/2 so the mode weights are square-summable.  The
     default mode count resolves up to the mesh's interior resolution.
+    ``amplitudes`` is one number for every edge or one per edge.
     """
     if decay <= 0.5:
         raise DecayTooSlow(f"spectral decay exponent must exceed 1/2, got {decay}")
@@ -95,23 +99,23 @@ def colored_noise_operator(system: DiscreteSystem, decay: float, seed: int = 0,
     n_modes = int(n_modes)
     if n_modes < 1:
         raise ValueError("need at least one noise mode per edge")
-    if amplitudes is None:
-        amp = np.ones(m)
-    elif np.ndim(amplitudes) == 0:
-        amp = np.full(m, float(amplitudes))
-    else:
-        amp = np.asarray(amplitudes, dtype=float)
+    amp = np.asarray(1.0 if amplitudes is None else amplitudes, dtype=float)
+    if amp.ndim == 0:
+        amp = np.full(m, float(amp))
+    if amp.shape != (m,):
+        raise DimensionMismatch(f"need one noise amplitude per edge ({m}), got {amp.size}")
 
+    loads = _mode_loads(mesh, n_modes)
+    mode_weights = np.array([k ** (-decay) for k in range(1, n_modes + 1)])
     factor = np.zeros((mesh.ndof, m * n_modes))
     mu = system.fields.weights
     for j in range(m):
-        dofs = mesh.edge_dofs[j]
-        for k in range(1, n_modes + 1):
-            omega = k * np.pi
-            # L2(0,1; mu dx)-orthonormal mode is sqrt(2/mu) sin(k pi x); the
-            # weighted load against phi_a gains a factor mu
-            col = np.sqrt(2.0 * mu[j]) * _hat_sine_loads(mesh, j, omega)
-            factor[dofs, j * n_modes + (k - 1)] += amp[j] * k ** (-decay) * col
+        # L2(0,1; mu dx)-orthonormal mode is sqrt(2/mu) sin(k pi x); the
+        # weighted load against phi_a gains a factor mu
+        block = np.sqrt(2.0 * mu[j]) * loads
+        block *= amp[j] * mode_weights
+        factor[mesh.edge_dofs[j], j * n_modes:(j + 1) * n_modes] += block
+    del loads, block  # free the tables before squaring the factor (peak memory)
     trace = float(np.sum(factor ** 2))
     return NoiseModel("colored", factor, int(seed), trace, decay=float(decay), n_modes=n_modes)
 

@@ -24,10 +24,10 @@ import scipy.sparse.linalg as spla
 
 from .assembly import DiscreteSystem
 from .errors import BlowupDetected, ConfigurationError, LinearSolveFailure
-from .fields import DiffusionSpec, DriftSpec, eval_drift
+from .fields import DiffusionSpec, DriftSpec, eval_diffusion, eval_drift
 from .mesh import Mesh
 from .noise import IncrementSampler, NoiseModel
-from .semigroup import SpectralData, generalized_eigs
+from .semigroup import generalized_eigs
 from .trajectory import TrajectorySet
 
 SCHEMES = ("semi_implicit_tamed", "semi_implicit_plain", "exponential_euler")
@@ -72,54 +72,52 @@ class Problem:
         return replace(self, config=replace(self.config, **changes))
 
 
-def nodal_drift_evaluator(spec: DriftSpec | None, mesh: Mesh):
-    """Vectorized nodal reaction term F(t, u) -> array over dofs.
+def _nodal_evaluator(mesh: Mesh, rows, whole, on_edge):
+    """Nodal evaluator over dofs from per-edge detected constants ``rows``.
 
-    Vertex dofs evaluate through their representative edge; under the
-    vertex-compatibility assumption every incident edge gives the same
-    value there.  One constant coefficient row shared by all edges is
-    evaluated on the whole vector at once.
+    When every edge has the same fully constant row, ``whole(t, u)`` serves
+    the whole vector; else ``on_edge(t, x, j, u_j)`` runs per 0-based edge
+    slice.  Vertex dofs evaluate through their representative edge; under
+    vertex compatibility every incident edge gives the same value there.
     """
-    if spec is None:
-        return None
-    rows = spec.constant_values
-    if spec.is_constant() and all(row == rows[0] for row in rows):
-        return lambda t, u: eval_drift(spec, t, None, 1, u)
-
+    if rows and None not in rows[0] and all(row == rows[0] for row in rows):
+        return whole
     by_edge = [np.flatnonzero(mesh.dof_edge == j) for j in range(mesh.n_edges)]
     xs = [mesh.dof_x[idx] for idx in by_edge]
 
     def evaluate(t, u):
         out = np.empty_like(u)
         for j, idx in enumerate(by_edge):
-            out[idx] = eval_drift(spec, t, xs[j], j + 1, u[idx])
+            out[idx] = on_edge(t, xs[j], j, u[idx])
         return out
 
     return evaluate
+
+
+def nodal_drift_evaluator(spec: DriftSpec | None, mesh: Mesh):
+    """Vectorized nodal reaction term F(t, u) -> array over dofs."""
+    if spec is None:
+        return None
+    return _nodal_evaluator(mesh, spec.constant_values,
+                            lambda t, u: eval_drift(spec, t, None, 1, u),
+                            lambda t, x, j, u: eval_drift(spec, t, x, j + 1, u))
 
 
 def nodal_diffusion_evaluator(spec: DiffusionSpec | None, mesh: Mesh):
-    """Diagonal nodal multipliers Gamma(t, u) -> array over dofs."""
+    """Diagonal nodal multipliers Gamma(t, u) over dofs; one constant shared
+    by all edges is returned as that float (same product bits as an array)."""
     if spec is None:
         return None
-    by_edge = [np.flatnonzero(mesh.dof_edge == j) for j in range(mesh.n_edges)]
-    xs = [mesh.dof_x[idx] for idx in by_edge]
-
-    def evaluate(t, u):
-        out = np.empty_like(u)
-        for j, idx in enumerate(by_edge):
-            out[idx] = np.broadcast_to(spec.functions[j](t, xs[j], u[idx]), idx.shape)
-        return out
-
-    return evaluate
+    rows = [(c,) for c in spec.constant_values]
+    return _nodal_evaluator(mesh, rows, lambda t, u: rows[0][0],
+                            lambda t, x, j, u: eval_diffusion(spec, t, x, j + 1, u))
 
 
 class Stepper:
     """Prefactorized one-step map for a fixed (system, dt, scheme)."""
 
     def __init__(self, system: DiscreteSystem, dt: float, scheme: str,
-                 drift: DriftSpec | None = None, diffusion: DiffusionSpec | None = None,
-                 spectral: SpectralData | None = None):
+                 drift: DriftSpec | None = None, diffusion: DiffusionSpec | None = None):
         if scheme not in SCHEMES:
             raise ConfigurationError(f"unknown scheme {scheme!r}")
         self.system = system
@@ -130,7 +128,7 @@ class Stepper:
         self.mass = system.mass
         try:
             if scheme == "exponential_euler":
-                self._spectral = spectral if spectral is not None else generalized_eigs(system)
+                self._spectral = generalized_eigs(system)
                 self._decay = np.exp(self._spectral.eigenvalues * self.dt)
                 self._project = self._spectral.eigenvectors.T @ system.mass.toarray()
                 self._mass_solve = spla.splu(system.mass.tocsc())

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,11 +23,6 @@ class TrajectorySet:
     trajectory_id: int = 0
     seed: int | None = None
     config_hash: str = ""
-    metadata: dict = field(default_factory=dict)
-
-    @property
-    def n_snapshots(self) -> int:
-        return len(self.times)
 
     def final_state(self) -> np.ndarray:
         return self.states[-1]

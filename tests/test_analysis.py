@@ -83,6 +83,16 @@ class TestHolderCalibration:
             estimate_holder_exponent(problem, np.array([4, 8, 16, 32]) * 1e-3,
                                      n_trajectories=2, norm="L1")
 
+    def test_zero_trajectories_rejected_before_marching(self, monkeypatch):
+        def march(*args, **kwargs):
+            raise AssertionError("trajectories marched before their count was checked")
+
+        monkeypatch.setattr(analysis, "run_trajectories", march)
+        problem = heat_noise_problem(dt=1e-3, t_end=0.2)
+        with pytest.raises(ConfigurationError, match="at least one trajectory"):
+            estimate_holder_exponent(problem, np.array([4, 8, 16, 32]) * 1e-3,
+                                     n_trajectories=0)
+
     def test_estimator_deterministic_given_seed(self):
         problem = heat_noise_problem(dt=1e-3, t_end=0.2, seed=5)
         lags = np.array([4, 8, 16, 32]) * 1e-3
@@ -189,6 +199,15 @@ class TestStrongOrder:
             estimate_strong_order(bad, 0.25 / np.array([256.0, 32.0, 16.0, 8.0]),
                                   n_trajectories=1)
 
+    def test_zero_trajectories_rejected_before_marching(self, monkeypatch):
+        def march(*args, **kwargs):
+            raise AssertionError("trajectories marched before their count was checked")
+
+        monkeypatch.setattr(analysis, "simulate_path", march)
+        problem = heat_noise_problem(dt=1e-3, t_end=0.064)
+        with pytest.raises(ConfigurationError, match="at least one trajectory"):
+            estimate_strong_order(problem, [2.5e-4, 1e-3, 2e-3, 4e-3], n_trajectories=0)
+
     def test_deterministic_linear_drift_first_order(self):
         # explicit linear reaction, no noise: global order 1 in dt
         graph = build_graph(2, [(1, 2)])
@@ -267,6 +286,28 @@ def test_energy_functional_value():
     system = assemble_form(build_mesh(graph, 4), fields, VertexMatrix(-np.eye(2)))
     value = allen_cahn_energy(system, 1.0, np.zeros(system.ndof))
     assert value == pytest.approx(2.0 * 0.25)
+
+
+def test_energy_matches_reference_gauss_loop():
+    # the quadrature loop allen_cahn_energy carried before it shared
+    # mesh.edge_integral; the energies must stay float-identical
+    system = assemble_form(build_mesh(build_graph(4, [(1, 2), (1, 3), (1, 4)]), 9),
+                           build_edge_fields(3, weights=[1.0, 2.5, 0.75]),
+                           VertexMatrix(-np.eye(4)))
+    mesh, h, beta = system.mesh, system.mesh.h, 1.3
+    state = np.random.default_rng(11).standard_normal(system.ndof)
+    well = 0.0
+    for j in range(mesh.n_edges):
+        nodes = state[mesh.edge_dofs[j]]
+        left, right = nodes[:-1], nodes[1:]
+        acc = 0.0
+        for xi in (0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)):
+            vals = (1.0 - xi) * left + xi * right
+            acc += 0.5 * h * np.sum(0.25 * (vals ** 2 - beta ** 2) ** 2)
+        well += system.fields.weights[j] * acc
+    quad_part = 0.5 * float(state @ ((system.stiffness_potential + system.vertex_coupling)
+                                     @ state))
+    assert allen_cahn_energy(system, beta, state) == quad_part + well
 
 
 def test_e2_norm_rows_matches_system_norm():

@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from netsde import cli
 from netsde.cli import run_command
 from netsde.config import build_model, config_hash, normalize_config, parse_config
 from netsde.errors import SchemaViolation
@@ -235,10 +236,29 @@ class TestCli:
         assert lines[0] == "dt,error,fitted"
         assert len(lines) == 4
 
-    def test_holder_requires_matching_experiment(self, tmp_path, capsys):
+    def test_holder_requires_matching_experiment(self, tmp_path, capsys, monkeypatch):
+        def build(*args, **kwargs):
+            raise AssertionError("model built before the experiment name was checked")
+
+        monkeypatch.setattr(cli, "build_model", build)
         path = write_config(tmp_path, minimal_config())
-        assert run_command(["holder", "--config", str(path),
+        for command in ("holder", "convergence"):
+            assert run_command([command, "--config", str(path),
+                                "--output-dir", str(tmp_path / "o")]) == 1
+            assert f"experiment.name must be '{command}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("amplitudes", [[1.0, 2.0], [1.0, 2.0, 3.0, 4.0]])
+    def test_colored_amplitude_count_must_match_edges(self, tmp_path, capsys, amplitudes):
+        cfg = minimal_config(
+            graph={"n_vertices": 4, "edges": [[1, 2], [1, 3], [1, 4]]},
+            vertex_matrix=(-np.eye(4)).tolist(),
+            drift={"type": "none"},
+            noise={"kind": "colored", "decay": 2.0, "amplitudes": amplitudes},
+        )
+        path = write_config(tmp_path, cfg)
+        assert run_command(["simulate", "--config", str(path),
                             "--output-dir", str(tmp_path / "o")]) == 1
+        assert "netsde: error: need one noise amplitude per edge (3)" in capsys.readouterr().err
 
     def test_missing_output_dir(self, tmp_path, capsys):
         path = write_config(tmp_path, minimal_config())

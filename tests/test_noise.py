@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from netsde.assembly import assemble_form
-from netsde.errors import DecayTooSlow
+from netsde.errors import DecayTooSlow, DimensionMismatch
 from netsde.fields import build_edge_fields
 from netsde.graph import VertexMatrix, build_graph
 from netsde.mesh import build_mesh
@@ -15,12 +15,12 @@ from netsde.noise import (
 )
 
 
-def small_system(n_int=3, n_edges=1):
+def small_system(n_int=3, n_edges=1, weights=1.0):
     if n_edges == 1:
         graph = build_graph(2, [(1, 2)])
     else:
         graph = build_graph(n_edges + 1, [(1, j + 2) for j in range(n_edges)])
-    fields = build_edge_fields(graph.n_edges)
+    fields = build_edge_fields(graph.n_edges, weights=weights)
     return assemble_form(build_mesh(graph, n_int), fields, VertexMatrix(-np.eye(graph.n_vertices)))
 
 
@@ -123,3 +123,51 @@ class TestColoredNoise:
         cov = model.factor @ model.factor.T
         eigs = np.linalg.eigvalsh(cov)
         assert eigs.min() >= -1e-12
+
+    @pytest.mark.parametrize("amplitudes", [[1.0, 2.0], [1.0, 2.0, 3.0, 4.0]])
+    def test_amplitudes_need_one_per_edge(self, amplitudes):
+        with pytest.raises(DimensionMismatch, match="one noise amplitude per edge"):
+            colored_noise_operator(small_system(n_int=4, n_edges=3), decay=1.5,
+                                   amplitudes=amplitudes)
+
+    @pytest.mark.parametrize("n_int, n_edges, n_modes, weights, amplitudes", [
+        (3, 1, 1, 1.0, None),
+        (31, 1, 32, 1.0, None),
+        (40, 3, 100, [1.0, 2.0, 0.5], [1.0, 0.25, 3.0]),
+        (400, 3, None, 1.0, None),
+    ])
+    def test_factor_matches_reference_loop(self, n_int, n_edges, n_modes, weights, amplitudes):
+        sys = small_system(n_int=n_int, n_edges=n_edges, weights=weights)
+        model = colored_noise_operator(sys, decay=2.0, amplitudes=amplitudes, n_modes=n_modes)
+        factor, trace = reference_colored_factor(sys, 2.0, amplitudes, n_modes)
+        assert np.array_equal(model.factor, factor)
+        assert model.covariance_trace == trace
+
+
+def reference_colored_factor(system, decay, amplitudes=None, n_modes=None):
+    """The colored factor as the per-element loop built it before one load
+    table served every edge: the arithmetic stored colored artifacts were
+    made with.  The loop's loads depend on the mode only, so they are
+    computed once per mode here instead of once per (edge, mode)."""
+    mesh = system.mesh
+    m, h = mesh.n_edges, mesh.h
+    n_modes = mesh.n_interior + 1 if n_modes is None else n_modes
+    amp = np.ones(m) if amplitudes is None else np.asarray(amplitudes, dtype=float)
+
+    def linear_times_sine(a, b, omega, x0, x1):
+        def antideriv(x):
+            return -(a + b * x) * np.cos(omega * x) / omega + b * np.sin(omega * x) / omega ** 2
+        return antideriv(x1) - antideriv(x0)
+
+    factor = np.zeros((mesh.ndof, m * n_modes))
+    for k in range(1, n_modes + 1):
+        omega = k * np.pi
+        loads = np.zeros(mesh.n_interior + 2)
+        for e, x0 in enumerate(h * np.arange(mesh.n_interior + 1)):
+            x1 = x0 + h
+            loads[e] += linear_times_sine(x1 / h, -1.0 / h, omega, x0, x1)
+            loads[e + 1] += linear_times_sine(-x0 / h, 1.0 / h, omega, x0, x1)
+        for j in range(m):
+            col = np.sqrt(2.0 * system.fields.weights[j]) * loads
+            factor[mesh.edge_dofs[j], j * n_modes + (k - 1)] += amp[j] * k ** (-decay) * col
+    return factor, float(np.sum(factor ** 2))

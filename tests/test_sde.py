@@ -6,7 +6,9 @@ from netsde.assembly import assemble_form
 from netsde.errors import BlowupDetected, ConfigurationError
 from netsde.expressions import parse_expression
 from netsde.fields import (
+    DiffusionSpec,
     allen_cahn_system,
+    as_edge_function,
     build_diffusion,
     build_edge_fields,
     polynomial_drift,
@@ -18,6 +20,7 @@ from netsde.sde import (
     Problem,
     SolverConfig,
     Stepper,
+    nodal_diffusion_evaluator,
     nodal_drift_evaluator,
     simulate_path,
 )
@@ -243,6 +246,56 @@ class TestNodalDrift:
             t = float(rng.uniform(0.0, 1.0))
             u = 2.0 * rng.standard_normal(mesh.ndof)
             assert new(t, u).tobytes() == old(t, u).tobytes()
+
+
+def reference_nodal_diffusion(spec, mesh):
+    """The nodal diffusion evaluator as it stood before it shared the drift's
+    dispatcher: one array filled edge by edge, also for a constant g."""
+    by_edge = [np.flatnonzero(mesh.dof_edge == j) for j in range(mesh.n_edges)]
+    xs = [mesh.dof_x[idx] for idx in by_edge]
+
+    def evaluate(t, u):
+        out = np.empty_like(u)
+        for j, idx in enumerate(by_edge):
+            out[idx] = np.broadcast_to(spec.functions[j](t, xs[j], u[idx]), idx.shape)
+        return out
+
+    return evaluate
+
+
+class TestNodalDiffusion:
+    @pytest.mark.parametrize("kind", ["one", "zero", "per_edge_constants", "depends_on_u",
+                                      "depends_on_x"])
+    def test_bytes_match_reference_evaluator(self, kind):
+        mesh = build_mesh(build_graph(4, [(1, 2), (1, 3), (1, 4)]), 24)
+        expr = lambda text: parse_expression(text, ("t", "x", "u"))
+        function = {
+            "one": 1.0,
+            "zero": expr("0"),
+            "per_edge_constants": [1.0, 0.5, expr("2")],
+            "depends_on_u": expr("0.5 + sin(u)"),
+            "depends_on_x": [expr("1 + x*(1 - x)"), 1.0, expr("x")],
+        }[kind]
+        spec = build_diffusion(3, function)
+        new = nodal_diffusion_evaluator(spec, mesh)
+        old = reference_nodal_diffusion(spec, mesh)
+        rng = np.random.default_rng(7)
+        for _ in range(50):
+            t = float(rng.uniform(0.0, 1.0))
+            u = 2.0 * rng.standard_normal(mesh.ndof)
+            increment = rng.standard_normal(mesh.ndof)
+            gamma = new(t, u)
+            if kind in ("one", "zero"):
+                assert isinstance(gamma, float)
+            assert np.broadcast_to(gamma, u.shape).tobytes() == old(t, u).tobytes()
+            assert (gamma * increment).tobytes() == (old(t, u) * increment).tobytes()
+
+    def test_spec_without_constants_evaluates_per_edge(self):
+        mesh = build_mesh(build_graph(4, [(1, 2), (1, 3), (1, 4)]), 5)
+        spec = DiffusionSpec(tuple(as_edge_function(2.0, ("t", "x", "u")) for _ in range(3)))
+        gamma = nodal_diffusion_evaluator(spec, mesh)(0.0, np.zeros(mesh.ndof))
+        assert isinstance(gamma, np.ndarray)
+        assert gamma.tobytes() == np.full(mesh.ndof, 2.0).tobytes()
 
 
 class TestEnergyDecay:
