@@ -228,11 +228,12 @@ def estimate_strong_order(problem: Problem, dt_ladder, n_trajectories: int,
     else:
         raise ValueError(f"unknown norm {norm!r}")
 
+    # one set-up per system: the levels differ only in their dt-dependent part
+    base = Stepper(system, dt_ref, problem.config.scheme, problem.drift, problem.diffusion)
     levels = []
     for dt, ratio in zip(ladder, [1, *ratios]):
         level = problem.with_config(dt=float(dt), snapshot_stride=int(round(t_end / dt)))
-        stepper = Stepper(system, float(dt), problem.config.scheme,
-                          problem.drift, problem.diffusion)
+        stepper = base if ratio == 1 else base.with_dt(float(dt))
         levels.append((level, stepper, int(ratio)))
 
     all_errs = []

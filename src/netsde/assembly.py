@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 import scipy.io
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from .errors import (
     DimensionMismatch,
@@ -153,15 +154,28 @@ def noise_covariance_factor(system: DiscreteSystem, lumped: bool = False) -> sp.
     the coordinate form of space-time white noise tested against the nodal
     basis.  With ``lumped=True`` the factor is the diagonal square root of
     the row-sum lumped mass.
+
+    G is factored sparsely in the mesh's dof order: SuperLU without column
+    reordering or row pivoting gives ``G = L_1 U`` with unit ``L_1`` and,
+    G being symmetric, ``U = D L_1^T``, so ``L = L_1 sqrt(D)`` is the
+    Cholesky factor.  The interior-first dof layout is an arrowhead
+    ordering, so L fills in only the trailing vertex rows and both time and
+    memory are linear in the dof count for a fixed graph.
     """
     if lumped:
         return sp.diags(np.sqrt(system.lumped_mass)).tocsc()
+    natural = np.arange(system.ndof)
     try:
-        dense = np.linalg.cholesky(system.mass.toarray())
-    except np.linalg.LinAlgError as err:
-        raise FactorizationFailure(f"mass matrix is not positive definite: {err}") from err
-    factor = sp.csc_matrix(dense)
+        lu = spla.splu(system.mass.tocsc(), permc_spec="NATURAL", diag_pivot_thresh=0.0)
+    except RuntimeError as err:  # SuperLU: factor is exactly singular
+        raise FactorizationFailure(f"mass matrix is singular: {err}") from err
+    pivots = lu.U.diagonal()
+    if not (np.array_equal(lu.perm_r, natural) and np.array_equal(lu.perm_c, natural)
+            and np.all(pivots > 0.0)):
+        raise FactorizationFailure("mass matrix is not positive definite")
+    factor = sp.csc_matrix(lu.L @ sp.diags(np.sqrt(pivots)))
     factor.eliminate_zeros()
+    factor.sort_indices()
     return factor
 
 

@@ -36,6 +36,7 @@ from .errors import ConfigurationError, NetsdeError
 from .fields import validate_diffusion, validate_drift
 from .graph import validate_vertex_matrix
 from .mesh import node_coordinates
+from .noise import STREAM_VERSION
 from .semigroup import check_contraction, check_positivity, generalized_eigs
 
 
@@ -50,10 +51,12 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _write_lines(path: Path, header, lines):
+    path.write_text("\n".join([",".join(header), *lines]) + "\n", encoding="utf-8")
+
+
 def _write_csv(path: Path, header, rows):
-    lines = [",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_lines(path, header, (",".join(_fmt(v) for v in row) for row in rows))
 
 
 def _write_json(path: Path, payload):
@@ -67,6 +70,7 @@ def _write_manifest(out_dir: Path, command: str, config: RunConfig, artifacts, *
         "command": command,
         "config_hash": config.hash,
         "seed": config.seed,
+        "stream_version": STREAM_VERSION,
         "artifacts": sorted(artifacts),
     }
     payload.update(extra)
@@ -170,14 +174,15 @@ def _cmd_spectrum(args, config: RunConfig, out_dir: Path) -> int:
     return 0
 
 
-def _snapshot_rows(model: BuiltModel, trajectory):
+def _snapshot_lines(model: BuiltModel, trajectory):
+    """CSV lines ``t,edge,x,value``, formatted as ``_fmt`` would, one
+    (snapshot, edge) block at a time."""
     mesh = model.mesh
-    xs = node_coordinates(mesh)
-    for t, state in zip(trajectory.times, trajectory.states):
-        for j in range(mesh.n_edges):
-            values = state[mesh.edge_dofs[j]]
-            for x, v in zip(xs, values):
-                yield (t, j + 1, x, v)
+    xs = [f"{x!r}," for x in node_coordinates(mesh).tolist()]
+    for t, state in zip(trajectory.times.tolist(), trajectory.states):
+        for j, dofs in enumerate(mesh.edge_dofs):
+            prefix = f"{t!r},{j + 1},"
+            yield from (prefix + x + v for x, v in zip(xs, map(repr, state[dofs].tolist())))
 
 
 def _cmd_simulate(args, config: RunConfig, out_dir: Path) -> int:
@@ -187,8 +192,8 @@ def _cmd_simulate(args, config: RunConfig, out_dir: Path) -> int:
     artifacts = []
     for traj in trajectories:
         name = f"trajectory_{traj.trajectory_id:04d}.csv"
-        _write_csv(out_dir / name, ["t", "edge", "x", "value"],
-                   _snapshot_rows(model, traj))
+        _write_lines(out_dir / name, ["t", "edge", "x", "value"],
+                     _snapshot_lines(model, traj))
         artifacts.append(name)
     _write_json(out_dir / "summary.json", {
         "trajectories": n_traj,

@@ -7,8 +7,9 @@ automatically continuous across vertices and the vertex value is read
 directly from the shared dof.
 
 Global dof layout: interior dofs come first, edge by edge, and the n vertex
-dofs sit at the end.  This keeps mass-matrix Cholesky fill-in confined to
-the trailing vertex rows.
+dofs sit at the end.  This arrowhead ordering keeps the fill-in of the
+sparse mass-matrix Cholesky factor (``assembly.noise_covariance_factor``)
+confined to the trailing vertex rows.
 """
 
 from __future__ import annotations

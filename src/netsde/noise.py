@@ -31,6 +31,11 @@ from .mesh import Mesh
 
 _MASK64 = (1 << 64) - 1
 
+# Version of the mapping from (config, seed) to noise increments, recorded in
+# every manifest.  2: the white-noise factor comes from a sparse
+# factorization, so white increments differ from version 1 at rounding level.
+STREAM_VERSION = 2
+
 
 @dataclass(frozen=True)
 class NoiseModel:
@@ -109,14 +114,21 @@ def colored_noise_operator(system: DiscreteSystem, decay: float, seed: int = 0,
     mode_weights = np.array([k ** (-decay) for k in range(1, n_modes + 1)])
     factor = np.zeros((mesh.ndof, m * n_modes))
     mu = system.fields.weights
-    for j in range(m):
-        # L2(0,1; mu dx)-orthonormal mode is sqrt(2/mu) sin(k pi x); the
-        # weighted load against phi_a gains a factor mu
-        block = np.sqrt(2.0 * mu[j]) * loads
-        block *= amp[j] * mode_weights
-        factor[mesh.edge_dofs[j], j * n_modes:(j + 1) * n_modes] += block
-    del loads, block  # free the tables before squaring the factor (peak memory)
-    trace = float(np.sum(factor ** 2))
+
+    def place_blocks():
+        # every entry belongs to exactly one edge block
+        for j in range(m):
+            # L2(0,1; mu dx)-orthonormal mode is sqrt(2/mu) sin(k pi x); the
+            # weighted load against phi_a gains a factor mu
+            block = np.sqrt(2.0 * mu[j]) * loads
+            block *= amp[j] * mode_weights
+            factor[mesh.edge_dofs[j], j * n_modes:(j + 1) * n_modes] = block
+
+    # square in place rather than allocate factor ** 2 (same array, same
+    # sum), then place the blocks again
+    place_blocks()
+    trace = float(np.sum(np.square(factor, out=factor)))
+    place_blocks()
     return NoiseModel("colored", factor, int(seed), trace, decay=float(decay), n_modes=n_modes)
 
 

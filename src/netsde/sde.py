@@ -17,6 +17,7 @@ trajectory's path does not depend on which others run or in what order.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -126,16 +127,32 @@ class Stepper:
         self.drift = nodal_drift_evaluator(drift, system.mesh)
         self.diffusion = nodal_diffusion_evaluator(diffusion, system.mesh)
         self.mass = system.mass
-        try:
-            if scheme == "exponential_euler":
+        if scheme == "exponential_euler":
+            try:
                 self._spectral = generalized_eigs(system)
-                self._decay = np.exp(self._spectral.eigenvalues * self.dt)
                 self._project = self._spectral.eigenvectors.T @ system.mass.toarray()
                 self._mass_solve = spla.splu(system.mass.tocsc())
-            else:
-                self._implicit = spla.splu((system.mass - self.dt * system.form_matrix).tocsc())
+            except RuntimeError as err:
+                raise LinearSolveFailure(str(err)) from err
+        self._set_up_dt()
+
+    def _set_up_dt(self):
+        """Set up the dt-dependent part of the one-step map."""
+        if self.scheme == "exponential_euler":
+            self._decay = np.exp(self._spectral.eigenvalues * self.dt)
+            return
+        try:
+            self._implicit = spla.splu((self.mass - self.dt * self.system.form_matrix).tocsc())
         except RuntimeError as err:
             raise LinearSolveFailure(str(err)) from err
+
+    def with_dt(self, dt: float) -> "Stepper":
+        """The same map for another time step, sharing every dt-independent
+        part (evaluators, spectral data, mass factorization)."""
+        other = copy.copy(self)
+        other.dt = float(dt)
+        other._set_up_dt()
+        return other
 
     def step(self, state: np.ndarray, t: float, increment: np.ndarray | None) -> np.ndarray:
         dt = self.dt

@@ -191,6 +191,25 @@ class TestStrongOrder:
         expected = reference_strong_order_errors(problem, ladder, 3, problem.system.e2_norm)
         assert np.array_equal(est.values, expected)
 
+    def test_exponential_euler_ladder_decomposes_once(self, monkeypatch):
+        from netsde import sde
+
+        problem = heat_noise_problem(n_int=6, t_end=0.0625, seed=4)
+        problem = problem.with_config(scheme="exponential_euler")
+        ladder = 0.0625 / np.array([256.0, 32.0, 16.0, 8.0])
+        expected = reference_strong_order_errors(problem, ladder, 2, problem.system.e2_norm)
+        calls = []
+        original = sde.generalized_eigs
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(sde, "generalized_eigs", counted)
+        est = estimate_strong_order(problem, ladder, n_trajectories=2)
+        assert len(calls) == 1
+        assert np.array_equal(est.values, expected)
+
     def test_diffusion_without_noise_rejected(self):
         problem = heat_noise_problem()
         bad = Problem(problem.system, problem.config, problem.initial,

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -168,15 +170,41 @@ class TestMassFactor:
         se = np.sqrt((np.outer(np.diag(G), np.diag(G)) + G ** 2) / n_draw)
         assert np.all(np.abs(emp - G) <= 4.0 * se)
 
+    @pytest.mark.parametrize("seed", [None, 0, 1, 2, 3, 4])
+    def test_factor_matches_dense_cholesky(self, seed):
+        sys = single_edge_system(n_int=5) if seed is None \
+            else random_system(np.random.default_rng(seed))
+        G = sys.mass.toarray()
+        dense = np.linalg.cholesky(G)
+        L = noise_covariance_factor(sys).toarray()
+        np.testing.assert_allclose(L, dense, rtol=1e-12, atol=1e-15 * np.abs(G).max())
+        assert np.array_equal(L != 0.0, dense != 0.0)
+
+    def test_large_star_factor_stays_sparse(self):
+        # 60,004 dofs: a dense factorization would need about 29 GB
+        graph = build_graph(4, [(1, 2), (1, 3), (1, 4)])
+        sys = assemble_form(build_mesh(graph, 20000), build_edge_fields(3),
+                            VertexMatrix(-np.eye(4)))
+        L = noise_covariance_factor(sys)
+        assert sys.ndof == 60004
+        assert L.nnz <= 3 * sys.ndof
+        residual = abs(L @ L.T - sys.mass).max()
+        assert residual <= 1e-12 * abs(sys.mass).max()
+
     def test_factorization_failure_raised(self):
         sys = single_edge_system()
         bad = sys.mass.copy().tolil()
         bad[0, 0] = -1.0
-        broken = type(sys)(sys.mesh, sys.fields, sys.vertex_matrix, bad.tocsr(),
-                           sys.stiffness_potential, sys.vertex_coupling,
-                           sys.form_matrix, sys.lumped_mass)
         with pytest.raises(FactorizationFailure):
-            noise_covariance_factor(broken)
+            noise_covariance_factor(replace(sys, mass=bad.tocsr()))
+
+    def test_singular_mass_raises_factorization_failure(self):
+        sys = single_edge_system(n_int=3)
+        bad = sys.mass.copy().tolil()
+        bad[1, :] = 0.0
+        bad[:, 1] = 0.0
+        with pytest.raises(FactorizationFailure):
+            noise_covariance_factor(replace(sys, mass=bad.tocsr()))
 
 
 def test_matrix_market_dump(tmp_path):

@@ -8,6 +8,7 @@ from netsde import cli
 from netsde.cli import run_command
 from netsde.config import build_model, config_hash, normalize_config, parse_config
 from netsde.errors import SchemaViolation
+from netsde.mesh import node_coordinates
 
 
 def minimal_config(**overrides):
@@ -21,6 +22,28 @@ def minimal_config(**overrides):
     }
     cfg.update(overrides)
     return cfg
+
+
+def reference_fmt(value) -> str:
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    return str(value)
+
+
+def reference_write_csv(path, header, rows):
+    """The per-value CSV writer the snapshot output must match byte for byte."""
+    lines = [",".join(header)]
+    lines.extend(",".join(reference_fmt(v) for v in row) for row in rows)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def reference_snapshot_rows(model, trajectory):
+    mesh = model.mesh
+    xs = node_coordinates(mesh)
+    for t, state in zip(trajectory.times, trajectory.states):
+        for j in range(mesh.n_edges):
+            for x, v in zip(xs, state[mesh.edge_dofs[j]]):
+                yield (t, j + 1, x, v)
 
 
 def write_config(tmp_path, cfg, name="run.json"):
@@ -172,6 +195,30 @@ class TestCli:
         assert lines[0] == "t,edge,x,value"
         n_snap = 11  # stride 1, 10 steps + initial state
         assert len(lines) == 1 + n_snap * 1 * 6
+
+    def test_snapshot_csv_bytes_match_reference_writer(self, tmp_path):
+        # nodal initial values that format unusually: -0.0, a subnormal and
+        # integers held as floats
+        cfg = minimal_config(initial=[1.0, -0.0, 5e-324, 2.0, 0.25, 3.0],
+                             experiment={"name": "simulate", "trajectories": 2})
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "out"
+        assert run_command(["simulate", "--config", str(path), "--output-dir", str(out)]) == 0
+        model = build_model(parse_config(path))
+        for traj in cli.run_trajectories(model.problem, range(2)):
+            name = f"trajectory_{traj.trajectory_id:04d}.csv"
+            reference_write_csv(tmp_path / name, ["t", "edge", "x", "value"],
+                                reference_snapshot_rows(model, traj))
+            assert (out / name).read_bytes() == (tmp_path / name).read_bytes()
+        first = (out / "trajectory_0000.csv").read_text().splitlines()[1:7]
+        assert [line.rsplit(",", 1)[1] for line in first] == \
+            ["1.0", "-0.0", "5e-324", "2.0", "0.25", "3.0"]
+
+    def test_manifest_records_stream_version(self, tmp_path):
+        path = write_config(tmp_path, minimal_config())
+        out = tmp_path / "out"
+        assert run_command(["simulate", "--config", str(path), "--output-dir", str(out)]) == 0
+        assert json.loads((out / "manifest.json").read_text())["stream_version"] == 2
 
     def test_spectrum_csv(self, tmp_path):
         cfg = minimal_config(experiment={"name": "spectrum", "count": 3})
