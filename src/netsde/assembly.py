@@ -155,7 +155,8 @@ def noise_covariance_factor(system: DiscreteSystem, lumped: bool = False) -> sp.
     basis.  With ``lumped=True`` the factor is the diagonal square root of
     the row-sum lumped mass.
 
-    G is factored sparsely in the mesh's dof order: SuperLU without column
+    G is factored sparsely in the mesh's dof order: SuperLU in symmetric
+    mode (which skips its column elimination-tree postorder) without column
     reordering or row pivoting gives ``G = L_1 U`` with unit ``L_1`` and,
     G being symmetric, ``U = D L_1^T``, so ``L = L_1 sqrt(D)`` is the
     Cholesky factor.  The interior-first dof layout is an arrowhead
@@ -166,7 +167,8 @@ def noise_covariance_factor(system: DiscreteSystem, lumped: bool = False) -> sp.
         return sp.diags(np.sqrt(system.lumped_mass)).tocsc()
     natural = np.arange(system.ndof)
     try:
-        lu = spla.splu(system.mass.tocsc(), permc_spec="NATURAL", diag_pivot_thresh=0.0)
+        lu = spla.splu(system.mass.tocsc(), permc_spec="NATURAL", diag_pivot_thresh=0.0,
+                       options=dict(SymmetricMode=True))
     except RuntimeError as err:  # SuperLU: factor is exactly singular
         raise FactorizationFailure(f"mass matrix is singular: {err}") from err
     pivots = lu.U.diagonal()

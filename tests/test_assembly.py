@@ -170,10 +170,17 @@ class TestMassFactor:
         se = np.sqrt((np.outer(np.diag(G), np.diag(G)) + G ** 2) / n_draw)
         assert np.all(np.abs(emp - G) <= 4.0 * se)
 
-    @pytest.mark.parametrize("seed", [None, 0, 1, 2, 3, 4])
+    @pytest.mark.parametrize("seed", [None, "unordered_path", 0, 1, 2, 3, 4])
     def test_factor_matches_dense_cholesky(self, seed):
-        sys = single_edge_system(n_int=5) if seed is None \
-            else random_system(np.random.default_rng(seed))
+        if seed is None:
+            sys = single_edge_system(n_int=5)
+        elif seed == "unordered_path":
+            # path 1-2-3-4 listed out of path order: the middle edge comes last
+            graph = build_graph(4, [(1, 2), (3, 4), (2, 3)])
+            sys = assemble_form(build_mesh(graph, 6), build_edge_fields(3),
+                                VertexMatrix(-np.eye(4)))
+        else:
+            sys = random_system(np.random.default_rng(seed))
         G = sys.mass.toarray()
         dense = np.linalg.cholesky(G)
         L = noise_covariance_factor(sys).toarray()
