@@ -135,10 +135,16 @@ def holder_exponent_from_paths(times, paths, lags, norm_fn=None,
 
     sums = np.zeros(lags.size)
     counts = np.zeros(lags.size)
+    buffer = None
     for path in paths:
         path = np.asarray(path, dtype=float)
+        if buffer is None:
+            # one buffer for every increment array; the smallest lag has the
+            # most rows
+            buffer = np.empty((n_snap - start - steps[0],) + path.shape[1:])
         for i, k in enumerate(steps):
-            diffs = path[start + k:] - path[start:-k]
+            diffs = np.subtract(path[start + k:], path[start:-k],
+                                out=buffer[:n_snap - start - k])
             sums[i] += float(norm_fn(np.atleast_2d(diffs)).sum())
             counts[i] += diffs.shape[0]
     means = sums / counts

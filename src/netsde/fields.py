@@ -211,10 +211,15 @@ def eval_drift(spec: DriftSpec, t, x, edge: int, value):
              for fn, c in zip(spec.coefficients[edge - 1], consts)]
     d = spec.top_power
     value = np.asarray(value, dtype=float)
-    acc = -coeff[d] * value ** d
+    # powers by repeated multiplication: value ** l goes through C pow,
+    # which is far slower for arrays
+    powers = [None, value]
+    for l in range(2, d + 1):
+        powers.append(powers[-1] * value)
+    acc = -coeff[d] * powers[d]
     for l in range(1, d):
         if consts[l] != 0.0:
-            acc = acc + coeff[l] * value ** l
+            acc = acc + coeff[l] * powers[l]
     if consts[0] != 0.0:
         acc = acc + coeff[0]
     return acc

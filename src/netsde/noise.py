@@ -2,25 +2,36 @@
 
 White noise: the load-vector increments of independent per-edge space-time
 white noise have covariance ``dt * G`` (G the weighted mass matrix), so
-increments are sampled as ``sqrt(dt) * L z`` with ``L L^T = G``.
+increments are sampled as ``sqrt(dt) * L z`` with ``L L^T = G`` and L sparse.
 
 Colored noise: each edge's noise is smoothed by a diagonal operator in the
 Dirichlet sine basis of its weighted L2 space, mode k scaled by
-``amplitude * k^{-s}`` with decay ``s > 1/2``.  The increment factor is the
-rectangular matrix of mode loads against the nodal basis, computed with
-exact piecewise-linear-times-sine integrals, and the covariance
-``dt * G_R = dt * (factor @ factor.T)`` has finite trace.  Every edge carries
-the same uniform mesh, so one (nodes x modes) load table serves every edge;
-each edge scales it by its weight and amplitude.
+``amplitude * k^{-s}`` with decay ``s > 1/2``, so the covariance
+``dt * factor @ factor.T`` has finite trace.  The factor maps the m*K mode
+coefficients to their loads against the nodal basis and is never stored
+(``SineFactor``).  Every edge carries the same uniform mesh, nodes
+``x_a = a*h`` with ``h = 1/(N+1)``, and the exact load of the interior hat at
+``x_a`` is ``c_k sin(k pi a h)`` with ``c_k = (2 - 2cos(k pi h))/((k pi)^2 h)``:
+the interior rows of ``factor @ z`` are a discrete sine transform, computed
+for all edges by one real FFT of length 2(N+1).  The sine is 2(N+1)-periodic
+in k, so modes beyond N+1 fold onto that grid instead of being cut or
+rejected, and every mode count runs the same code.  The two end half-hats
+have closed-form loads, an O(K) dot product per edge end, and the trace is a
+closed-form sum over modes.
 
 Streams are deterministic functions of (base seed, trajectory, step): the
 Philox key packs ``(seed << 64) | trajectory`` and the 256-bit block counter
 starts at ``step << 64``, so draws within a step can never run into the next
 step's block range.
+
+``STREAM_VERSION``, recorded in every manifest, names the whole mapping from
+(config, seed) to artifact bytes, noise and arithmetic alike, and changes
+whenever any part of it does.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -31,10 +42,13 @@ from .mesh import Mesh
 
 _MASK64 = (1 << 64) - 1
 
-# Version of the mapping from (config, seed) to noise increments, recorded in
+# Version of the mapping from (config, seed) to artifact bytes, recorded in
 # every manifest.  2: the white-noise factor comes from a sparse
 # factorization, so white increments differ from version 1 at rounding level.
-STREAM_VERSION = 2
+# 3: colored increments come from the sine transform instead of a stored dense
+# factor, the reaction polynomial is evaluated by repeated multiplication, and
+# a step forms its right-hand side with one mass matvec, G (u + dt F).
+STREAM_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -42,7 +56,7 @@ class NoiseModel:
     """Covariance factor plus the RNG stream policy."""
 
     kind: str                    # "white" or "colored"
-    factor: object               # (ndof, r) sparse or dense increment factor
+    factor: object               # (ndof, r) increment factor: sparse L or SineFactor
     seed: int
     covariance_trace: float
     decay: float | None = None
@@ -51,6 +65,10 @@ class NoiseModel:
     @property
     def dim(self) -> int:
         return self.factor.shape[1]
+
+    def apply(self, z: np.ndarray) -> np.ndarray:
+        """The increment factor times the standard normal vector ``z``."""
+        return self.factor @ z
 
     def with_seed(self, seed: int) -> "NoiseModel":
         return replace(self, seed=int(seed))
@@ -63,28 +81,72 @@ def white_noise_model(system: DiscreteSystem, seed: int = 0, lumped: bool = Fals
     return NoiseModel("white", factor, int(seed), trace)
 
 
-def _mode_loads(mesh: Mesh, n_modes: int) -> np.ndarray:
-    """Unweighted loads int phi_a(x) sin(k pi x) dx, (nodes, modes) on one edge.
+class SineFactor:
+    """The colored increment factor, ndof x (m*K), applied without storing it.
 
-    Each element [x0, x1] adds the exact integral of its descending hat to
-    its left node and of its ascending hat to its right node.
+    ``weights[j, k-1]`` scales mode k on edge j.  Column ``j*K + k-1`` holds
+    that weight times the exact loads of sin(k pi x) against the nodal basis
+    of edge j: ``c_k sin(k pi a h)`` at interior node a and the half-hat
+    loads at the two ends.
     """
-    h = mesh.h
-    x0 = (h * np.arange(mesh.n_interior + 1))[:, None]
-    x1 = x0 + h
-    omega = np.array([k * np.pi for k in range(1, n_modes + 1)])
-    # Python's float ** 2 (C pow) and numpy's square differ in the last bit
-    # for some k (the first is 2207); colored factors use the former
-    omega_sq = np.array([w ** 2 for w in omega.tolist()])
 
-    def antideriv(a, b, x):
-        # of (a + b*x) * sin(omega*x), per element and mode
-        return -(a + b * x) * np.cos(omega * x) / omega + b * np.sin(omega * x) / omega_sq
+    def __init__(self, mesh: Mesh, weights: np.ndarray):
+        m, n_modes = weights.shape
+        n = mesh.n_interior
+        k = np.arange(1, n_modes + 1)
+        omega = k * np.pi
+        theta = omega * mesh.h
+        # (2 - 2cos(theta)) / (omega^2 h), with 2 - 2cos written as 4 sin^2
+        # to avoid cancellation at small theta
+        self._interior_load = 4.0 * np.sin(0.5 * theta) ** 2 / (omega ** 2 * mesh.h)
+        # int_0^h (1 - x/h) sin(omega x) dx at the first node; the last node's
+        # half-hat is its mirror image, (-1)^(k+1) times as much
+        left = _one_minus_sinc(theta) / omega
+        self._end_loads = np.stack([left, np.where(k % 2 == 1, left, -left)], axis=1)
+        self._weights = weights
+        self.shape = (mesh.ndof, m * n_modes)
+        # sin(k pi a h) is 2(N+1)-periodic in k, so mode k lands on grid point
+        # k mod 2(N+1) of its edge's row; modes past N+1 fold onto the grid
+        self._grid_shape = (m, 2 * (n + 1))
+        self._grid_index = (2 * (n + 1) * np.arange(m)[:, None] + k % (2 * (n + 1))).ravel()
+        self._interior_dofs = mesh.edge_dofs[:, 1:-1]
+        self._end_dofs = mesh.edge_dofs[:, [0, -1]].ravel()
 
-    loads = np.zeros((mesh.n_interior + 2, n_modes))
-    loads[:-1] += antideriv(x1 / h, -1.0 / h, x1) - antideriv(x1 / h, -1.0 / h, x0)
-    loads[1:] += antideriv(-x0 / h, 1.0 / h, x1) - antideriv(-x0 / h, 1.0 / h, x0)
-    return loads
+    def __matmul__(self, z: np.ndarray) -> np.ndarray:
+        coeff = z.reshape(self._weights.shape) * self._weights
+        out = np.bincount(self._end_dofs, weights=(coeff @ self._end_loads).ravel(),
+                          minlength=self.shape[0])
+        grid = np.bincount(self._grid_index, weights=(coeff * self._interior_load).ravel(),
+                           minlength=self._grid_shape[0] * self._grid_shape[1])
+        # -imag(rfft(v))[a] = sum_r v_r sin(2 pi a r / (2(N+1))), one real FFT
+        # for every edge
+        spectrum = np.fft.rfft(grid.reshape(self._grid_shape), axis=1)
+        out[self._interior_dofs] = -spectrum.imag[:, 1:-1]
+        return out
+
+    def squared_norm(self) -> float:
+        """Sum of the squared entries, i.e. the trace of factor @ factor.T.
+
+        Over the interior nodes sum_a sin^2(k pi a h) is (N+1)/2 unless k is
+        a multiple of N+1, where every sine vanishes.
+        """
+        n_plus_1 = self._grid_shape[1] // 2
+        k = np.arange(1, self._weights.shape[1] + 1)
+        interior = self._interior_load ** 2 * (0.5 * n_plus_1) * (k % n_plus_1 != 0)
+        ends = np.sum(self._end_loads ** 2, axis=1)
+        return float(np.sum(self._weights ** 2 * (interior + ends)))
+
+
+def _one_minus_sinc(theta: np.ndarray) -> np.ndarray:
+    """1 - sin(theta)/theta for theta > 0, without cancellation near 0."""
+    direct = 1.0 - np.sin(theta) / theta
+    # below 1 use the Taylor series sum_n (-1)^(n+1) theta^(2n) / (2n+1)!;
+    # its tenth term is below 1e-19 of the first
+    t = np.minimum(theta, 1.0) ** 2
+    series = np.zeros_like(t)
+    for n in range(10, 0, -1):
+        series = t * ((-1) ** (n + 1) / math.factorial(2 * n + 1) + series)
+    return np.where(theta < 1.0, series, direct)
 
 
 def colored_noise_operator(system: DiscreteSystem, decay: float, seed: int = 0,
@@ -110,26 +172,13 @@ def colored_noise_operator(system: DiscreteSystem, decay: float, seed: int = 0,
     if amp.shape != (m,):
         raise DimensionMismatch(f"need one noise amplitude per edge ({m}), got {amp.size}")
 
-    loads = _mode_loads(mesh, n_modes)
     mode_weights = np.array([k ** (-decay) for k in range(1, n_modes + 1)])
-    factor = np.zeros((mesh.ndof, m * n_modes))
-    mu = system.fields.weights
-
-    def place_blocks():
-        # every entry belongs to exactly one edge block
-        for j in range(m):
-            # L2(0,1; mu dx)-orthonormal mode is sqrt(2/mu) sin(k pi x); the
-            # weighted load against phi_a gains a factor mu
-            block = np.sqrt(2.0 * mu[j]) * loads
-            block *= amp[j] * mode_weights
-            factor[mesh.edge_dofs[j], j * n_modes:(j + 1) * n_modes] = block
-
-    # square in place rather than allocate factor ** 2 (same array, same
-    # sum), then place the blocks again
-    place_blocks()
-    trace = float(np.sum(np.square(factor, out=factor)))
-    place_blocks()
-    return NoiseModel("colored", factor, int(seed), trace, decay=float(decay), n_modes=n_modes)
+    # L2(0,1; mu dx)-orthonormal mode is sqrt(2/mu) sin(k pi x); the weighted
+    # load against phi_a gains a factor mu
+    edge_weights = np.sqrt(2.0 * system.fields.weights) * amp
+    factor = SineFactor(mesh, edge_weights[:, None] * mode_weights)
+    return NoiseModel("colored", factor, int(seed), factor.squared_norm(),
+                      decay=float(decay), n_modes=n_modes)
 
 
 def _philox_state(seed: int, trajectory_id: int, step_id: int) -> dict:
@@ -153,7 +202,7 @@ def sample_noise_increment(noise: NoiseModel, trajectory_id: int, step_id: int,
     bitgen = np.random.Philox(key=0)
     bitgen.state = _philox_state(noise.seed, trajectory_id, step_id)
     z = np.random.Generator(bitgen).standard_normal(noise.dim)
-    return np.sqrt(dt) * (noise.factor @ z)
+    return np.sqrt(dt) * noise.apply(z)
 
 
 class IncrementSampler:
@@ -169,13 +218,12 @@ class IncrementSampler:
         self.trajectory_id = int(trajectory_id)
         self._bitgen = np.random.Philox(key=0)
         self._gen = np.random.Generator(self._bitgen)
-        self._factor = noise.factor
         self._dim = noise.dim
 
     def __call__(self, step_id: int, dt: float) -> np.ndarray:
         self._bitgen.state = _philox_state(self.noise.seed, self.trajectory_id, step_id)
         z = self._gen.standard_normal(self._dim)
-        return np.sqrt(dt) * (self._factor @ z)
+        return np.sqrt(dt) * self.noise.apply(z)
 
 
 def coupled_sampler(noise: NoiseModel, trajectory_id: int, ratio: int):

@@ -2,7 +2,7 @@
 
 One step of the default linear-implicit scheme solves
 
-    (G - dt*A_form) u+ = G u + dt * G * F_tamed(t, u) + Gamma(t, u) * dW
+    (G - dt*A_form) u+ = G (u + dt * F_tamed(t, u)) + Gamma(t, u) * dW
 
 with the reaction term tamed by its sup norm, ``F_tamed = F / (1 +
 dt*max|F|)``, and the noise coefficient acting diagonally on nodal values
@@ -174,9 +174,7 @@ class Stepper:
                 w += self._mass_solve.solve(noise_term)
             return self._spectral.eigenvectors @ (self._decay * (self._project @ w))
 
-        rhs = self.mass @ state
-        if forcing is not None:
-            rhs += dt * (self.mass @ forcing)
+        rhs = self.mass @ (state if forcing is None else state + dt * forcing)
         if noise_term is not None:
             rhs += noise_term
         out = self._implicit.solve(rhs)

@@ -3,7 +3,8 @@
 These deliberately avoid the package's assembly/eigensolver code paths:
 the Robin spectrum comes from the scalar boundary-value problem's
 characteristic equation, contraction/positivity cross-checks use dense
-matrix exponentials, and Monte Carlo reference statistics use plain numpy.
+matrix exponentials, Monte Carlo reference statistics use plain numpy, and
+the colored-noise factor is materialized from per-element antiderivatives.
 """
 
 import numpy as np
@@ -62,3 +63,56 @@ def ols_slope(x, y):
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
     return coef[0], coef[1], r2
+
+
+def colored_mode_loads(mesh, n_modes, dtype=float):
+    """Unweighted loads int phi_a(x) sin(k pi x) dx, (nodes, modes) on one edge.
+
+    Each element [x0, x1] adds the exact integral of its descending hat to
+    its left node and of its ascending hat to its right node.  The
+    antiderivative differences cancel to about eps * N^2 / k relative, so
+    ``dtype=np.longdouble`` gives the accurate table (rounded to float64).
+    """
+    one = dtype(1)
+    h = one / (mesh.n_interior + 1)
+    x0 = (h * np.arange(mesh.n_interior + 1, dtype=dtype))[:, None]
+    x1 = x0 + h
+    if dtype is float:
+        omega = np.array([k * np.pi for k in range(1, n_modes + 1)])
+        # Python's float ** 2 (C pow) and numpy's square differ in the last
+        # bit for some k (the first is 2207); stored factors used the former
+        omega_sq = np.array([w ** 2 for w in omega.tolist()])
+    else:
+        omega = np.arange(1, n_modes + 1, dtype=dtype) * np.arccos(-one)
+        omega_sq = omega ** 2
+
+    def antideriv(a, b, x):
+        # of (a + b*x) * sin(omega*x), per element and mode
+        return -(a + b * x) * np.cos(omega * x) / omega + b * np.sin(omega * x) / omega_sq
+
+    loads = np.zeros((mesh.n_interior + 2, n_modes), dtype=dtype)
+    loads[:-1] += antideriv(x1 / h, -one / h, x1) - antideriv(x1 / h, -one / h, x0)
+    loads[1:] += antideriv(-x0 / h, one / h, x1) - antideriv(-x0 / h, one / h, x0)
+    return loads.astype(float)
+
+
+def colored_factor(system, decay, amplitudes=None, n_modes=None, dtype=float):
+    """The dense ndof x (m*K) colored-noise factor, one block per edge.
+
+    With ``dtype=float`` this is the factor that stream versions 1 and 2
+    stored and multiplied on every draw.
+    """
+    mesh = system.mesh
+    m = mesh.n_edges
+    n_modes = mesh.n_interior + 1 if n_modes is None else n_modes
+    amp = np.broadcast_to(np.asarray(1.0 if amplitudes is None else amplitudes, dtype=float), m)
+    loads = colored_mode_loads(mesh, n_modes, dtype)
+    mode_weights = np.array([k ** (-decay) for k in range(1, n_modes + 1)])
+    factor = np.zeros((mesh.ndof, m * n_modes))
+    for j in range(m):
+        # L2(0,1; mu dx)-orthonormal mode is sqrt(2/mu) sin(k pi x); the
+        # weighted load against phi_a gains a factor mu
+        block = np.sqrt(2.0 * system.fields.weights[j]) * loads
+        block *= amp[j] * mode_weights
+        factor[mesh.edge_dofs[j], j * n_modes:(j + 1) * n_modes] = block
+    return factor

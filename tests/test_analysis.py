@@ -1,3 +1,6 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
@@ -6,6 +9,7 @@ from netsde.analysis import (
     ExponentEstimate,
     allen_cahn_energy,
     e2_norm_rows,
+    einf_norm_rows,
     estimate_holder_exponent,
     estimate_strong_order,
     holder_exponent_from_paths,
@@ -35,6 +39,27 @@ def heat_noise_problem(n_int=6, dt=1e-3, t_end=0.25, seed=0, stride=1, drift=Non
     u0 = interpolate(system.mesh, lambda x: np.sin(np.pi * x))
     cfg = SolverConfig(dt=dt, t_end=t_end, snapshot_stride=stride)
     return Problem(system, cfg, u0, drift, diffusion, noise)
+
+
+def reference_holder_fit(times, paths, lags, norm_fn=None, burn_fraction=0.25):
+    """``holder_exponent_from_paths`` as it was before the increments shared
+    one buffer (a fresh difference array per lag and path); valid lags only."""
+    lags = np.asarray(lags, dtype=float)
+    steps = np.round(lags / float(times[1] - times[0])).astype(int)
+    start = int(math.ceil(burn_fraction * (times.size - 1)))
+    if norm_fn is None:
+        norm_fn = lambda diffs: np.linalg.norm(diffs, axis=1)
+    sums = np.zeros(lags.size)
+    counts = np.zeros(lags.size)
+    for path in paths:
+        path = np.asarray(path, dtype=float)
+        for i, k in enumerate(steps):
+            diffs = path[start + k:] - path[start:-k]
+            sums[i] += float(norm_fn(np.atleast_2d(diffs)).sum())
+            counts[i] += diffs.shape[0]
+    means = sums / counts
+    slope, half_width, r2, residuals = analysis._ols_loglog(lags, means)
+    return analysis.ExponentEstimate(slope, half_width, r2, lags, means, residuals)
 
 
 class TestHolderCalibration:
@@ -67,6 +92,19 @@ class TestHolderCalibration:
             holder_exponent_from_paths(times, paths, [4e-3, 2e-3, 8e-3, 16e-3])
         with pytest.raises(InsufficientResolution):
             holder_exponent_from_paths(times, paths, [1.5e-3, 2e-3, 4e-3, 8e-3])
+
+    @pytest.mark.parametrize("norm", ["default", "E2", "Einf"])
+    def test_fit_matches_reference_loop(self, norm):
+        system = heat_noise_problem().system
+        norm_fn = {"default": None, "E2": e2_norm_rows(system), "Einf": einf_norm_rows}[norm]
+        rng = np.random.default_rng(11)
+        times = 1e-3 * np.arange(301)
+        paths = list(np.cumsum(rng.standard_normal((3, times.size, system.mesh.ndof)), axis=1))
+        lags = np.array([2, 4, 8, 16, 64]) * 1e-3
+        est = holder_exponent_from_paths(times, paths, lags, norm_fn, burn_fraction=0.3)
+        ref = reference_holder_fit(times, paths, lags, norm_fn, burn_fraction=0.3)
+        for field in dataclasses.fields(ref):
+            assert np.array_equal(getattr(est, field.name), getattr(ref, field.name)), field.name
 
     def test_driver_rejects_coarse_dt(self):
         problem = heat_noise_problem(dt=1e-3)

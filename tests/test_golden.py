@@ -1,0 +1,102 @@
+"""Golden artifacts: the bytes every CLI command writes for small configs.
+
+Each case runs one ``netsde`` command in-process on a config under
+``golden/configs/`` and hashes every file the manifest lists, and the
+manifest itself.  ``golden/hashes.json`` holds the expected SHA-256 values
+together with the ``noise.STREAM_VERSION`` and the platform they were made
+on: numpy and scipy versions, processor count and OpenBLAS thread count,
+any of which may move floating-point results in the last bits.
+
+On another platform the cases are skipped with the fields that differ; an
+older stream version fails.  Regenerate the hashes with
+``python3 tests/golden/regen.py``, and only together with a stream-version
+bump or a declared change of artifact format.
+"""
+
+import ctypes
+import hashlib
+import json
+import os
+from pathlib import Path
+
+import numpy as np
+import pytest
+import scipy
+
+from netsde.cli import run_command
+from netsde.noise import STREAM_VERSION
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+HASHES = GOLDEN / "hashes.json"
+
+# case name -> (command, config under golden/configs, extra arguments)
+CASES = {
+    "holder_white": ("holder", "holder_white.json", []),
+    "convergence_ladder": ("convergence", "convergence_ladder.json", []),
+    "simulate_colored": ("simulate", "simulate_colored.json", []),
+    "simulate_white_fine": ("simulate", "simulate_white_fine.json", []),
+    "colored_weighted": ("simulate", "colored_weighted.json", []),
+    "validate": ("validate", "validate.json", []),
+    "spectrum": ("spectrum", "spectrum.json", ["--dump-matrices"]),
+}
+
+
+def _openblas_threads():
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("*openblas*")):
+        lib = ctypes.CDLL(str(path))
+        for name in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+                     "openblas_get_num_threads64_", "openblas_get_num_threads"):
+            get = getattr(lib, name, None)
+            if get is not None:
+                return int(get())
+    return None
+
+
+def platform_fingerprint() -> dict:
+    return {"numpy": np.__version__, "scipy": scipy.__version__,
+            "nproc": os.cpu_count(), "openblas_threads": _openblas_threads()}
+
+
+def run_case(name: str, out_dir: Path) -> dict:
+    """Run one case into ``out_dir``; its exit code and artifact hashes."""
+    command, config, extra = CASES[name]
+    code = run_command([command, "--config", str(GOLDEN / "configs" / config),
+                        "--output-dir", str(out_dir), *extra])
+    manifest = json.loads((out_dir / "manifest.json").read_text(encoding="utf-8"))
+    hashes = {}
+    for artifact in ["manifest.json", *manifest["artifacts"]]:
+        hashes[artifact] = hashlib.sha256((out_dir / artifact).read_bytes()).hexdigest()
+    return {"exit_code": code, "sha256": hashes}
+
+
+@pytest.fixture(scope="module")
+def golden():
+    recorded = json.loads(HASHES.read_text(encoding="utf-8"))
+    assert recorded["stream_version"] == STREAM_VERSION, (
+        f"golden hashes are for stream version {recorded['stream_version']}, the code "
+        f"writes {STREAM_VERSION}: regenerate them with tests/golden/regen.py")
+    current = platform_fingerprint()
+    differ = [f"{key}: recorded {recorded['platform'].get(key)!r}, here {value!r}"
+              for key, value in current.items() if recorded["platform"].get(key) != value]
+    if differ:
+        pytest.skip("golden hashes were made on another platform (" + "; ".join(differ) + ")")
+    return recorded["cases"]
+
+
+def test_every_case_is_recorded(golden):
+    assert sorted(golden) == sorted(CASES)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_artifact_bytes_match_golden(golden, name, tmp_path):
+    expected = golden[name]
+    actual = run_case(name, tmp_path)
+    assert actual["exit_code"] == expected["exit_code"]
+    differ = [f"{artifact}: expected {expected['sha256'].get(artifact)}, got {digest}"
+              for artifact, digest in actual["sha256"].items()
+              if expected["sha256"].get(artifact) != digest]
+    missing = sorted(set(expected["sha256"]) - set(actual["sha256"]))
+    assert not differ and not missing, (
+        f"{name} artifacts differ from the golden hashes: " + "; ".join(differ)
+        + (f"; not written: {', '.join(missing)}" if missing else ""))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from _oracles import colored_factor
 from netsde.assembly import assemble_form
 from netsde.errors import DecayTooSlow, DimensionMismatch
 from netsde.fields import build_edge_fields
@@ -93,8 +94,8 @@ class TestColoredNoise:
     def test_trace_is_frobenius_of_factor(self):
         sys = small_system(n_int=5)
         model = colored_noise_operator(sys, decay=2.0, n_modes=4)
-        cov = model.factor @ model.factor.T
-        assert model.covariance_trace == pytest.approx(np.trace(cov))
+        factor = materialize(model)
+        assert model.covariance_trace == pytest.approx(np.trace(factor @ factor.T))
 
     def test_single_mode_gives_rank_one_noise_per_edge(self):
         sys = small_system(n_int=6)
@@ -115,13 +116,12 @@ class TestColoredNoise:
         oracle = np.sqrt(2.0 * mu) * 2.0 ** -2.0 * quad(
             lambda x: hat(x) * np.sin(2 * np.pi * x), 0.0, 1.0)[0]
         dof = mesh.edge_dofs[0, 1]
-        assert model.factor[dof, 1] == pytest.approx(oracle, abs=1e-12)
+        assert materialize(model)[dof, 1] == pytest.approx(oracle, abs=1e-12)
 
     def test_covariance_positive_semidefinite(self):
         sys = small_system(n_int=4, n_edges=3)
-        model = colored_noise_operator(sys, decay=1.5)
-        cov = model.factor @ model.factor.T
-        eigs = np.linalg.eigvalsh(cov)
+        factor = materialize(colored_noise_operator(sys, decay=1.5))
+        eigs = np.linalg.eigvalsh(factor @ factor.T)
         assert eigs.min() >= -1e-12
 
     @pytest.mark.parametrize("amplitudes", [[1.0, 2.0], [1.0, 2.0, 3.0, 4.0]])
@@ -140,14 +140,50 @@ class TestColoredNoise:
         sys = small_system(n_int=n_int, n_edges=n_edges, weights=weights)
         model = colored_noise_operator(sys, decay=2.0, amplitudes=amplitudes, n_modes=n_modes)
         factor, trace = reference_colored_factor(sys, 2.0, amplitudes, n_modes)
-        assert np.array_equal(model.factor, factor)
-        assert model.covariance_trace == trace
+        assert np.array_equal(colored_factor(sys, 2.0, amplitudes, n_modes), factor)
+        # the trace is a closed form now, not the sum of the squared entries
+        assert model.covariance_trace == pytest.approx(trace, rel=1e-13)
+
+    # N+1 = 97 and 401 are prime; K below, at and above N+1 (folded modes)
+    @pytest.mark.parametrize("n_int, n_edges, n_modes, weights, amplitudes", [
+        (96, 1, 50, 1.0, None),
+        (96, 3, 97, [1.0, 2.0, 0.5], [1.0, 0.25, 3.0]),
+        (96, 3, 300, [1.0, 2.0, 0.5], [1.0, 0.25, 3.0]),
+        (400, 1, 1000, 2.0, 0.5),
+        (400, 3, None, [1.0, 2.0, 0.5], [1.0, 0.25, 3.0]),
+        (40, 3, 100, [1.0, 2.0, 0.5], [1.0, 0.25, 3.0]),
+    ])
+    def test_apply_matches_oracle_factor(self, n_int, n_edges, n_modes, weights, amplitudes):
+        sys = small_system(n_int=n_int, n_edges=n_edges, weights=weights)
+        model = colored_noise_operator(sys, decay=2.0, amplitudes=amplitudes, n_modes=n_modes)
+        # long double keeps the oracle's own cancellation (about eps*N^2
+        # relative in float64) below the tolerance
+        factor = colored_factor(sys, 2.0, amplitudes, n_modes, dtype=np.longdouble)
+        assert model.dim == factor.shape[1]
+        rng = np.random.default_rng(n_int + n_edges)
+        for _ in range(5):
+            z = rng.standard_normal(model.dim)
+            # relative to |factor| @ |z|: entries that are sums of cancelling
+            # terms carry the rounding of the terms, not of the sum
+            error = np.abs(model.apply(z) - factor @ z)
+            assert np.all(error <= 1e-12 * (np.abs(factor) @ np.abs(z)))
+        assert model.covariance_trace == pytest.approx(np.sum(factor ** 2), rel=1e-13)
+
+    def test_no_dense_factor_is_stored(self):
+        model = colored_noise_operator(small_system(n_int=400, n_edges=3), decay=2.0)
+        stored = [v for v in vars(model.factor).values() if isinstance(v, np.ndarray)]
+        assert max(v.size for v in stored) <= model.factor.shape[0] + model.dim
+
+
+def materialize(model):
+    """The noise model's factor, one ``apply`` of a unit vector per column."""
+    return np.column_stack([model.apply(e) for e in np.eye(model.dim)])
 
 
 def reference_colored_factor(system, decay, amplitudes=None, n_modes=None):
     """The colored factor as the per-element loop built it before one load
-    table served every edge: the arithmetic stored colored artifacts were
-    made with.  The loop's loads depend on the mode only, so they are
+    table served every edge: the arithmetic of colored artifacts up to
+    stream version 2.  The loop's loads depend on the mode only, so they are
     computed once per mode here instead of once per (edge, mode)."""
     mesh = system.mesh
     m, h = mesh.n_edges, mesh.h

@@ -186,19 +186,28 @@ class TestSimulatePath:
         np.testing.assert_allclose(traj.final_state(), exact, atol=1e-10)
 
 
+def power(v, l):
+    """v ** l as ((v * v) * v) * ..., the order eval_drift multiplies in."""
+    out = v
+    for _ in range(l - 1):
+        out = out * v
+    return out
+
+
 def reference_nodal_drift(spec, mesh):
     """The nodal reaction evaluator as it stood before it dispatched to
-    ``eval_drift``: the arithmetic that every stored artifact was made with."""
+    ``eval_drift``, with powers by repeated multiplication as stream version
+    3 computes them (version 2 used ``u ** l``)."""
     d = spec.top_power
     consts = spec.constant_values
     if spec.is_constant() and all(consts[j] == consts[0] for j in range(1, spec.n_edges)):
         coeff = np.asarray(consts[0], dtype=float)
 
         def evaluate_const(t, u):
-            acc = -coeff[d] * u ** d
+            acc = -coeff[d] * power(u, d)
             for l in range(1, d):
                 if coeff[l] != 0.0:
-                    acc = acc + coeff[l] * u ** l
+                    acc = acc + coeff[l] * power(u, l)
             if coeff[0] != 0.0:
                 acc = acc + coeff[0]
             return acc
@@ -214,9 +223,9 @@ def reference_nodal_drift(spec, mesh):
             coeffs = spec.coefficients[j]
             x = xs[j]
             v = u[idx]
-            acc = -np.broadcast_to(coeffs[d](t, x), x.shape) * v ** d
+            acc = -np.broadcast_to(coeffs[d](t, x), x.shape) * power(v, d)
             for l in range(1, d):
-                acc = acc + np.broadcast_to(coeffs[l](t, x), x.shape) * v ** l
+                acc = acc + np.broadcast_to(coeffs[l](t, x), x.shape) * power(v, l)
             out[idx] = acc + np.broadcast_to(coeffs[0](t, x), x.shape)
         return out
 
