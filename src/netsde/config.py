@@ -140,9 +140,6 @@ class RunConfig:
     hash: str
     source: str = ""
 
-    def __getitem__(self, key):
-        return self.data[key]
-
     @property
     def seed(self) -> int:
         return self.data["seed"]

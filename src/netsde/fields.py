@@ -311,10 +311,6 @@ class AllenCahnSpec:
     drift: DriftSpec
     fields: EdgeFieldSet       # base fields with potential shifted by rho
 
-    def well_energy(self, eta):
-        """Double-well density H(eta) = (eta^2 - beta^2)^2 / 4."""
-        return well_density(eta, self.beta)
-
 
 def well_density(eta, beta: float):
     """Double-well density H(eta) = (eta^2 - beta^2)^2 / 4."""

@@ -48,7 +48,10 @@ _MASK64 = (1 << 64) - 1
 # 3: colored increments come from the sine transform instead of a stored dense
 # factor, the reaction polynomial is evaluated by repeated multiplication, and
 # a step forms its right-hand side with one mass matvec, G (u + dt F).
-STREAM_VERSION = 3
+# 4: exponential Euler applies its semigroup to the right-hand side the
+# implicit schemes share, G (u + dt F) + Gamma dW, so its states differ at
+# rounding level; every other scheme's bytes are unchanged.
+STREAM_VERSION = 4
 
 
 @dataclass(frozen=True)
@@ -199,18 +202,14 @@ def _philox_state(seed: int, trajectory_id: int, step_id: int) -> dict:
 def sample_noise_increment(noise: NoiseModel, trajectory_id: int, step_id: int,
                            dt: float) -> np.ndarray:
     """One load-vector increment, a pure function of (seed, trajectory, step)."""
-    bitgen = np.random.Philox(key=0)
-    bitgen.state = _philox_state(noise.seed, trajectory_id, step_id)
-    z = np.random.Generator(bitgen).standard_normal(noise.dim)
-    return np.sqrt(dt) * noise.apply(z)
+    return IncrementSampler(noise, trajectory_id)(step_id, dt)
 
 
 class IncrementSampler:
     """Per-trajectory sampler that reuses one bit generator across steps.
 
-    Bitwise identical to ``sample_noise_increment`` (the Philox state is
-    reset from the same template before every draw), just cheaper inside
-    stepping loops.
+    The Philox state is reset from (seed, trajectory, step) before every
+    draw, so each increment is the same pure function of those three.
     """
 
     def __init__(self, noise: NoiseModel, trajectory_id: int):

@@ -6,13 +6,18 @@ One step of the default linear-implicit scheme solves
 
 with the reaction term tamed by its sup norm, ``F_tamed = F / (1 +
 dt*max|F|)``, and the noise coefficient acting diagonally on nodal values
-(Ito convention: both are evaluated at the left endpoint).  The plain
-variant skips taming; exponential Euler applies the exact semigroup to each
-term through the spectral decomposition instead of the implicit solve.
+(Ito convention: both are evaluated at the left endpoint).  Every scheme
+forms the same right-hand side ``rhs = G (u + dt * F) + Gamma * dW``; the
+plain variant skips taming.  Only the map from ``rhs`` to the next state
+differs: the implicit solve above, or for exponential Euler the exact
+semigroup ``V exp(Lambda dt) V^T rhs`` through the G-orthonormal
+eigendecomposition (``V^T G V = I``, so this is ``exp(dt A_h)`` applied to
+``u + dt * F + G^{-1} Gamma dW``).
 
-Every march runs through ``simulate_path``.  Each trajectory derives its own
-noise stream from (seed, trajectory, step) and owns its state vector, so a
-trajectory's path does not depend on which others run or in what order.
+Every march, the deterministic ``semigroup.solve_heat`` included, runs
+through ``simulate_path``.  Each trajectory derives its own noise stream
+from (seed, trajectory, step) and owns its state vector, so a trajectory's
+path does not depend on which others run or in what order.
 """
 
 from __future__ import annotations
@@ -128,27 +133,26 @@ class Stepper:
         self.diffusion = nodal_diffusion_evaluator(diffusion, system.mesh)
         self.mass = system.mass
         if scheme == "exponential_euler":
-            try:
-                self._spectral = generalized_eigs(system)
-                self._project = self._spectral.eigenvectors.T @ system.mass.toarray()
-                self._mass_solve = spla.splu(system.mass.tocsc())
-            except RuntimeError as err:
-                raise LinearSolveFailure(str(err)) from err
+            self._spectral = generalized_eigs(system)
         self._set_up_dt()
 
     def _set_up_dt(self):
-        """Set up the dt-dependent part of the one-step map."""
+        """Set up the dt-dependent map from the right-hand side to the next
+        state: the sparse factorization of ``G - dt*A_form``, or the
+        spectral semigroup for exponential Euler."""
         if self.scheme == "exponential_euler":
-            self._decay = np.exp(self._spectral.eigenvalues * self.dt)
+            V = self._spectral.eigenvectors
+            decay = np.exp(self._spectral.eigenvalues * self.dt)
+            self._resolve = lambda rhs: V @ (decay * (V.T @ rhs))
             return
         try:
-            self._implicit = spla.splu((self.mass - self.dt * self.system.form_matrix).tocsc())
+            self._resolve = spla.splu((self.mass - self.dt * self.system.form_matrix).tocsc()).solve
         except RuntimeError as err:
             raise LinearSolveFailure(str(err)) from err
 
     def with_dt(self, dt: float) -> "Stepper":
         """The same map for another time step, sharing every dt-independent
-        part (evaluators, spectral data, mass factorization)."""
+        part (evaluators, spectral data)."""
         other = copy.copy(self)
         other.dt = float(dt)
         other._set_up_dt()
@@ -156,28 +160,17 @@ class Stepper:
 
     def step(self, state: np.ndarray, t: float, increment: np.ndarray | None) -> np.ndarray:
         dt = self.dt
-        forcing = None
+        u = state
         if self.drift is not None:
             forcing = self.drift(t, state)
             if self.scheme != "semi_implicit_plain":
                 forcing = forcing / (1.0 + dt * float(np.abs(forcing).max()))
-        noise_term = None
+            u = state + dt * forcing
+        rhs = self.mass @ u
         if increment is not None:
             gamma = self.diffusion(t, state) if self.diffusion is not None else 1.0
-            noise_term = gamma * increment
-
-        if self.scheme == "exponential_euler":
-            w = state.copy()
-            if forcing is not None:
-                w += dt * forcing
-            if noise_term is not None:
-                w += self._mass_solve.solve(noise_term)
-            return self._spectral.eigenvectors @ (self._decay * (self._project @ w))
-
-        rhs = self.mass @ (state if forcing is None else state + dt * forcing)
-        if noise_term is not None:
-            rhs += noise_term
-        out = self._implicit.solve(rhs)
+            rhs += gamma * increment
+        out = self._resolve(rhs)
         if not np.all(np.isfinite(out)):
             raise LinearSolveFailure("implicit solve produced non-finite values")
         return out

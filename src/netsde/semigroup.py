@@ -15,7 +15,7 @@ label which propagator was tested).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
@@ -23,7 +23,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .assembly import DiscreteSystem
-from .errors import FactorizationFailure
+from .errors import ConfigurationError, FactorizationFailure
 from .report import Check, ValidationReport
 from .trajectory import TrajectorySet
 
@@ -50,15 +50,20 @@ def generalized_eigs(system: DiscreteSystem, count: int | None = None) -> Spectr
 
     The pencil is symmetric with positive definite mass, so eigenvalues are
     real; they are nonpositive whenever the vertex matrix satisfies the
-    basic profile.  Dense decomposition below DENSE_LIMIT dofs, iterative
-    shift-invert above.
+    basic profile.  Dense decomposition up to DENSE_LIMIT dofs, iterative
+    shift-invert above; the full decomposition above DENSE_LIMIT raises
+    ConfigurationError instead of forming dense ndof x ndof arrays.
     """
     ndof = system.ndof
     if count is None:
         count = ndof
     if count > ndof:
         raise ValueError(f"requested {count} eigenpairs from a {ndof}-dof system")
-    if ndof <= DENSE_LIMIT or count == ndof:
+    if count == ndof > DENSE_LIMIT:
+        raise ConfigurationError(
+            f"a full eigendecomposition of {ndof} dofs needs dense {ndof} x {ndof} "
+            f"arrays; it is limited to DENSE_LIMIT = {DENSE_LIMIT} dofs")
+    if ndof <= DENSE_LIMIT:
         try:
             values, vectors = scipy.linalg.eigh(system.form_matrix.toarray(),
                                                 system.mass.toarray())
@@ -157,37 +162,26 @@ def solve_heat(system: DiscreteSystem, initial: np.ndarray, horizon: float, dt: 
                method: str = "backward_euler", snapshot_stride: int = 1) -> TrajectorySet:
     """Deterministic reference solver for the linear flow.
 
-    ``backward_euler`` marches ``(G - dt*A_form) u+ = G u``; ``spectral``
-    evaluates the exact semigroup at the snapshot times.
+    ``backward_euler`` marches ``(G - dt*A_form) u+ = G u`` with
+    ``sde.simulate_path``: the plain semi-implicit scheme without reaction or
+    noise.  ``spectral`` evaluates the exact semigroup at the same snapshot
+    times.  Both raise ConfigurationError unless ``horizon`` is a positive
+    integer multiple of ``dt``.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    n_steps = int(round(horizon / dt))
-    if n_steps < 1 or abs(n_steps * dt - horizon) > 1e-8 * max(horizon, dt):
-        raise ValueError(f"horizon {horizon} is not an integer multiple of dt {dt}")
-    u = np.asarray(initial, dtype=float).copy()
-    stride = max(int(snapshot_stride), 1)
+    from .sde import Problem, SolverConfig, simulate_path  # sde imports this module
 
-    if method == "spectral":
-        spectral = generalized_eigs(system)
-        steps = list(range(0, n_steps + 1, stride))
-        if steps[-1] != n_steps:
-            steps.append(n_steps)
-        times = dt * np.asarray(steps, dtype=float)
-        states = np.array([semigroup_apply(system, t, u, spectral) for t in times])
-        sup = float(np.abs(states).max())
-        return TrajectorySet(times, states, "spectral", sup)
-
-    if method != "backward_euler":
+    config = SolverConfig(dt, horizon, "semi_implicit_plain", snapshot_stride,
+                          blowup_guard=np.inf)
+    if method == "backward_euler":
+        return replace(simulate_path(Problem(system, config, initial)), scheme="backward_euler")
+    if method != "spectral":
         raise ValueError(f"unknown method {method!r}")
-    solve = spla.splu((system.mass - dt * system.form_matrix).tocsc())
-    times = [0.0]
-    states = [u.copy()]
-    sup = float(np.abs(u).max())
-    for step in range(1, n_steps + 1):
-        u = solve.solve(system.mass @ u)
-        sup = max(sup, float(np.abs(u).max()))
-        if step % stride == 0 or step == n_steps:
-            times.append(step * dt)
-            states.append(u.copy())
-    return TrajectorySet(np.asarray(times), np.asarray(states), "backward_euler", sup)
+    n_steps = config.n_steps
+    spectral = generalized_eigs(system)
+    steps = list(range(0, n_steps + 1, max(int(snapshot_stride), 1)))
+    if steps[-1] != n_steps:
+        steps.append(n_steps)
+    times = dt * np.asarray(steps, dtype=float)
+    states = np.array([semigroup_apply(system, t, initial, spectral) for t in times])
+    sup = float(np.abs(states).max())
+    return TrajectorySet(times, states, "spectral", sup)

@@ -5,10 +5,14 @@ the Robin spectrum comes from the scalar boundary-value problem's
 characteristic equation, contraction/positivity cross-checks use dense
 matrix exponentials, Monte Carlo reference statistics use plain numpy, and
 the colored-noise factor is materialized from per-element antiderivatives.
+The backward-Euler march and the exponential-Euler step keep the loop and
+the three-term form the package used before every scheme shared one step
+map.
 """
 
 import numpy as np
 from scipy.optimize import brentq
+from scipy.sparse.linalg import splu
 
 
 def robin_eigenvalues(count, kappa=1.0):
@@ -116,3 +120,34 @@ def colored_factor(system, decay, amplitudes=None, n_modes=None, dtype=float):
         block *= amp[j] * mode_weights
         factor[mesh.edge_dofs[j], j * n_modes:(j + 1) * n_modes] = block
     return factor
+
+
+def backward_euler_heat(system, initial, horizon, dt, snapshot_stride=1):
+    """March ``(G - dt*A_form) u+ = G u`` with a loop of its own.
+
+    Returns ``(times, states, sup_norm)`` with snapshots every
+    ``snapshot_stride`` steps and at the horizon; the sup norm covers every
+    step taken.
+    """
+    n_steps = int(round(horizon / dt))
+    solve = splu((system.mass - dt * system.form_matrix).tocsc())
+    u = np.asarray(initial, dtype=float).copy()
+    times = [0.0]
+    states = [u.copy()]
+    sup = float(np.abs(u).max())
+    for step in range(1, n_steps + 1):
+        u = solve.solve(system.mass @ u)
+        sup = max(sup, float(np.abs(u).max()))
+        if step % snapshot_stride == 0 or step == n_steps:
+            times.append(step * dt)
+            states.append(u.copy())
+    return np.asarray(times), np.asarray(states), sup
+
+
+def three_term_exponential_step(spectral, mass, dt, state, forcing, noise_term):
+    """One exponential-Euler step ``V e^{Lambda dt} V^T G w`` with
+    ``w = u + dt*F + G^{-1} Gamma dW``: the projector ``V^T G`` formed dense
+    and the noise term moved to nodal values by a mass solve."""
+    V = spectral.eigenvectors
+    w = state + dt * forcing + splu(mass.tocsc()).solve(noise_term)
+    return V @ (np.exp(spectral.eigenvalues * dt) * ((V.T @ mass.toarray()) @ w))

@@ -35,6 +35,7 @@ CASES = {
     "convergence_ladder": ("convergence", "convergence_ladder.json", []),
     "simulate_colored": ("simulate", "simulate_colored.json", []),
     "simulate_white_fine": ("simulate", "simulate_white_fine.json", []),
+    "simulate_exponential": ("simulate", "simulate_exponential.json", []),
     "colored_weighted": ("simulate", "colored_weighted.json", []),
     "validate": ("validate", "validate.json", []),
     "spectrum": ("spectrum", "spectrum.json", ["--dump-matrices"]),

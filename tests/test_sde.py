@@ -15,7 +15,7 @@ from netsde.fields import (
 )
 from netsde.graph import VertexMatrix, build_graph
 from netsde.mesh import build_mesh, eval_state, interpolate
-from netsde.noise import sample_noise_increment, white_noise_model
+from netsde.noise import IncrementSampler, sample_noise_increment, white_noise_model
 from netsde.sde import (
     Problem,
     SolverConfig,
@@ -24,7 +24,9 @@ from netsde.sde import (
     nodal_drift_evaluator,
     simulate_path,
 )
-from netsde.semigroup import solve_heat
+from netsde.semigroup import generalized_eigs, solve_heat
+
+from _oracles import backward_euler_heat, three_term_exponential_step
 
 
 def conserved_heat_system(n_int=4):
@@ -65,8 +67,8 @@ class TestEmStep:
         rng = np.random.default_rng(1)
         u = rng.standard_normal(sys.ndof)
         stepped = Stepper(sys, 0.01, "semi_implicit_tamed").step(u, 0.0, None)
-        reference = solve_heat(sys, u, horizon=0.01, dt=0.01).final_state()
-        np.testing.assert_allclose(stepped, reference, atol=1e-13)
+        _, states, _ = backward_euler_heat(sys, u, horizon=0.01, dt=0.01)
+        np.testing.assert_allclose(stepped, states[-1], atol=1e-13)
 
     def test_constant_state_preserved_in_conserved_config(self):
         sys = conserved_heat_system()
@@ -184,6 +186,47 @@ class TestSimulatePath:
         traj = simulate_path(Problem(sys, cfg, u0))
         exact = solve_heat(sys, u0, horizon=0.2, dt=0.2, method="spectral").final_state()
         np.testing.assert_allclose(traj.final_state(), exact, atol=1e-10)
+
+
+class TestExponentialEuler:
+    def test_step_matches_three_term_oracle(self):
+        problem, _ = allen_cahn_problem(n_int=20, dt=1e-3, t_end=0.1, noise_seed=9,
+                                        initial=3.0)
+        diffusion = build_diffusion(3, parse_expression("1 + 0.1*u*x", ("t", "x", "u")))
+        dt = problem.config.dt
+        stepper = Stepper(problem.system, dt, "exponential_euler", problem.drift, diffusion)
+        spectral = generalized_eigs(problem.system)
+        sampler = IncrementSampler(problem.noise, 0)
+        u = v = problem.initial
+        tamed = 0
+        for step in range(problem.config.n_steps):
+            t = step * dt
+            dW = sampler(step, dt)
+            u = stepper.step(u, t, dW)
+            forcing = stepper.drift(t, v)
+            taming = 1.0 + dt * np.abs(forcing).max()
+            tamed += taming > 1.01
+            v = three_term_exponential_step(spectral, problem.system.mass, dt, v,
+                                            forcing / taming, stepper.diffusion(t, v) * dW)
+            assert np.abs(u - v).max() <= 1e-12 * np.abs(v).max()
+        assert tamed > 0
+
+    def test_makes_no_sparse_factorization(self, monkeypatch):
+        from netsde import sde
+
+        problem, _ = allen_cahn_problem(noise_seed=3, t_end=0.01, scheme="exponential_euler")
+        calls = []
+        original = sde.spla.splu
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(sde.spla, "splu", counted)
+        simulate_path(problem)
+        assert calls == []
+        Stepper(problem.system, problem.config.dt, "semi_implicit_tamed")
+        assert len(calls) == 1
 
 
 def power(v, l):

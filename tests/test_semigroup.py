@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
+from netsde import semigroup
 from netsde.assembly import assemble_form
+from netsde.errors import ConfigurationError
 from netsde.fields import build_edge_fields
 from netsde.graph import VertexMatrix, build_graph
 from netsde.mesh import build_mesh, interpolate
+from netsde.sde import Stepper
 from netsde.semigroup import (
     check_contraction,
     check_positivity,
@@ -14,7 +17,7 @@ from netsde.semigroup import (
     solve_heat,
 )
 
-from _oracles import dense_expm_propagator, ols_slope, robin_eigenvalues
+from _oracles import backward_euler_heat, dense_expm_propagator, ols_slope, robin_eigenvalues
 
 
 def robin_system(n_int):
@@ -31,6 +34,29 @@ def conserved_system(n_int=6):
 
 
 class TestGeneralizedEigs:
+    def test_full_decomposition_above_dense_limit_fails_fast(self, monkeypatch):
+        sys = robin_system(15)
+        partial = generalized_eigs(sys, count=3).eigenvalues
+        monkeypatch.setattr(semigroup, "DENSE_LIMIT", sys.ndof - 1)
+
+        def dense_eigh(*args, **kwargs):
+            raise AssertionError("dense eigh reached above DENSE_LIMIT")
+
+        monkeypatch.setattr(semigroup.scipy.linalg, "eigh", dense_eigh)
+        limit = f"{sys.ndof} dofs.*DENSE_LIMIT = {sys.ndof - 1}"
+        u0 = np.ones(sys.ndof)
+        with pytest.raises(ConfigurationError, match=limit):
+            generalized_eigs(sys)
+        with pytest.raises(ConfigurationError, match=limit):
+            semigroup_apply(sys, 0.1, u0)
+        with pytest.raises(ConfigurationError, match=limit):
+            solve_heat(sys, u0, horizon=0.1, dt=0.1, method="spectral")
+        with pytest.raises(ConfigurationError, match=limit):
+            Stepper(sys, 0.1, "exponential_euler")
+        # a partial decomposition takes the iterative path instead
+        np.testing.assert_allclose(generalized_eigs(sys, count=3).eigenvalues, partial,
+                                   rtol=1e-10)
+
     def test_eigenvalues_real_descending_nonpositive(self):
         sys = robin_system(15)
         spec = generalized_eigs(sys)
@@ -207,3 +233,26 @@ class TestSolveHeat:
         spectral = solve_heat(sys, u0, horizon=0.2, dt=0.2, method="spectral").final_state()
         euler = solve_heat(sys, u0, horizon=0.2, dt=1e-4).final_state()
         assert sys.e2_norm(spectral - euler) < 5e-4
+
+    @pytest.mark.parametrize("stride", [1, 7])
+    @pytest.mark.parametrize("case", ["robin", "conserved", "robin_fine"])
+    def test_backward_euler_matches_reference_loop(self, case, stride):
+        sys, horizon, dt = {
+            "robin": (robin_system(9), 0.5, 0.005),
+            "conserved": (conserved_system(), 1.0, 0.01),
+            "robin_fine": (robin_system(63), 0.2, 1e-3),
+        }[case]
+        u0 = np.random.default_rng(8).standard_normal(sys.ndof)
+        traj = solve_heat(sys, u0, horizon=horizon, dt=dt, snapshot_stride=stride)
+        times, states, sup = backward_euler_heat(sys, u0, horizon, dt, stride)
+        assert traj.scheme == "backward_euler"
+        assert np.array_equal(traj.times, times)
+        assert np.array_equal(traj.states, states)
+        assert traj.sup_norm == sup
+
+    @pytest.mark.parametrize("method", ["backward_euler", "spectral"])
+    @pytest.mark.parametrize("horizon, dt", [(0.5, 0.0), (0.5, -0.1), (0.5, 0.3)])
+    def test_bad_time_grid_rejected(self, method, horizon, dt):
+        sys = robin_system(3)
+        with pytest.raises(ConfigurationError):
+            solve_heat(sys, np.zeros(sys.ndof), horizon=horizon, dt=dt, method=method)
