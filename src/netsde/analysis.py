@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import DiscreteSystem
+from .assembly import DiscreteSystem, bind_matvec
 from .errors import ConfigurationError, InsufficientResolution, LadderTooShort
 from .graph import weighted_incidence
 from .fields import well_density
@@ -153,12 +153,21 @@ def holder_exponent_from_paths(times, paths, lags, norm_fn=None,
 
 
 def e2_norm_rows(system: DiscreteSystem):
-    """Row-wise weighted L2 norm function for increment matrices."""
-    G = system.mass
+    """Row-wise weighted L2 norm function for increment matrices.
+
+    The products ``G @ rows.T`` of every call share one buffer, grown when a
+    call has more rows than any before it; the CSR kernel sums them in the
+    order ``G @ rows.T`` does.
+    """
+    matvec = bind_matvec(system.mass)
+    buffer = np.empty(0)
 
     def norm(rows):
+        nonlocal buffer
         rows = np.atleast_2d(rows)
-        weighted = G @ rows.T
+        if buffer.size < rows.size:
+            buffer = np.empty(rows.size)
+        weighted = matvec(rows.T, out=buffer[:rows.size].reshape(rows.shape[::-1]))
         return np.sqrt(np.einsum("ij,ji->i", rows, weighted))
 
     return norm

@@ -20,6 +20,7 @@ import numpy as np
 import scipy.io
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse import _sparsetools
 
 from .errors import (
     DimensionMismatch,
@@ -145,6 +146,51 @@ def assemble_form(mesh: Mesh, fields: EdgeFieldSet, matrix: VertexMatrix) -> Dis
     A_form = (-(S + K)).tocsr()
     lumped = np.asarray(G.sum(axis=1)).ravel()
     return DiscreteSystem(mesh, fields, matrix, G, S, K, A_form, lumped)
+
+
+def bind_matvec(matrix):
+    """``x -> matrix @ x`` for a float64 sparse matrix, through SciPy's
+    compiled CSR kernels, bound once.
+
+    ``A @ x`` on a sparse matrix ends in ``csr_matvec`` (1-D ``x``) or
+    ``csr_matvecs`` (2-D ``x``); on systems of a few hundred dofs the Python
+    dispatch above them costs more than the kernel.  The returned function
+    calls the kernel directly on the matrix's canonical CSR arrays (sorted
+    column indices, no duplicates), so every row sums its entries in
+    ascending column order and the result equals ``A @ x`` bit for bit, for
+    a canonical CSR ``A`` and for its CSC form alike.  ``out``, when given,
+    receives the product (the kernels add into it, so it is zeroed first)
+    and must be a float64 array shaped like the product.  This is the one
+    place that reaches into SciPy's private ``_sparsetools``.
+    """
+    A = matrix.tocsr()
+    if not A.has_canonical_format:
+        A = A.copy()
+        A.sum_duplicates()
+    n_rows, n_cols = A.shape
+    indptr, indices, data = A.indptr, A.indices, A.data
+
+    def matvec(x, out=None):
+        # the kernels read x and write out unchecked: sizes are checked here
+        if x.shape[0] != n_cols:
+            raise DimensionMismatch(f"matrix has {n_cols} columns, vector has {x.shape[0]} rows")
+        shape = (n_rows,) + x.shape[1:]
+        if out is None:
+            out = np.zeros(shape)
+        elif out.shape != shape:
+            raise DimensionMismatch(f"product has shape {shape}, out has {out.shape}")
+        else:
+            out.fill(0.0)
+        if x.ndim == 1:
+            _sparsetools.csr_matvec(n_rows, n_cols, indptr, indices, data, x, out)
+        elif x.ndim == 2 and out.flags.c_contiguous:
+            _sparsetools.csr_matvecs(n_rows, n_cols, x.shape[1], indptr, indices, data,
+                                     np.ascontiguousarray(x).ravel(), out.ravel())
+        else:
+            raise ValueError("need a 1-D or 2-D vector and a C-contiguous out")
+        return out
+
+    return matvec
 
 
 def noise_covariance_factor(system: DiscreteSystem, lumped: bool = False) -> sp.csc_matrix:

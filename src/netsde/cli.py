@@ -152,6 +152,10 @@ def _cmd_validate(args, config: RunConfig, out_dir: Path) -> int:
     return 0
 
 
+# largest system whose sup-norm contraction and positivity reports run: they
+# take dense matrix exponentials
+_DENSE_PROPERTY_LIMIT = 400
+
 
 def _cmd_spectrum(args, config: RunConfig, out_dir: Path) -> int:
     model = build_model(config)
@@ -162,10 +166,14 @@ def _cmd_spectrum(args, config: RunConfig, out_dir: Path) -> int:
                [(k + 1, lam) for k, lam in enumerate(spectral.eigenvalues)])
     t_grid = [0.01, 0.1, 1.0]
     properties = {"contraction_e2": check_contraction(model.system, t_grid, "E2").as_dict()}
-    if model.system.ndof <= 400:  # dense matrix exponentials stay cheap
+    ndof = model.system.ndof
+    if ndof <= _DENSE_PROPERTY_LIMIT:
         properties["contraction_einf"] = check_contraction(
             model.system, t_grid, "Einf").as_dict()
         properties["positivity"] = check_positivity(model.system, t_grid).as_dict()
+    else:
+        _log("info", f"contraction_einf and positivity skipped: {ndof} dofs exceed the "
+                     f"{_DENSE_PROPERTY_LIMIT}-dof limit of their dense matrix exponentials")
     _write_json(out_dir / "properties.json", properties)
     artifacts = ["spectrum.csv", "properties.json"]
     if getattr(args, "dump_matrices", False):

@@ -32,11 +32,12 @@ whenever any part of it does.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
+import scipy.sparse as sp
 
-from .assembly import DiscreteSystem, noise_covariance_factor
+from .assembly import DiscreteSystem, bind_matvec, noise_covariance_factor
 from .errors import DecayTooSlow, DimensionMismatch
 from .mesh import Mesh
 
@@ -64,6 +65,12 @@ class NoiseModel:
     covariance_trace: float
     decay: float | None = None
     n_modes: int | None = None
+    _matvec: object = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # a sparse factor runs the compiled CSR kernel directly, bound once
+        matvec = bind_matvec(self.factor) if sp.issparse(self.factor) else self.factor.__matmul__
+        object.__setattr__(self, "_matvec", matvec)
 
     @property
     def dim(self) -> int:
@@ -71,7 +78,7 @@ class NoiseModel:
 
     def apply(self, z: np.ndarray) -> np.ndarray:
         """The increment factor times the standard normal vector ``z``."""
-        return self.factor @ z
+        return self._matvec(z)
 
     def with_seed(self, seed: int) -> "NoiseModel":
         return replace(self, seed=int(seed))
@@ -184,11 +191,13 @@ def colored_noise_operator(system: DiscreteSystem, decay: float, seed: int = 0,
                       decay=float(decay), n_modes=n_modes)
 
 
-def _philox_state(seed: int, trajectory_id: int, step_id: int) -> dict:
+def _philox_state(seed: int, trajectory_id: int) -> dict:
+    """A trajectory's Philox state at step 0 with an empty output buffer;
+    counter word 1 holds the step."""
     return {
         "bit_generator": "Philox",
         "state": {
-            "counter": np.array([0, int(step_id) & _MASK64, 0, 0], dtype=np.uint64),
+            "counter": np.zeros(4, dtype=np.uint64),
             "key": np.array([int(trajectory_id) & _MASK64, int(seed) & _MASK64],
                             dtype=np.uint64),
         },
@@ -206,21 +215,27 @@ def sample_noise_increment(noise: NoiseModel, trajectory_id: int, step_id: int,
 
 
 class IncrementSampler:
-    """Per-trajectory sampler that reuses one bit generator across steps.
+    """Per-trajectory sampler that reuses one bit generator and one state.
 
-    The Philox state is reset from (seed, trajectory, step) before every
-    draw, so each increment is the same pure function of those three.
+    The Philox state dict is built once, for (seed, trajectory); before
+    every draw only its counter word 1 is rewritten to the step and the dict
+    is assigned to the bit generator again, which also empties its buffer.
+    Each increment is thus still the same pure function of (seed,
+    trajectory, step), whatever order the steps are drawn in.
     """
 
     def __init__(self, noise: NoiseModel, trajectory_id: int):
         self.noise = noise
         self.trajectory_id = int(trajectory_id)
+        self._state = _philox_state(noise.seed, self.trajectory_id)
+        self._counter = self._state["state"]["counter"]
         self._bitgen = np.random.Philox(key=0)
         self._gen = np.random.Generator(self._bitgen)
         self._dim = noise.dim
 
     def __call__(self, step_id: int, dt: float) -> np.ndarray:
-        self._bitgen.state = _philox_state(self.noise.seed, self.trajectory_id, step_id)
+        self._counter[1] = int(step_id) & _MASK64
+        self._bitgen.state = self._state
         z = self._gen.standard_normal(self._dim)
         return np.sqrt(dt) * self.noise.apply(z)
 

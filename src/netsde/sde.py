@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.sparse.linalg as spla
 
-from .assembly import DiscreteSystem
+from .assembly import DiscreteSystem, bind_matvec
 from .errors import BlowupDetected, ConfigurationError, LinearSolveFailure
 from .fields import DiffusionSpec, DriftSpec, eval_diffusion, eval_drift
 from .mesh import Mesh
@@ -131,7 +131,7 @@ class Stepper:
         self.scheme = scheme
         self.drift = nodal_drift_evaluator(drift, system.mesh)
         self.diffusion = nodal_diffusion_evaluator(diffusion, system.mesh)
-        self.mass = system.mass
+        self._mass_matvec = bind_matvec(system.mass)
         if scheme == "exponential_euler":
             self._spectral = generalized_eigs(system)
         self._set_up_dt()
@@ -145,14 +145,15 @@ class Stepper:
             decay = np.exp(self._spectral.eigenvalues * self.dt)
             self._resolve = lambda rhs: V @ (decay * (V.T @ rhs))
             return
+        system = self.system
         try:
-            self._resolve = spla.splu((self.mass - self.dt * self.system.form_matrix).tocsc()).solve
+            self._resolve = spla.splu((system.mass - self.dt * system.form_matrix).tocsc()).solve
         except RuntimeError as err:
             raise LinearSolveFailure(str(err)) from err
 
     def with_dt(self, dt: float) -> "Stepper":
         """The same map for another time step, sharing every dt-independent
-        part (evaluators, spectral data)."""
+        part (evaluators, the bound mass matvec, spectral data)."""
         other = copy.copy(self)
         other.dt = float(dt)
         other._set_up_dt()
@@ -166,7 +167,7 @@ class Stepper:
             if self.scheme != "semi_implicit_plain":
                 forcing = forcing / (1.0 + dt * float(np.abs(forcing).max()))
             u = state + dt * forcing
-        rhs = self.mass @ u
+        rhs = self._mass_matvec(u)
         if increment is not None:
             gamma = self.diffusion(t, state) if self.diffusion is not None else 1.0
             rhs += gamma * increment

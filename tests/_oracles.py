@@ -7,7 +7,8 @@ matrix exponentials, Monte Carlo reference statistics use plain numpy, and
 the colored-noise factor is materialized from per-element antiderivatives.
 The backward-Euler march and the exponential-Euler step keep the loop and
 the three-term form the package used before every scheme shared one step
-map.
+map.  Noise increments come from a Philox generator constructed afresh for
+every draw, with the factor applied through ``@``.
 """
 
 import numpy as np
@@ -151,3 +152,14 @@ def three_term_exponential_step(spectral, mass, dt, state, forcing, noise_term):
     V = spectral.eigenvectors
     w = state + dt * forcing + splu(mass.tocsc()).solve(noise_term)
     return V @ (np.exp(spectral.eigenvalues * dt) * ((V.T @ mass.toarray()) @ w))
+
+
+def philox_increment(noise, trajectory_id, step_id, dt):
+    """One noise increment from a Philox generator built for this draw alone:
+    key ``(seed << 64) | trajectory`` and counter ``step << 64``, each id
+    reduced mod 2^64, then ``sqrt(dt) * (noise.factor @ z)``."""
+    mask = (1 << 64) - 1
+    bitgen = np.random.Philox(counter=(int(step_id) & mask) << 64,
+                              key=((int(noise.seed) & mask) << 64) | (int(trajectory_id) & mask))
+    z = np.random.Generator(bitgen).standard_normal(noise.dim)
+    return np.sqrt(dt) * (noise.factor @ z)

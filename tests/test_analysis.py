@@ -218,6 +218,36 @@ def reference_strong_order_errors(problem, ladder, n_trajectories, norm_fn):
     return np.mean(np.stack(all_errs), axis=0)
 
 
+class TestBoundaryCounts:
+    """How often a march crosses ``Stepper.step`` and
+    ``IncrementSampler.__call__`` per trajectory.  The benchmark's traced
+    run expects these counts exactly, so an engine that changes them must
+    change the benchmark first."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = {"step": 0, "draw": 0}
+        for owner, attr, key in ((Stepper, "step", "step"), (IncrementSampler, "__call__", "draw")):
+            def counted(*args, _original=getattr(owner, attr), _key=key, **kwargs):
+                counts[_key] += 1
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(owner, attr, counted)
+        return counts
+
+    def test_simulate_path_steps_and_draws_once_per_step(self, calls):
+        problem = heat_noise_problem(t_end=0.05)
+        simulate_path(problem, 3)
+        assert calls == {"step": 50, "draw": 50}
+
+    def test_strong_order_regenerates_fine_stream_per_level(self, calls):
+        # per trajectory: len(ladder) * n_fine draws and sum(n_l) steps
+        problem = heat_noise_problem(n_int=4, t_end=0.0625, seed=4)
+        n_steps = [128, 32, 16, 8]
+        estimate_strong_order(problem, 0.0625 / np.array(n_steps, dtype=float), n_trajectories=2)
+        assert calls["draw"] == 2 * len(n_steps) * max(n_steps)
+        assert calls["step"] == 2 * sum(n_steps)
+
+
 class TestStrongOrder:
     @pytest.mark.parametrize("scheme", ["semi_implicit_tamed", "exponential_euler"])
     def test_values_match_reference_loop(self, scheme):

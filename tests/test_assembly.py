@@ -2,10 +2,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.integrate import quad
 
-from netsde.assembly import assemble_form, dump_matrices, noise_covariance_factor
-from netsde.errors import FactorizationFailure, ValidationFailure
+from netsde.assembly import assemble_form, bind_matvec, dump_matrices, noise_covariance_factor
+from netsde.errors import DimensionMismatch, FactorizationFailure, ValidationFailure
 from netsde.fields import build_edge_fields
 from netsde.graph import VertexMatrix, build_graph
 from netsde.mesh import build_mesh, interpolate
@@ -212,6 +213,72 @@ class TestMassFactor:
         bad[:, 1] = 0.0
         with pytest.raises(FactorizationFailure):
             noise_covariance_factor(replace(sys, mass=bad.tocsr()))
+
+
+def special_values(shape, rng):
+    """Normal values with one each of -0.0, the smallest subnormal, +-inf and
+    nan, in columns 0-4 when 2-D, so the later columns stay finite."""
+    x = rng.standard_normal(shape)
+    columns = x.reshape(shape[0], -1)
+    for i, value in enumerate((-0.0, 5e-324, np.inf, -np.inf, np.nan)):
+        columns[rng.integers(shape[0]), i % columns.shape[1]] = value
+    return x
+
+
+def same_bits(got, want):
+    """Equal values, nan for nan, and the same sign on every zero."""
+    finite = ~np.isnan(want)
+    return (np.array_equal(got, want, equal_nan=True)
+            and np.array_equal(np.signbit(got[finite]), np.signbit(want[finite])))
+
+
+class TestBoundMatvec:
+    """``bind_matvec`` calls SciPy's private CSR kernels; it must keep
+    matching ``A @ x`` bit for bit, so that a SciPy upgrade that changes
+    those kernels fails here instead of moving artifact bytes."""
+
+    @staticmethod
+    def matrices(sys):
+        return {
+            "mass": sys.mass,
+            "lumped_mass": sp.diags(sys.lumped_mass, format="csr"),
+            "factor": noise_covariance_factor(sys),
+            "lumped_factor": noise_covariance_factor(sys, lumped=True),
+            "implicit": (sys.mass - 0.01 * sys.form_matrix).tocsr(),
+        }
+
+    @pytest.mark.parametrize("seed", ["star", 0, 1, 2, 3, 4])
+    def test_matches_scipy_product(self, seed):
+        if seed == "star":
+            graph = build_graph(4, [(1, 2), (1, 3), (1, 4)])
+            sys = assemble_form(build_mesh(graph, 8), build_edge_fields(3, weights=[1.0, 2.0, 0.5]),
+                                VertexMatrix(-np.eye(4)))
+        else:
+            sys = random_system(np.random.default_rng(seed))
+        rng = np.random.default_rng(17)
+        for name, A in self.matrices(sys).items():
+            matvec = bind_matvec(A)
+            vector = special_values((A.shape[1],), rng)
+            block = special_values((A.shape[1], 7), rng)
+            rows = special_values((5, A.shape[1]), rng)
+            assert same_bits(matvec(vector), A @ vector), name
+            assert same_bits(matvec(block), A @ block), name
+            # increment rows as the Hölder E2 norm passes them: a transposed view
+            assert same_bits(matvec(rows.T), A @ rows.T), name
+
+    def test_out_is_overwritten_and_checked(self):
+        sys = single_edge_system(n_int=4)
+        matvec = bind_matvec(sys.mass)
+        x = np.arange(2.0 * sys.ndof).reshape(sys.ndof, 2)
+        out = np.full((sys.ndof, 2), 7.0)
+        assert matvec(x, out=out) is out
+        assert np.array_equal(out, sys.mass @ x)
+        with pytest.raises(DimensionMismatch):
+            matvec(x[:-1])
+        with pytest.raises(DimensionMismatch):
+            matvec(x, out=np.empty((sys.ndof, 3)))
+        with pytest.raises(ValueError):
+            matvec(x, out=np.empty((2, sys.ndof)).T)
 
 
 def test_matrix_market_dump(tmp_path):

@@ -233,6 +233,22 @@ class TestCli:
         assert lam1 <= 1e-10
         assert (out / "mass.mtx").exists()
 
+    def test_spectrum_names_reports_skipped_above_dense_limit(self, tmp_path, capsys):
+        cfg = minimal_config(
+            graph={"n_vertices": 4, "edges": [[1, 2], [1, 3], [1, 4]]},
+            vertex_matrix=(-np.eye(4)).tolist(),
+            mesh={"interior_nodes": 140},
+            experiment={"name": "spectrum", "count": 3},
+        )
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "out"
+        assert run_command(["spectrum", "--config", str(path), "--output-dir", str(out)]) == 0
+        infos = [line for line in capsys.readouterr().err.splitlines()
+                 if line.startswith("netsde: info:")]
+        assert len(infos) == 1
+        assert all(word in infos[0] for word in ("contraction_einf", "positivity", "424", "400"))
+        assert sorted(json.loads((out / "properties.json").read_text())) == ["contraction_e2"]
+
     def test_holder_command(self, tmp_path):
         cfg = minimal_config(
             solver={"dt": 1e-3, "t_end": 0.2},

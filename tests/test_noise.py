@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from _oracles import colored_factor
+from _oracles import colored_factor, philox_increment
 from netsde.assembly import assemble_form
 from netsde.errors import DecayTooSlow, DimensionMismatch
 from netsde.fields import build_edge_fields
@@ -43,8 +43,7 @@ class TestWhiteNoise:
         noise = white_noise_model(small_system(), seed=5)
         sampler = IncrementSampler(noise, trajectory_id=2)
         for step in (0, 1, 5, 1000):
-            assert np.array_equal(sampler(step, 0.25),
-                                  sample_noise_increment(noise, 2, step, 0.25))
+            assert np.array_equal(sampler(step, 0.25), philox_increment(noise, 2, step, 0.25))
 
     def test_zero_dt_gives_zero_vector(self):
         noise = white_noise_model(small_system(), seed=1)
@@ -75,6 +74,49 @@ class TestWhiteNoise:
         dt_fine = 0.01
         expected = sum(fine(8 + i, dt_fine) for i in range(4))
         np.testing.assert_allclose(coarse(2, 4 * dt_fine), expected, atol=1e-15)
+
+
+def star_noise(kind, seed=5):
+    """A 3-star's white (consistent or lumped) or colored noise model."""
+    system = small_system(n_int=5, n_edges=3, weights=[1.0, 2.0, 0.5])
+    if kind == "colored":
+        return colored_noise_operator(system, decay=1.5, seed=seed, amplitudes=[1.0, 0.25, 3.0])
+    return white_noise_model(system, seed=seed, lumped=kind == "lumped")
+
+
+@pytest.mark.parametrize("kind", ["white", "lumped", "colored"])
+class TestSamplerMatchesOracle:
+    """``IncrementSampler`` reuses one Philox state; every draw must still
+    equal a generator built afresh for (seed, trajectory, step)."""
+
+    def test_steps_out_of_order(self, kind):
+        noise = star_noise(kind)
+        sampler = IncrementSampler(noise, trajectory_id=2)
+        for step in (7, 0, 1000, 1, 7, 3):
+            assert np.array_equal(sampler(step, 0.25), philox_increment(noise, 2, step, 0.25))
+
+    def test_interleaved_samplers(self, kind):
+        noise = star_noise(kind)
+        first, second = IncrementSampler(noise, 0), IncrementSampler(noise, 1)
+        for step in range(4):
+            assert np.array_equal(first(step, 0.01), philox_increment(noise, 0, step, 0.01))
+            assert np.array_equal(second(step, 0.01), philox_increment(noise, 1, step, 0.01))
+
+    def test_ids_are_masked_to_64_bits(self, kind):
+        noise = star_noise(kind, seed=(1 << 64) + 5)
+        big_step = (1 << 64) + 9
+        draw = IncrementSampler(noise, trajectory_id=-1)(big_step, 0.5)
+        assert np.array_equal(draw, philox_increment(noise, -1, big_step, 0.5))
+        masked = IncrementSampler(noise.with_seed(5), (1 << 64) - 1)
+        assert np.array_equal(draw, masked(9, 0.5))
+
+    def test_coupled_sampler_sums_oracle_draws(self, kind):
+        noise = star_noise(kind)
+        coarse = coupled_sampler(noise, trajectory_id=3, ratio=4)
+        expected = philox_increment(noise, 3, 8, 0.01)
+        for i in range(1, 4):
+            expected += philox_increment(noise, 3, 8 + i, 0.01)
+        assert np.array_equal(coarse(2, 0.04), expected)
 
 
 class TestColoredNoise:
