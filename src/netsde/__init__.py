@@ -22,7 +22,7 @@ from .analysis import (
     vertex_residual,
 )
 from .assembly import DiscreteSystem, assemble_form, dump_matrices, noise_covariance_factor
-from .config import BuiltModel, RunConfig, build_model, config_hash, parse_config
+from .config import RunConfig, build_model, config_hash, parse_config
 from .expressions import Expression, parse_expression
 from .fields import (
     AllenCahnSpec,
@@ -32,7 +32,6 @@ from .fields import (
     allen_cahn_system,
     build_diffusion,
     build_edge_fields,
-    dissipativity_constants,
     eval_diffusion,
     eval_drift,
     polynomial_drift,
@@ -48,7 +47,7 @@ from .graph import (
     validate_vertex_matrix,
     weighted_incidence,
 )
-from .mesh import Mesh, build_mesh, discrete_norms, eval_state, interpolate
+from .mesh import Mesh, build_mesh, eval_state, interpolate
 from .noise import (
     NoiseModel,
     colored_noise_operator,

@@ -26,7 +26,6 @@ from .analysis import (
 from .assembly import dump_matrices
 from .config import (
     EXPERIMENT_DEFAULTS,
-    BuiltModel,
     RunConfig,
     build_coefficients,
     build_model,
@@ -35,7 +34,7 @@ from .config import (
 from .errors import ConfigurationError, NetsdeError
 from .fields import validate_diffusion, validate_drift
 from .graph import validate_vertex_matrix
-from .mesh import node_coordinates
+from .mesh import Mesh, node_coordinates
 from .noise import STREAM_VERSION
 from .semigroup import check_contraction, check_positivity, generalized_eigs
 
@@ -158,34 +157,32 @@ _DENSE_PROPERTY_LIMIT = 400
 
 
 def _cmd_spectrum(args, config: RunConfig, out_dir: Path) -> int:
-    model = build_model(config)
+    system = build_model(config).system
     count = config.experiment["count"] if config.experiment["name"] == "spectrum" else 10
-    count = min(count, model.system.ndof)
-    spectral = generalized_eigs(model.system, count=count)
+    count = min(count, system.ndof)
+    spectral = generalized_eigs(system, count=count)
     _write_csv(out_dir / "spectrum.csv", ["k", "lambda_k"],
                [(k + 1, lam) for k, lam in enumerate(spectral.eigenvalues)])
     t_grid = [0.01, 0.1, 1.0]
-    properties = {"contraction_e2": check_contraction(model.system, t_grid, "E2").as_dict()}
-    ndof = model.system.ndof
+    properties = {"contraction_e2": check_contraction(system, t_grid, "E2").as_dict()}
+    ndof = system.ndof
     if ndof <= _DENSE_PROPERTY_LIMIT:
-        properties["contraction_einf"] = check_contraction(
-            model.system, t_grid, "Einf").as_dict()
-        properties["positivity"] = check_positivity(model.system, t_grid).as_dict()
+        properties["contraction_einf"] = check_contraction(system, t_grid, "Einf").as_dict()
+        properties["positivity"] = check_positivity(system, t_grid).as_dict()
     else:
         _log("info", f"contraction_einf and positivity skipped: {ndof} dofs exceed the "
                      f"{_DENSE_PROPERTY_LIMIT}-dof limit of their dense matrix exponentials")
     _write_json(out_dir / "properties.json", properties)
     artifacts = ["spectrum.csv", "properties.json"]
     if getattr(args, "dump_matrices", False):
-        artifacts += [Path(p).name for p in dump_matrices(model.system, out_dir)]
+        artifacts += [Path(p).name for p in dump_matrices(system, out_dir)]
     _write_manifest(out_dir, "spectrum", config, artifacts)
     return 0
 
 
-def _snapshot_lines(model: BuiltModel, trajectory):
+def _snapshot_lines(mesh: Mesh, trajectory):
     """CSV lines ``t,edge,x,value``, formatted as ``_fmt`` would, one
     (snapshot, edge) block at a time."""
-    mesh = model.mesh
     xs = [f"{x!r}," for x in node_coordinates(mesh).tolist()]
     for t, state in zip(trajectory.times.tolist(), trajectory.states):
         for j, dofs in enumerate(mesh.edge_dofs):
@@ -194,14 +191,14 @@ def _snapshot_lines(model: BuiltModel, trajectory):
 
 
 def _cmd_simulate(args, config: RunConfig, out_dir: Path) -> int:
-    model = build_model(config)
+    problem = build_model(config)
     n_traj = config.experiment["trajectories"] if config.experiment["name"] == "simulate" else 1
-    trajectories = run_trajectories(model.problem, range(n_traj))
+    trajectories = run_trajectories(problem, range(n_traj))
     artifacts = []
     for traj in trajectories:
         name = f"trajectory_{traj.trajectory_id:04d}.csv"
         _write_lines(out_dir / name, ["t", "edge", "x", "value"],
-                     _snapshot_lines(model, traj))
+                     _snapshot_lines(problem.system.mesh, traj))
         artifacts.append(name)
     _write_json(out_dir / "summary.json", {
         "trajectories": n_traj,
@@ -235,9 +232,8 @@ def _cmd_holder(args, config: RunConfig, out_dir: Path) -> int:
     if config.experiment["name"] != "holder":
         raise ConfigurationError("config experiment.name must be 'holder' for this command")
     exp = config.experiment
-    model = build_model(config)
     estimate = estimate_holder_exponent(
-        model.problem, exp["lags"], exp["trajectories"], norm=exp["norm"],
+        build_model(config), exp["lags"], exp["trajectories"], norm=exp["norm"],
         burn_fraction=exp["burn_fraction"])
     _write_estimate(out_dir, config, "holder", estimate, ("lag", "mean_increment"), "exponent")
     _log("info", f"estimated exponent {estimate.estimate:.4f} "
@@ -249,9 +245,8 @@ def _cmd_convergence(args, config: RunConfig, out_dir: Path) -> int:
     if config.experiment["name"] != "convergence":
         raise ConfigurationError("config experiment.name must be 'convergence' for this command")
     exp = config.experiment
-    model = build_model(config)
     estimate = estimate_strong_order(
-        model.problem, exp["dt_ladder"], exp["trajectories"], norm=exp["norm"])
+        build_model(config), exp["dt_ladder"], exp["trajectories"], norm=exp["norm"])
     _write_estimate(out_dir, config, "convergence", estimate, ("dt", "error"), "order")
     _log("info", f"observed order {estimate.estimate:.4f} (R²={estimate.r_squared:.4f})")
     return 0

@@ -112,7 +112,7 @@ def build_edge_fields(n_edges: int, conductance=1.0, potential=0.0, weights=1.0,
         mu = np.asarray(weights, dtype=float)
     if mu.shape != (m,):
         raise DimensionMismatch(f"weights must be scalar or length {m}")
-    if np.any(mu <= 0.0):
+    if not np.all(mu > 0.0):
         raise NonpositiveWeight(f"edge weights must be positive, got {mu}")
 
     grid = np.linspace(0.0, 1.0, n_check)
@@ -121,10 +121,10 @@ def build_edge_fields(n_edges: int, conductance=1.0, potential=0.0, weights=1.0,
         c = as_edge_function(c_specs[j])
         p = as_edge_function(p_specs[j])
         c_min = float(np.min(c(grid)))
-        if c_min <= 0.0:
+        if not c_min > 0.0:
             raise NonpositiveConductance(f"conductance on edge {j + 1} reaches {c_min} <= 0")
         p_min = float(np.min(p(grid)))
-        if p_min < 0.0:
+        if not p_min >= 0.0:
             raise NegativePotential(f"potential on edge {j + 1} reaches {p_min} < 0")
         c_fns.append(c)
         p_fns.append(p)
@@ -136,7 +136,7 @@ def shifted_fields(fields: EdgeFieldSet, shifts) -> EdgeFieldSet:
     shifts = np.asarray(shifts, dtype=float)
     if shifts.shape != (fields.n_edges,):
         raise DimensionMismatch("need one potential shift per edge")
-    if np.any(shifts < 0.0):
+    if not np.all(shifts >= 0.0):
         raise NegativePotential(f"potential shifts must be nonnegative, got {shifts}")
     shifted = tuple(
         (lambda x, p=p, s=s: p(x) + s) for p, s in zip(fields.potential, shifts)
@@ -276,26 +276,6 @@ def validate_drift(spec: DriftSpec, graph: MetricGraph, horizon: float = 1.0,
         "horizon": horizon, "n_time": n_time, "n_space": n_space})
 
 
-def dissipativity_constants(spec: DriftSpec, edge: int = 1, t: float = 0.0, x: float = 0.0,
-                            u_range=(-10.0, 10.0), n: int = 201):
-    """Fit constants (a, b) with (f(u+v)-f(v))*sign(u) <= a*(1+|v|)^d - b*|u|^d.
-
-    A scalar one-sided dissipativity surrogate for the reaction term; b is
-    taken as half the leading-coefficient lower bound and a is the smallest
-    constant making the inequality hold on the scan grid.  Only existence of
-    finite constants matters downstream.
-    """
-    d = spec.top_power
-    b = 0.5 * spec.lower_bound
-    us = np.linspace(u_range[0], u_range[1], n)
-    vs = np.linspace(u_range[0], u_range[1], n)
-    ug, vg = np.meshgrid(us, vs, indexing="ij")
-    f = lambda eta: eval_drift(spec, t, x, edge, eta)
-    lhs = (f(ug + vg) - f(vg)) * np.sign(ug)
-    a = float(np.max((lhs + b * np.abs(ug) ** d) / (1.0 + np.abs(vg)) ** d))
-    return max(a, 0.0), b
-
-
 # ---------------------------------------------------------------------------
 # Allen-Cahn specialization
 # ---------------------------------------------------------------------------
@@ -323,7 +303,7 @@ def allen_cahn_system(betas, base_fields: EdgeFieldSet) -> AllenCahnSpec:
         betas = np.full(base_fields.n_edges, betas[0])
     if betas.shape != (base_fields.n_edges,):
         raise DimensionMismatch(f"need one beta per edge ({base_fields.n_edges})")
-    if np.any(betas <= 0.0):
+    if not np.all(betas > 0.0):
         raise NonpositiveBeta(f"well parameters must be positive, got {betas}")
     beta = float(betas.max())
     rho = beta ** 2 - betas ** 2

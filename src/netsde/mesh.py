@@ -130,25 +130,3 @@ def edge_integral(mesh: Mesh, state: np.ndarray, density, weights) -> float:
             acc += 0.5 * h * np.sum(density((1.0 - xi) * left + xi * right))
         total += weights[j] * acc
     return total
-
-
-def discrete_norms(mesh: Mesh, state: np.ndarray, p, weights=None) -> float:
-    """Edge-space norm of a state: weighted L^p over edges, or sup norm.
-
-    ``p`` is a finite exponent or ``np.inf``/"inf"; the sup norm is the
-    maximum absolute nodal value (exact for piecewise-linear functions).
-    Finite-p integrals use 2-point Gauss quadrature per element, which is
-    exact for p = 2.
-    """
-    state = np.asarray(state, dtype=float)
-    if p in (np.inf, "inf"):
-        return float(np.abs(state).max())
-    p = float(p)
-    if p < 1:
-        raise ValueError(f"norm exponent must be >= 1, got {p}")
-    if weights is None:
-        mu = np.ones(mesh.n_edges)
-    else:
-        mu = np.asarray(weights, dtype=float)
-    total = edge_integral(mesh, state, lambda vals: np.abs(vals) ** p, mu)
-    return float(total ** (1.0 / p))

@@ -23,6 +23,7 @@ path does not depend on which others run or in what order.
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -171,10 +172,7 @@ class Stepper:
         if increment is not None:
             gamma = self.diffusion(t, state) if self.diffusion is not None else 1.0
             rhs += gamma * increment
-        out = self._resolve(rhs)
-        if not np.all(np.isfinite(out)):
-            raise LinearSolveFailure("implicit solve produced non-finite values")
-        return out
+        return self._resolve(rhs)
 
 
 def simulate_path(problem: Problem, trajectory_id: int = 0,
@@ -183,8 +181,9 @@ def simulate_path(problem: Problem, trajectory_id: int = 0,
 
     ``sampler(step, dt)`` supplies the noise increments; it defaults to the
     trajectory's own stream ``IncrementSampler(problem.noise, trajectory_id)``
-    and is ignored without a noise model.  Raises BlowupDetected (tagged with
-    the trajectory id) when the nodal sup norm exceeds the configured guard,
+    and is ignored without a noise model.  Raises LinearSolveFailure when a
+    step produces non-finite values, and BlowupDetected (tagged with the
+    trajectory id) when the nodal sup norm exceeds the configured guard,
     which signals scheme instability and should not occur with taming.
     """
     cfg = problem.config
@@ -211,7 +210,10 @@ def simulate_path(problem: Problem, trajectory_id: int = 0,
         u = stepper.step(u, t, dW)
         level = float(np.abs(u).max())
         sup = max(sup, level)
-        if not np.isfinite(level) or level > guard:
+        if not math.isfinite(level):
+            raise LinearSolveFailure(
+                f"trajectory {trajectory_id} produced non-finite values at step {step + 1}")
+        if level > guard:
             raise BlowupDetected(
                 f"trajectory {trajectory_id} exceeded guard {guard:g} at step {step + 1}",
                 trajectory_id=trajectory_id, step=step + 1)

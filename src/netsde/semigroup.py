@@ -73,8 +73,11 @@ def generalized_eigs(system: DiscreteSystem, count: int | None = None) -> Spectr
         values, vectors = values[:count].copy(), vectors[:, :count].copy()
     else:
         try:
+            # a fixed start vector: ARPACK's default is random, so repeated
+            # calls would differ in the last bits
             values, vectors = spla.eigsh(system.form_matrix.tocsc(), k=count,
-                                         M=system.mass.tocsc(), sigma=0.5, which="LM")
+                                         M=system.mass.tocsc(), sigma=0.5, which="LM",
+                                         v0=np.ones(ndof))
         except RuntimeError as err:
             raise FactorizationFailure(str(err)) from err
         order = np.argsort(values)[::-1]

@@ -8,12 +8,18 @@ the colored-noise factor is materialized from per-element antiderivatives.
 The backward-Euler march and the exponential-Euler step keep the loop and
 the three-term form the package used before every scheme shared one step
 map.  Noise increments come from a Philox generator constructed afresh for
-every draw, with the factor applied through ``@``.
+every draw, with the factor applied through ``@``.  Run configs are checked
+against the section-by-section normalizer that preceded the schema table.
 """
 
 import numpy as np
 from scipy.optimize import brentq
 from scipy.sparse.linalg import splu
+
+from netsde.config import config_hash
+from netsde.errors import SchemaViolation
+from netsde.expressions import parse_expression
+from netsde.sde import SCHEMES
 
 
 def robin_eigenvalues(count, kappa=1.0):
@@ -163,3 +169,362 @@ def philox_increment(noise, trajectory_id, step_id, dt):
                               key=((int(noise.seed) & mask) << 64) | (int(trajectory_id) & mask))
     z = np.random.Generator(bitgen).standard_normal(noise.dim)
     return np.sqrt(dt) * (noise.factor @ z)
+
+
+# ---------------------------------------------------------------------------
+# run-config normalizer, one section at a time
+# ---------------------------------------------------------------------------
+
+_EXPERIMENTS = ("validate", "spectrum", "simulate", "holder", "convergence")
+
+_DEFAULTS = {
+    "fields": {"conductance": 1.0, "potential": 0.0, "weights": 1.0},
+    "drift": {"type": "none"},
+    "diffusion": {"expression": 1.0},
+    "noise": {"kind": "white"},
+    "mesh": {"interior_nodes": 16},
+    "solver": {"scheme": "semi_implicit_tamed", "dt": 1e-3, "t_end": 1.0,
+               "snapshot_stride": 1, "blowup_guard": 1e6},
+    "initial": 0.0,
+    "experiment": {"name": "simulate"},
+    "seed": 0,
+}
+
+_EXPERIMENT_DEFAULTS = {
+    "validate": {"lattice_time": 64, "lattice_space": 64},
+    "spectrum": {"count": 10},
+    "simulate": {"trajectories": 1},
+    "holder": {"lags": [1e-3, 2e-3, 4e-3, 8e-3], "trajectories": 100,
+               "norm": "E2", "burn_fraction": 0.25},
+    "convergence": {"dt_ladder": [1e-4, 1e-3, 2e-3, 4e-3], "trajectories": 50,
+                    "norm": "E2"},
+}
+
+
+class _Collector:
+    def __init__(self):
+        self.errors = []
+
+    def add(self, path, message):
+        self.errors.append((path, message))
+
+    def raise_if_any(self):
+        if self.errors:
+            raise SchemaViolation(self.errors)
+
+
+def _expect_mapping(value, path, errors):
+    if not isinstance(value, dict):
+        errors.add(path, f"expected an object, got {type(value).__name__}")
+        return None
+    return value
+
+
+def _check_keys(mapping, allowed, path, errors):
+    for key in mapping:
+        if key not in allowed:
+            errors.add(f"{path}.{key}" if path else key, "unknown key")
+
+
+def _expect_number(value, path, errors, minimum=None, strict=False):
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        errors.add(path, f"expected a number, got {type(value).__name__}")
+        return None
+    value = float(value)
+    if minimum is not None and (value <= minimum if strict else value < minimum):
+        bound = "greater than" if strict else "at least"
+        errors.add(path, f"must be {bound} {minimum}, got {value}")
+        return None
+    return value
+
+
+def _expect_int(value, path, errors, minimum=None):
+    if isinstance(value, bool) or not isinstance(value, int):
+        errors.add(path, f"expected an integer, got {type(value).__name__}")
+        return None
+    if minimum is not None and value < minimum:
+        errors.add(path, f"must be at least {minimum}, got {value}")
+        return None
+    return value
+
+
+def _check_coefficient(value, path, variables, errors, allow_list=True):
+    """A coefficient is a number, an expression string, nodal samples, or a
+    per-edge list of those (one nesting level)."""
+    if isinstance(value, str):
+        try:
+            parse_expression(value, variables)
+        except Exception as err:
+            errors.add(path, str(err))
+        return
+    if isinstance(value, bool):
+        errors.add(path, "expected a number, expression, or list")
+        return
+    if isinstance(value, (int, float)):
+        return
+    if isinstance(value, list) and allow_list:
+        for i, entry in enumerate(value):
+            _check_coefficient(entry, f"{path}[{i}]", variables, errors, allow_list=False)
+        return
+    if isinstance(value, list):
+        for i, entry in enumerate(value):
+            if isinstance(entry, bool) or not isinstance(entry, (int, float)):
+                errors.add(f"{path}[{i}]", "nodal samples must be numbers")
+        return
+    errors.add(path, f"expected a number, expression, or list, got {type(value).__name__}")
+
+
+_TOP_LEVEL_KEYS = frozenset({
+    "graph", "vertex_matrix", "vertex_matrix_zero_ok", "fields", "drift",
+    "diffusion", "noise", "mesh", "solver", "initial", "experiment", "seed",
+    "output_dir",
+})
+
+
+def reference_normalize_config(raw):
+    """The run-config normalizer as it was before the schema became one
+    table: ``(data, hash)``, or SchemaViolation with the same error list."""
+    errors = _Collector()
+    if not isinstance(raw, dict):
+        errors.add("", "top level must be an object")
+        errors.raise_if_any()
+    _check_keys(raw, _TOP_LEVEL_KEYS, "", errors)
+
+    data = {}
+
+    graph = _expect_mapping(raw.get("graph"), "graph", errors)
+    n_edges = None
+    if graph is not None:
+        _check_keys(graph, {"n_vertices", "edges"}, "graph", errors)
+        n_vertices = _expect_int(graph.get("n_vertices"), "graph.n_vertices", errors, minimum=1)
+        edges = graph.get("edges")
+        if not isinstance(edges, list) or not edges:
+            errors.add("graph.edges", "expected a nonempty list of vertex pairs")
+        else:
+            for i, pair in enumerate(edges):
+                if (not isinstance(pair, list) or len(pair) != 2
+                        or any(isinstance(v, bool) or not isinstance(v, int) for v in pair)):
+                    errors.add(f"graph.edges[{i}]", "expected a pair of integer vertex ids")
+            n_edges = len(edges)
+        if n_vertices is not None and n_edges is not None:
+            data["graph"] = {"n_vertices": n_vertices, "edges": [list(p) for p in edges]}
+
+    matrix = raw.get("vertex_matrix")
+    if not isinstance(matrix, list) or not matrix:
+        errors.add("vertex_matrix", "expected a nonempty list of rows")
+    else:
+        n = len(matrix)
+        for i, row in enumerate(matrix):
+            if (not isinstance(row, list) or len(row) != n
+                    or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in row)):
+                errors.add(f"vertex_matrix[{i}]", f"expected a numeric row of length {n}")
+        data["vertex_matrix"] = [[float(v) for v in row] for row in matrix
+                                 if isinstance(row, list)]
+    zero_ok = raw.get("vertex_matrix_zero_ok", False)
+    if not isinstance(zero_ok, bool):
+        errors.add("vertex_matrix_zero_ok", "expected a boolean")
+        zero_ok = False
+    data["vertex_matrix_zero_ok"] = zero_ok
+
+    fields = dict(_DEFAULTS["fields"])
+    supplied = _expect_mapping(raw.get("fields", {}), "fields", errors)
+    if supplied is not None:
+        _check_keys(supplied, set(fields), "fields", errors)
+        fields.update(supplied)
+    _check_coefficient(fields["conductance"], "fields.conductance", ("x",), errors)
+    _check_coefficient(fields["potential"], "fields.potential", ("x",), errors)
+    weights = fields["weights"]
+    if isinstance(weights, list):
+        for i, w in enumerate(weights):
+            _expect_number(w, f"fields.weights[{i}]", errors, minimum=0.0, strict=True)
+    else:
+        _expect_number(weights, "fields.weights", errors, minimum=0.0, strict=True)
+    data["fields"] = fields
+
+    drift = dict(_DEFAULTS["drift"])
+    if "drift" in raw:
+        supplied = _expect_mapping(raw["drift"], "drift", errors)
+        if supplied is not None:
+            drift = dict(supplied)
+    kind = drift.get("type")
+    if kind == "none":
+        _check_keys(drift, {"type"}, "drift", errors)
+    elif kind == "allen_cahn":
+        _check_keys(drift, {"type", "betas"}, "drift", errors)
+        betas = drift.get("betas")
+        if isinstance(betas, list):
+            for i, b in enumerate(betas):
+                _expect_number(b, f"drift.betas[{i}]", errors, minimum=0.0, strict=True)
+        elif betas is None:
+            errors.add("drift.betas", "required for allen_cahn drift")
+        else:
+            _expect_number(betas, "drift.betas", errors, minimum=0.0, strict=True)
+    elif kind == "polynomial":
+        _check_keys(drift, {"type", "degree", "coefficients", "lower_bound", "upper_bound"},
+                    "drift", errors)
+        degree = _expect_int(drift.get("degree"), "drift.degree", errors, minimum=0)
+        coeffs = drift.get("coefficients")
+        if not isinstance(coeffs, list) or not coeffs:
+            errors.add("drift.coefficients", "expected a list of coefficients")
+        elif degree is not None:
+            expected = 2 * degree + 2
+            rows = coeffs if isinstance(coeffs[0], list) else [coeffs]
+            for r, row in enumerate(rows):
+                prefix = f"drift.coefficients[{r}]" if isinstance(coeffs[0], list) \
+                    else "drift.coefficients"
+                if not isinstance(row, list) or len(row) != expected:
+                    errors.add(prefix, f"expected {expected} entries (powers 0..{2*degree+1})")
+                    continue
+                for l, entry in enumerate(row):
+                    _check_coefficient(entry, f"{prefix}[{l}]", ("t", "x"), errors,
+                                       allow_list=False)
+        drift.setdefault("lower_bound", 1e-6)
+        drift.setdefault("upper_bound", 1e6)
+        _expect_number(drift["lower_bound"], "drift.lower_bound", errors, minimum=0.0, strict=True)
+        _expect_number(drift["upper_bound"], "drift.upper_bound", errors, minimum=0.0, strict=True)
+    else:
+        errors.add("drift.type", f"expected one of none/allen_cahn/polynomial, got {kind!r}")
+    data["drift"] = drift
+
+    diffusion = dict(_DEFAULTS["diffusion"])
+    supplied = _expect_mapping(raw.get("diffusion", {}), "diffusion", errors)
+    if supplied is not None:
+        _check_keys(supplied, {"expression", "lipschitz", "linear_growth"}, "diffusion", errors)
+        diffusion.update(supplied)
+    _check_coefficient(diffusion["expression"], "diffusion.expression", ("t", "x", "u"), errors)
+    lip = diffusion.get("lipschitz")
+    if lip is not None:
+        if not isinstance(lip, dict):
+            errors.add("diffusion.lipschitz", "expected an object of radius: constant pairs")
+        else:
+            for radius, constant in lip.items():
+                try:
+                    float(radius)
+                except ValueError:
+                    errors.add(f"diffusion.lipschitz.{radius}", "radius must be numeric")
+                _expect_number(constant, f"diffusion.lipschitz.{radius}", errors,
+                               minimum=0.0)
+    if diffusion.get("linear_growth") is not None:
+        _expect_number(diffusion["linear_growth"], "diffusion.linear_growth", errors,
+                       minimum=0.0)
+    data["diffusion"] = diffusion
+
+    noise = dict(_DEFAULTS["noise"])
+    if "noise" in raw:
+        supplied = _expect_mapping(raw["noise"], "noise", errors)
+        if supplied is not None:
+            noise = dict(supplied)
+    if noise.get("kind") == "white":
+        _check_keys(noise, {"kind", "lumped"}, "noise", errors)
+        if not isinstance(noise.get("lumped", False), bool):
+            errors.add("noise.lumped", "expected a boolean")
+        noise.setdefault("lumped", False)
+    elif noise.get("kind") == "colored":
+        _check_keys(noise, {"kind", "decay", "modes", "amplitudes"}, "noise", errors)
+        decay = _expect_number(noise.get("decay"), "noise.decay", errors)
+        if decay is not None and decay <= 0.5:
+            errors.add("noise.decay", f"spectral decay must exceed 0.5, got {decay}")
+        if "modes" in noise:
+            _expect_int(noise["modes"], "noise.modes", errors, minimum=1)
+        if "amplitudes" in noise:
+            amps = noise["amplitudes"]
+            if isinstance(amps, list):
+                for i, a in enumerate(amps):
+                    _expect_number(a, f"noise.amplitudes[{i}]", errors, minimum=0.0)
+            else:
+                _expect_number(amps, "noise.amplitudes", errors, minimum=0.0)
+    else:
+        errors.add("noise.kind", f"expected white or colored, got {noise.get('kind')!r}")
+    data["noise"] = noise
+
+    mesh = dict(_DEFAULTS["mesh"])
+    supplied = _expect_mapping(raw.get("mesh", {}), "mesh", errors)
+    if supplied is not None:
+        _check_keys(supplied, {"interior_nodes"}, "mesh", errors)
+        mesh.update(supplied)
+    _expect_int(mesh["interior_nodes"], "mesh.interior_nodes", errors, minimum=1)
+    data["mesh"] = mesh
+
+    solver = dict(_DEFAULTS["solver"])
+    supplied = _expect_mapping(raw.get("solver", {}), "solver", errors)
+    if supplied is not None:
+        _check_keys(supplied, set(solver), "solver", errors)
+        solver.update(supplied)
+    if solver["scheme"] not in SCHEMES:
+        errors.add("solver.scheme", f"expected one of {SCHEMES}, got {solver['scheme']!r}")
+    dt = _expect_number(solver["dt"], "solver.dt", errors, minimum=0.0, strict=True)
+    t_end = _expect_number(solver["t_end"], "solver.t_end", errors, minimum=0.0, strict=True)
+    if dt is not None and t_end is not None and dt > t_end:
+        errors.add("solver.dt", f"dt={dt} exceeds t_end={t_end}")
+    _expect_int(solver["snapshot_stride"], "solver.snapshot_stride", errors, minimum=1)
+    _expect_number(solver["blowup_guard"], "solver.blowup_guard", errors, minimum=0.0,
+                   strict=True)
+    data["solver"] = solver
+
+    _check_coefficient(raw.get("initial", _DEFAULTS["initial"]), "initial", ("x",), errors)
+    data["initial"] = raw.get("initial", _DEFAULTS["initial"])
+
+    experiment = dict(_DEFAULTS["experiment"])
+    if "experiment" in raw:
+        supplied = _expect_mapping(raw["experiment"], "experiment", errors)
+        if supplied is not None:
+            experiment = dict(supplied)
+    name = experiment.get("name", "simulate")
+    if name not in _EXPERIMENTS:
+        errors.add("experiment.name", f"expected one of {_EXPERIMENTS}, got {name!r}")
+    else:
+        merged = dict(_EXPERIMENT_DEFAULTS[name])
+        merged["name"] = name
+        extra = set(experiment) - set(merged)
+        for key in sorted(extra):
+            errors.add(f"experiment.{key}", f"unknown key for experiment {name!r}")
+        merged.update({k: v for k, v in experiment.items() if k in merged})
+        experiment = merged
+        if name in ("simulate", "holder", "convergence"):
+            _expect_int(experiment.get("trajectories"), "experiment.trajectories",
+                        errors, minimum=1)
+        if name == "spectrum":
+            _expect_int(experiment.get("count"), "experiment.count", errors, minimum=1)
+        if name == "holder":
+            lags = experiment.get("lags")
+            if not isinstance(lags, list) or len(lags) < 4:
+                errors.add("experiment.lags", "expected a list of at least 4 lags")
+            else:
+                for i, lag in enumerate(lags):
+                    _expect_number(lag, f"experiment.lags[{i}]", errors, minimum=0.0,
+                                   strict=True)
+            if experiment.get("norm") not in ("E2", "Einf"):
+                errors.add("experiment.norm", "expected E2 or Einf")
+            _expect_number(experiment.get("burn_fraction"), "experiment.burn_fraction",
+                           errors, minimum=0.0)
+        if name == "convergence":
+            ladder = experiment.get("dt_ladder")
+            if not isinstance(ladder, list) or len(ladder) < 4:
+                errors.add("experiment.dt_ladder", "expected a list of at least 4 steps")
+            else:
+                for i, step in enumerate(ladder):
+                    _expect_number(step, f"experiment.dt_ladder[{i}]", errors,
+                                   minimum=0.0, strict=True)
+            if experiment.get("norm") not in ("E2", "Einf"):
+                errors.add("experiment.norm", "expected E2 or Einf")
+        if name == "validate":
+            _expect_int(experiment.get("lattice_time"), "experiment.lattice_time",
+                        errors, minimum=2)
+            _expect_int(experiment.get("lattice_space"), "experiment.lattice_space",
+                        errors, minimum=2)
+    data["experiment"] = experiment
+
+    seed = raw.get("seed", _DEFAULTS["seed"])
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        errors.add("seed", "expected an integer")
+    else:
+        data["seed"] = seed
+
+    if "output_dir" in raw:
+        if not isinstance(raw["output_dir"], str):
+            errors.add("output_dir", "expected a string")
+        else:
+            data["output_dir"] = raw["output_dir"]
+
+    errors.raise_if_any()
+    return data, config_hash(data)

@@ -37,8 +37,7 @@ def reference_write_csv(path, header, rows):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def reference_snapshot_rows(model, trajectory):
-    mesh = model.mesh
+def reference_snapshot_rows(mesh, trajectory):
     xs = node_coordinates(mesh)
     for t, state in zip(trajectory.times, trajectory.states):
         for j in range(mesh.n_edges):
@@ -107,11 +106,12 @@ class TestParseConfig:
 
     def test_build_model_round_trip(self, tmp_path):
         config = parse_config(write_config(tmp_path, minimal_config()))
-        model = build_model(config)
-        assert model.system.ndof == 4 + 2
-        assert model.problem.config_hash == config.hash
-        assert model.noise.seed == 7
-        assert model.allen_cahn is not None and model.allen_cahn.beta == 1.0
+        problem = build_model(config)
+        assert problem.system.ndof == 4 + 2
+        assert problem.config_hash == config.hash
+        assert problem.noise.seed == 7
+        # Allen-Cahn with beta = 1: -u^3 + beta^2 u on the single edge
+        assert problem.drift.constant_values == ((0.0, 1.0, 0.0, 1.0),)
 
     def test_polynomial_drift_config(self, tmp_path):
         cfg = minimal_config(drift={
@@ -119,14 +119,14 @@ class TestParseConfig:
             "coefficients": [0.0, "1 + 0*x", 0.0, 1.0],
             "lower_bound": 0.5, "upper_bound": 4.0,
         })
-        model = build_model(parse_config(write_config(tmp_path, cfg)))
-        assert model.drift.degree == 1
+        problem = build_model(parse_config(write_config(tmp_path, cfg)))
+        assert problem.drift.degree == 1
 
     def test_colored_noise_config(self, tmp_path):
         cfg = minimal_config(noise={"kind": "colored", "decay": 2.0, "modes": 3})
-        model = build_model(parse_config(write_config(tmp_path, cfg)))
-        assert model.noise.kind == "colored"
-        assert model.noise.n_modes == 3
+        problem = build_model(parse_config(write_config(tmp_path, cfg)))
+        assert problem.noise.kind == "colored"
+        assert problem.noise.n_modes == 3
 
     def test_colored_decay_bound(self, tmp_path):
         cfg = minimal_config(noise={"kind": "colored", "decay": 0.4})
@@ -204,11 +204,11 @@ class TestCli:
         path = write_config(tmp_path, cfg)
         out = tmp_path / "out"
         assert run_command(["simulate", "--config", str(path), "--output-dir", str(out)]) == 0
-        model = build_model(parse_config(path))
-        for traj in cli.run_trajectories(model.problem, range(2)):
+        problem = build_model(parse_config(path))
+        for traj in cli.run_trajectories(problem, range(2)):
             name = f"trajectory_{traj.trajectory_id:04d}.csv"
             reference_write_csv(tmp_path / name, ["t", "edge", "x", "value"],
-                                reference_snapshot_rows(model, traj))
+                                reference_snapshot_rows(problem.system.mesh, traj))
             assert (out / name).read_bytes() == (tmp_path / name).read_bytes()
         first = (out / "trajectory_0000.csv").read_text().splitlines()[1:7]
         assert [line.rsplit(",", 1)[1] for line in first] == \

@@ -4,7 +4,7 @@ import pytest
 from netsde.errors import MeshTooCoarse, VertexMismatch
 from netsde.fields import build_edge_fields
 from netsde.graph import build_graph
-from netsde.mesh import build_mesh, discrete_norms, eval_state, interpolate
+from netsde.mesh import build_mesh, eval_state, interpolate
 
 
 def path3_mesh(n_int=3):
@@ -63,27 +63,3 @@ class TestInterpolate:
         mesh = build_mesh(build_graph(2, [(1, 2)]), 1)
         u = interpolate(mesh, lambda x: np.abs(x - 0.5))
         assert eval_state(mesh, u, 1, 0.25) == pytest.approx(0.25)
-
-
-class TestNorms:
-    def test_constant_norm_with_weights(self):
-        mesh = path3_mesh()
-        u = np.ones(mesh.ndof)
-        assert discrete_norms(mesh, u, 2, weights=[2.0, 3.0]) == pytest.approx(np.sqrt(5.0))
-
-    def test_sup_norm_of_constant(self):
-        mesh = path3_mesh()
-        assert discrete_norms(mesh, -2.5 * np.ones(mesh.ndof), np.inf) == 2.5
-
-    def test_linear_profile_l2(self):
-        mesh = build_mesh(build_graph(2, [(1, 2)]), 7)
-        u = interpolate(mesh, lambda x: x)
-        # int x^2 = 1/3 and the quadrature is exact for piecewise-linear squares
-        assert discrete_norms(mesh, u, 2) == pytest.approx(np.sqrt(1.0 / 3.0), abs=1e-14)
-
-    def test_lp_norm_against_quadrature_oracle(self):
-        from scipy.integrate import quad
-        mesh = build_mesh(build_graph(2, [(1, 2)]), 255)
-        u = interpolate(mesh, lambda x: np.sin(np.pi * x))
-        oracle = quad(lambda x: np.abs(np.sin(np.pi * x)) ** 4, 0.0, 1.0)[0] ** 0.25
-        assert discrete_norms(mesh, u, 4) == pytest.approx(oracle, rel=1e-4)

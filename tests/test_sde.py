@@ -1,9 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from netsde.analysis import allen_cahn_energy, estimate_strong_order
 from netsde.assembly import assemble_form
-from netsde.errors import BlowupDetected, ConfigurationError
+from netsde.errors import BlowupDetected, ConfigurationError, LinearSolveFailure
 from netsde.expressions import parse_expression
 from netsde.fields import (
     DiffusionSpec,
@@ -158,6 +160,12 @@ class TestSimulatePath:
         tamed, _ = allen_cahn_problem(scheme="semi_implicit_tamed", **kwargs)
         traj = simulate_path(tamed)
         assert np.isfinite(traj.sup_norm)
+
+    def test_non_finite_step_raises_linear_solve_failure(self):
+        problem, _ = allen_cahn_problem(noise_seed=1, t_end=0.01)
+        nan_noise = build_diffusion(3, lambda t, x, u: np.full_like(u, np.nan))
+        with pytest.raises(LinearSolveFailure, match="trajectory 4 .* at step 1$"):
+            simulate_path(replace(problem, diffusion=nan_noise), trajectory_id=4)
 
     def test_strong_order_ladder_honours_blowup_guard(self):
         plain, _ = allen_cahn_problem(scheme="semi_implicit_plain", n_int=2, dt=0.5,

@@ -57,6 +57,19 @@ class TestGeneralizedEigs:
         np.testing.assert_allclose(generalized_eigs(sys, count=3).eigenvalues, partial,
                                    rtol=1e-10)
 
+    @pytest.mark.parametrize("n_int", [10, 40, 100])
+    def test_iterative_eigensolve_is_repeatable(self, monkeypatch, n_int):
+        # 34, 124 and 304 dofs on a 3-star, all on the iterative path
+        graph = build_graph(4, [(1, 2), (1, 3), (1, 4)])
+        sys = assemble_form(build_mesh(graph, n_int), build_edge_fields(3, weights=[1.0, 2.0, 0.5]),
+                            VertexMatrix(-np.eye(4)))
+        dense = generalized_eigs(sys, count=4)
+        monkeypatch.setattr(semigroup, "DENSE_LIMIT", 5)
+        first, second = generalized_eigs(sys, count=4), generalized_eigs(sys, count=4)
+        assert np.array_equal(first.eigenvalues, second.eigenvalues)
+        assert np.array_equal(first.eigenvectors, second.eigenvectors)
+        np.testing.assert_allclose(first.eigenvalues, dense.eigenvalues, rtol=1e-9)
+
     def test_eigenvalues_real_descending_nonpositive(self):
         sys = robin_system(15)
         spec = generalized_eigs(sys)
