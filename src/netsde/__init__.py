@@ -32,7 +32,6 @@ from .fields import (
     allen_cahn_system,
     build_diffusion,
     build_edge_fields,
-    eval_diffusion,
     eval_drift,
     polynomial_drift,
     validate_diffusion,
@@ -48,12 +47,7 @@ from .graph import (
     weighted_incidence,
 )
 from .mesh import Mesh, build_mesh, eval_state, interpolate
-from .noise import (
-    NoiseModel,
-    colored_noise_operator,
-    sample_noise_increment,
-    white_noise_model,
-)
+from .noise import NoiseModel, colored_noise_operator, white_noise_model
 from .report import Check, ValidationReport
 from .sde import Problem, SolverConfig, simulate_path
 from .semigroup import (

@@ -230,10 +230,9 @@ def estimate_strong_order(problem: Problem, dt_ladder, n_trajectories: int,
         raise ConfigurationError(
             "every ladder step must be an integer multiple (>= 2) of the finest step; "
             "anything else would decouple the noise between levels")
-    t_end = problem.config.t_end
-    for dt in ladder:
-        if abs(round(t_end / dt) * dt - t_end) > 1e-8 * t_end:
-            raise ConfigurationError(f"t_end={t_end} is not an integer multiple of dt={dt}")
+    # each level's SolverConfig checks its dt against t_end before any march
+    levels = [problem.with_config(dt=float(dt)) for dt in ladder]
+    levels = [level.with_config(snapshot_stride=level.config.n_steps) for level in levels]
 
     system = problem.system
     if norm == "E2":
@@ -245,16 +244,12 @@ def estimate_strong_order(problem: Problem, dt_ladder, n_trajectories: int,
 
     # one set-up per system: the levels differ only in their dt-dependent part
     base = Stepper(system, dt_ref, problem.config.scheme, problem.drift, problem.diffusion)
-    levels = []
-    for dt, ratio in zip(ladder, [1, *ratios]):
-        level = problem.with_config(dt=float(dt), snapshot_stride=int(round(t_end / dt)))
-        stepper = base if ratio == 1 else base.with_dt(float(dt))
-        levels.append((level, stepper, int(ratio)))
+    steppers = [base] + [base.with_dt(level.config.dt) for level in levels[1:]]
 
     all_errs = []
     for traj_id in range(n_trajectories):
         finals = []
-        for level, stepper, ratio in levels:
+        for level, stepper, ratio in zip(levels, steppers, [1, *ratios]):
             # the reference level draws the trajectory's own fine stream
             sampler = (coupled_sampler(problem.noise, traj_id, ratio)
                        if ratio > 1 and problem.noise is not None else None)

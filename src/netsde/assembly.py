@@ -22,14 +22,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.sparse import _sparsetools
 
-from .errors import (
-    DimensionMismatch,
-    FactorizationFailure,
-    NegativePotential,
-    NonpositiveConductance,
-    ValidationFailure,
-)
-from .fields import EdgeFieldSet
+from .errors import DimensionMismatch, FactorizationFailure, ValidationFailure
+from .fields import EdgeFieldSet, check_coefficient_samples
 from .graph import VertexMatrix, validate_vertex_matrix
 from .mesh import _GAUSS_XI, Mesh
 
@@ -96,10 +90,7 @@ def assemble_form(mesh: Mesh, fields: EdgeFieldSet, matrix: VertexMatrix) -> Dis
                                  gauss_x.shape)
         p_vals = np.broadcast_to(np.asarray(fields.potential[j](gauss_x), dtype=float),
                                  gauss_x.shape)
-        if np.any(c_vals <= 0.0):
-            raise NonpositiveConductance(f"conductance on edge {j + 1} nonpositive at a quadrature point")
-        if np.any(p_vals < 0.0):
-            raise NegativePotential(f"potential on edge {j + 1} negative at a quadrature point")
+        check_coefficient_samples(j + 1, c_vals, p_vals, " at a quadrature point")
 
         stiff = mu * 0.5 * c_vals.sum(axis=1) / h          # mu * int_elem c * (1/h)^2
         pot_ll = mu * 0.5 * h * (p_vals * phi_left ** 2).sum(axis=1)

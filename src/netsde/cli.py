@@ -114,11 +114,15 @@ def _resolve_output_dir(args, config: RunConfig) -> Path:
     return out
 
 
+def _settings(config: RunConfig, name: str) -> dict:
+    """The config's experiment settings if it runs ``name``, else the defaults."""
+    return config.experiment if config.experiment["name"] == name else EXPERIMENT_DEFAULTS[name]
+
+
 def _cmd_validate(args, config: RunConfig, out_dir: Path) -> int:
     # assembly-free construction so an invalid vertex matrix still yields a report
     built = build_coefficients(config)
-    params = config.experiment if config.experiment["name"] == "validate" \
-        else EXPERIMENT_DEFAULTS["validate"]
+    params = _settings(config, "validate")
     horizon = config.data["solver"]["t_end"]
     reports = {
         "vertex_matrix_basic": validate_vertex_matrix(
@@ -158,8 +162,7 @@ _DENSE_PROPERTY_LIMIT = 400
 
 def _cmd_spectrum(args, config: RunConfig, out_dir: Path) -> int:
     system = build_model(config).system
-    count = config.experiment["count"] if config.experiment["name"] == "spectrum" else 10
-    count = min(count, system.ndof)
+    count = min(_settings(config, "spectrum")["count"], system.ndof)
     spectral = generalized_eigs(system, count=count)
     _write_csv(out_dir / "spectrum.csv", ["k", "lambda_k"],
                [(k + 1, lam) for k, lam in enumerate(spectral.eigenvalues)])
@@ -192,7 +195,7 @@ def _snapshot_lines(mesh: Mesh, trajectory):
 
 def _cmd_simulate(args, config: RunConfig, out_dir: Path) -> int:
     problem = build_model(config)
-    n_traj = config.experiment["trajectories"] if config.experiment["name"] == "simulate" else 1
+    n_traj = _settings(config, "simulate")["trajectories"]
     trajectories = run_trajectories(problem, range(n_traj))
     artifacts = []
     for traj in trajectories:
@@ -277,7 +280,7 @@ def run_command(argv=None) -> int:
     except NetsdeError as err:
         _log("error", str(err))
         return 2
-    except (FileNotFoundError, OSError) as err:
+    except OSError as err:
         _log("error", str(err))
         return 2
 

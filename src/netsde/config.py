@@ -516,9 +516,5 @@ def build_model(config: RunConfig) -> Problem:
             amplitudes=noise_cfg.get("amplitudes"), n_modes=noise_cfg.get("modes"))
 
     initial = interpolate(mesh, _coefficient_to_spec(data["initial"], ("x",)))
-    solver = data["solver"]
-    cfg = SolverConfig(dt=solver["dt"], t_end=solver["t_end"], scheme=solver["scheme"],
-                       snapshot_stride=solver["snapshot_stride"],
-                       blowup_guard=solver["blowup_guard"])
-    return Problem(system, cfg, initial, built.drift, built.diffusion, noise,
-                   config_hash=config.hash)
+    return Problem(system, SolverConfig(**data["solver"]), initial, built.drift,
+                   built.diffusion, noise, config_hash=config.hash)

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    ConfigurationError,
     DimensionMismatch,
     NegativePotential,
     NonpositiveBeta,
@@ -96,12 +97,24 @@ class EdgeFieldSet:
         return np.array([[float(c(0.0)), float(c(1.0))] for c in self.conductance])
 
 
-def build_edge_fields(n_edges: int, conductance=1.0, potential=0.0, weights=1.0,
-                      n_check: int = 129) -> EdgeFieldSet:
+def check_coefficient_samples(edge: int, c_vals, p_vals, where: str = ""):
+    """Raise unless the samples of c_j are positive, those of p_j
+    nonnegative, and both finite; ``edge`` is 1-based."""
+    c_min, p_min = float(np.min(c_vals)), float(np.min(p_vals))
+    if not c_min > 0.0:
+        raise NonpositiveConductance(f"conductance on edge {edge} reaches {c_min} <= 0{where}")
+    if not p_min >= 0.0:
+        raise NegativePotential(f"potential on edge {edge} reaches {p_min} < 0{where}")
+    for name, vals in (("conductance", c_vals), ("potential", p_vals)):
+        if not np.isfinite(vals).all():
+            raise ConfigurationError(f"{name} on edge {edge} is not finite{where}")
+
+
+def build_edge_fields(n_edges: int, conductance=1.0, potential=0.0, weights=1.0) -> EdgeFieldSet:
     """Build and validate the linear coefficient set.
 
-    Positivity of c_j and nonnegativity of p_j are checked on a uniform
-    sample grid; assembly re-checks at its quadrature points.
+    Finiteness, positivity of c_j and nonnegativity of p_j are checked on a
+    uniform grid of 129 points; assembly re-checks at its quadrature points.
     """
     m = int(n_edges)
     c_specs = _per_edge(conductance, m)
@@ -115,17 +128,12 @@ def build_edge_fields(n_edges: int, conductance=1.0, potential=0.0, weights=1.0,
     if not np.all(mu > 0.0):
         raise NonpositiveWeight(f"edge weights must be positive, got {mu}")
 
-    grid = np.linspace(0.0, 1.0, n_check)
+    grid = np.linspace(0.0, 1.0, 129)
     c_fns, p_fns = [], []
     for j in range(m):
         c = as_edge_function(c_specs[j])
         p = as_edge_function(p_specs[j])
-        c_min = float(np.min(c(grid)))
-        if not c_min > 0.0:
-            raise NonpositiveConductance(f"conductance on edge {j + 1} reaches {c_min} <= 0")
-        p_min = float(np.min(p(grid)))
-        if not p_min >= 0.0:
-            raise NegativePotential(f"potential on edge {j + 1} reaches {p_min} < 0")
+        check_coefficient_samples(j + 1, c(grid), p(grid))
         c_fns.append(c)
         p_fns.append(p)
     return EdgeFieldSet(tuple(c_fns), tuple(p_fns), mu)
@@ -171,9 +179,6 @@ class DriftSpec:
     @property
     def top_power(self) -> int:
         return 2 * self.degree + 1
-
-    def is_constant(self) -> bool:
-        return all(v is not None for row in self.constant_values for v in row)
 
 
 def polynomial_drift(degree: int, coefficients, n_edges: int,
@@ -331,9 +336,9 @@ class DiffusionSpec:
     """
 
     functions: tuple
-    lipschitz: tuple = ()          # pairs (radius, constant)
-    linear_growth: float | None = None
-    constant_values: tuple = ()    # [edge] float or None, detected constants; () if unknown
+    lipschitz: tuple               # pairs (radius, constant)
+    linear_growth: float | None
+    constant_values: tuple         # [edge] float or None, detected constants
 
     @property
     def n_edges(self) -> int:
@@ -348,11 +353,6 @@ def build_diffusion(n_edges: int, function, lipschitz=(), linear_growth=None) ->
     return DiffusionSpec(fns, lip, growth, tuple(_constant_of(v) for v in specs))
 
 
-def eval_diffusion(spec: DiffusionSpec, t, x, edge: int, value):
-    """Evaluate g on an edge (1-based index)."""
-    return spec.functions[edge - 1](t, x, value)
-
-
 def _worst_on_lattice(spec: DiffusionSpec, ts, xs, etas, measure) -> float:
     """max(0, largest ``measure(g_j values, eta grid)``) on the (t, x, eta) lattice."""
     tg, xg, eg = np.meshgrid(ts, xs, etas, indexing="ij")
@@ -363,26 +363,29 @@ def _worst_on_lattice(spec: DiffusionSpec, ts, xs, etas, measure) -> float:
     return worst
 
 
-def validate_diffusion(spec: DiffusionSpec, horizon: float = 1.0, n_time: int = 9,
-                       n_space: int = 17, n_value: int = 41) -> ValidationReport:
+# points of the (t, x, eta) lattice that validate_diffusion scans
+N_TIME, N_SPACE, N_VALUE = 9, 17, 41
+
+
+def validate_diffusion(spec: DiffusionSpec, horizon: float = 1.0) -> ValidationReport:
     """Lattice scan of the declared Lipschitz radii and the growth bound.
 
     Finite-difference slopes in eta are compared against each declared
     radius constant; the growth bound is checked on the largest radius (or
     |eta| <= 10 if no radii are declared).
     """
-    ts = np.linspace(0.0, horizon, n_time)
-    xs = np.linspace(0.0, 1.0, n_space)
+    ts = np.linspace(0.0, horizon, N_TIME)
+    xs = np.linspace(0.0, 1.0, N_SPACE)
     checks = []
     for radius, constant in spec.lipschitz:
-        etas = np.linspace(-radius, radius, n_value)
+        etas = np.linspace(-radius, radius, N_VALUE)
         worst = _worst_on_lattice(spec, ts, xs, etas, lambda vals, eg: (
             np.abs(np.diff(vals, axis=2)) / np.abs(np.diff(etas))))
         tol = constant * (1.0 + 1e-9) + 1e-12
         checks.append(Check(f"lipschitz_radius_{radius:g}", worst <= tol, worst, constant))
     if spec.linear_growth is not None:
         radius = max([r for r, _ in spec.lipschitz], default=10.0)
-        etas = np.linspace(-radius, radius, n_value)
+        etas = np.linspace(-radius, radius, N_VALUE)
         worst = _worst_on_lattice(spec, ts, xs, etas,
                                   lambda vals, eg: np.abs(vals) / (1.0 + np.abs(eg)))
         tol = spec.linear_growth * (1.0 + 1e-9) + 1e-12
@@ -391,4 +394,4 @@ def validate_diffusion(spec: DiffusionSpec, horizon: float = 1.0, n_time: int = 
         checks.append(Check("no_declared_bounds", True, 0.0, 0.0, mandatory=False,
                             note="no Lipschitz or growth metadata declared; nothing to scan"))
     return ValidationReport(tuple(checks), context={
-        "horizon": horizon, "n_time": n_time, "n_space": n_space, "n_value": n_value})
+        "horizon": horizon, "n_time": N_TIME, "n_space": N_SPACE, "n_value": N_VALUE})

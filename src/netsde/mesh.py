@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MeshTooCoarse, VertexMismatch
+from .errors import ConfigurationError, MeshTooCoarse, VertexMismatch
 from .fields import as_edge_function, _per_edge
 from .graph import MetricGraph
 
@@ -31,8 +31,6 @@ class Mesh:
     ndof: int
     edge_dofs: np.ndarray    # (m, n_interior+2) global dof of each local node
     vertex_dofs: np.ndarray  # (n,) global dof of vertex i at index i-1
-    dof_edge: np.ndarray     # (ndof,) 0-based owning edge (representative for vertices)
-    dof_x: np.ndarray        # (ndof,) local coordinate on the owning edge
 
     @property
     def n_edges(self) -> int:
@@ -45,32 +43,14 @@ def build_mesh(graph: MetricGraph, n_interior: int) -> Mesh:
     if n_int < 1:
         raise MeshTooCoarse(f"need at least one interior node per edge, got {n_int}")
     n, m = graph.n_vertices, graph.n_edges
-    h = 1.0 / (n_int + 1)
-    ndof = m * n_int + n
     vertex_dofs = m * n_int + np.arange(n)
 
     edge_dofs = np.empty((m, n_int + 2), dtype=int)
-    edges0 = graph.edge_array()
-    for j, (a, b) in enumerate(edges0):
+    for j, (a, b) in enumerate(graph.edge_array()):
         edge_dofs[j, 0] = vertex_dofs[a]
         edge_dofs[j, 1:-1] = j * n_int + np.arange(n_int)
         edge_dofs[j, -1] = vertex_dofs[b]
-
-    dof_edge = np.zeros(ndof, dtype=int)
-    dof_x = np.zeros(ndof)
-    for j in range(m):
-        sl = slice(j * n_int, (j + 1) * n_int)
-        dof_edge[sl] = j
-        dof_x[sl] = h * np.arange(1, n_int + 1)
-    # vertex dofs evaluate through the lowest-index incident edge
-    for j in range(m - 1, -1, -1):
-        a, b = edges0[j]
-        dof_edge[vertex_dofs[a]] = j
-        dof_x[vertex_dofs[a]] = 0.0
-        dof_edge[vertex_dofs[b]] = j
-        dof_x[vertex_dofs[b]] = 1.0
-
-    return Mesh(graph, n_int, h, ndof, edge_dofs, vertex_dofs, dof_edge, dof_x)
+    return Mesh(graph, n_int, 1.0 / (n_int + 1), m * n_int + n, edge_dofs, vertex_dofs)
 
 
 def node_coordinates(mesh: Mesh) -> np.ndarray:
@@ -78,29 +58,48 @@ def node_coordinates(mesh: Mesh) -> np.ndarray:
     return np.linspace(0.0, 1.0, mesh.n_interior + 2)
 
 
-def interpolate(mesh: Mesh, functions, vertex_tol: float = 1e-12) -> np.ndarray:
+def write_edge_values(mesh: Mesh, edge_values, out: np.ndarray) -> np.ndarray:
+    """Fill the dof vector ``out`` edge by edge and return it.
+
+    ``edge_values(j, dofs)`` gives edge j's values at ``node_coordinates(mesh)``
+    on its dofs ``mesh.edge_dofs[j]``.  The edges are written in reverse
+    order, so a vertex dof shared by several edges keeps the value of its
+    lowest-index incident edge.
+    """
+    for j in range(mesh.n_edges - 1, -1, -1):
+        dofs = mesh.edge_dofs[j]
+        out[dofs] = edge_values(j, dofs)
+    return out
+
+
+# largest difference allowed between two edges' values at a shared vertex
+VERTEX_TOL = 1e-12
+
+
+def interpolate(mesh: Mesh, functions) -> np.ndarray:
     """Nodal interpolation of per-edge functions into a coefficient vector.
 
     ``functions`` is a shared spec or a per-edge list (scalars, Expressions,
-    callables of x, or nodal sample arrays).  The supplied functions must
-    agree at shared vertices to within ``vertex_tol``.
+    callables of x, or nodal sample arrays).  The nodal values must be
+    finite, and the supplied functions must agree at shared vertices to
+    within ``VERTEX_TOL``.
     """
-    m = mesh.n_edges
-    fns = [as_edge_function(v) for v in _per_edge(functions, m)]
     xs = node_coordinates(mesh)
-    state = np.zeros(mesh.ndof)
-    assigned = np.zeros(mesh.ndof, dtype=bool)
-    for j in range(m):
-        values = np.broadcast_to(np.asarray(fns[j](xs), dtype=float), xs.shape)
-        for local, dof in enumerate(mesh.edge_dofs[j]):
-            if assigned[dof]:
-                if abs(state[dof] - values[local]) > vertex_tol:
-                    raise VertexMismatch(
-                        f"edge {j + 1} supplies {values[local]!r} at a shared vertex "
-                        f"already set to {state[dof]!r}")
-            else:
-                state[dof] = values[local]
-                assigned[dof] = True
+    values = []
+    for j, spec in enumerate(_per_edge(functions, mesh.n_edges)):
+        v = np.broadcast_to(np.asarray(as_edge_function(spec)(xs), dtype=float), xs.shape)
+        if not np.isfinite(v).all():
+            k = int(np.argmin(np.isfinite(v)))
+            raise ConfigurationError(
+                f"edge {j + 1} supplies the non-finite value {float(v[k])} at x={float(xs[k])}")
+        values.append(v)
+    state = write_edge_values(mesh, lambda j, dofs: values[j], np.empty(mesh.ndof))
+    for j, (v, dofs) in enumerate(zip(values, mesh.edge_dofs)):
+        bad = np.flatnonzero(np.abs(state[dofs] - v) > VERTEX_TOL)
+        if bad.size:
+            raise VertexMismatch(
+                f"edge {j + 1} supplies {v[bad[0]]!r} at a shared vertex "
+                f"already set to {state[dofs[bad[0]]]!r}")
     return state
 
 

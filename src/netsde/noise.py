@@ -32,7 +32,7 @@ whenever any part of it does.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -79,9 +79,6 @@ class NoiseModel:
     def apply(self, z: np.ndarray) -> np.ndarray:
         """The increment factor times the standard normal vector ``z``."""
         return self._matvec(z)
-
-    def with_seed(self, seed: int) -> "NoiseModel":
-        return replace(self, seed=int(seed))
 
 
 def white_noise_model(system: DiscreteSystem, seed: int = 0, lumped: bool = False) -> NoiseModel:
@@ -206,12 +203,6 @@ def _philox_state(seed: int, trajectory_id: int) -> dict:
         "has_uint32": 0,
         "uinteger": 0,
     }
-
-
-def sample_noise_increment(noise: NoiseModel, trajectory_id: int, step_id: int,
-                           dt: float) -> np.ndarray:
-    """One load-vector increment, a pure function of (seed, trajectory, step)."""
-    return IncrementSampler(noise, trajectory_id)(step_id, dt)
 
 
 class IncrementSampler:

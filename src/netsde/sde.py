@@ -31,8 +31,8 @@ import scipy.sparse.linalg as spla
 
 from .assembly import DiscreteSystem, bind_matvec
 from .errors import BlowupDetected, ConfigurationError, LinearSolveFailure
-from .fields import DiffusionSpec, DriftSpec, eval_diffusion, eval_drift
-from .mesh import Mesh
+from .fields import DiffusionSpec, DriftSpec, eval_drift
+from .mesh import Mesh, node_coordinates, write_edge_values
 from .noise import IncrementSampler, NoiseModel
 from .semigroup import generalized_eigs
 from .trajectory import TrajectorySet
@@ -83,20 +83,18 @@ def _nodal_evaluator(mesh: Mesh, rows, whole, on_edge):
     """Nodal evaluator over dofs from per-edge detected constants ``rows``.
 
     When every edge has the same fully constant row, ``whole(t, u)`` serves
-    the whole vector; else ``on_edge(t, x, j, u_j)`` runs per 0-based edge
-    slice.  Vertex dofs evaluate through their representative edge; under
-    vertex compatibility every incident edge gives the same value there.
+    the whole vector; else ``on_edge(t, x, j, u_j)`` runs on the nodes of
+    each 0-based edge j.  A vertex dof takes the value of its lowest-index
+    incident edge; under vertex compatibility every incident edge gives the
+    same value there.
     """
-    if rows and None not in rows[0] and all(row == rows[0] for row in rows):
+    if None not in rows[0] and all(row == rows[0] for row in rows):
         return whole
-    by_edge = [np.flatnonzero(mesh.dof_edge == j) for j in range(mesh.n_edges)]
-    xs = [mesh.dof_x[idx] for idx in by_edge]
+    xs = node_coordinates(mesh)
 
     def evaluate(t, u):
-        out = np.empty_like(u)
-        for j, idx in enumerate(by_edge):
-            out[idx] = on_edge(t, xs[j], j, u[idx])
-        return out
+        return write_edge_values(mesh, lambda j, dofs: on_edge(t, xs, j, u[dofs]),
+                                 np.empty_like(u))
 
     return evaluate
 
@@ -117,7 +115,7 @@ def nodal_diffusion_evaluator(spec: DiffusionSpec | None, mesh: Mesh):
         return None
     rows = [(c,) for c in spec.constant_values]
     return _nodal_evaluator(mesh, rows, lambda t, u: rows[0][0],
-                            lambda t, x, j, u: eval_diffusion(spec, t, x, j + 1, u))
+                            lambda t, x, j, u: spec.functions[j](t, x, u))
 
 
 class Stepper:

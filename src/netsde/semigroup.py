@@ -112,12 +112,15 @@ def propagator(system: DiscreteSystem, t: float, lumped: bool = True) -> np.ndar
     return scipy.linalg.expm(t * B)
 
 
-def check_contraction(system: DiscreteSystem, t_grid, norm: str = "E2",
-                      tol: float = 1e-10, tol_inf: float = 1e-8) -> ValidationReport:
+# tolerances of the E2 contraction, sup-norm contraction and positivity checks
+TOL_E2, TOL_INF, TOL_POS = 1e-10, 1e-8, 1e-8
+
+
+def check_contraction(system: DiscreteSystem, t_grid, norm: str = "E2") -> ValidationReport:
     """Certify that the flow does not expand the requested norm.
 
     E2 contraction follows from the spectral bound (largest pencil
-    eigenvalue <= tol); the per-time operator norms e^{lambda_1 t} are
+    eigenvalue <= TOL_E2); the per-time operator norms e^{lambda_1 t} are
     reported.  The sup-norm check forms dense matrix exponentials of the
     lumped-mass propagator and measures the largest absolute row sum; the
     consistent-mass excess is reported as a non-mandatory check since it
@@ -129,20 +132,20 @@ def check_contraction(system: DiscreteSystem, t_grid, norm: str = "E2",
         spectral = generalized_eigs(system, count=min(system.ndof, 6))
         lam1 = float(spectral.eigenvalues[0])
         scale = 1.0 + float(np.abs(spectral.eigenvalues).max())
-        checks.append(Check("largest_eigenvalue", lam1 <= tol * scale, lam1, tol * scale))
+        checks.append(Check("largest_eigenvalue", lam1 <= TOL_E2 * scale, lam1, TOL_E2 * scale))
         for t in t_grid:
             growth = float(np.exp(lam1 * t))
-            checks.append(Check(f"e2_operator_norm_t_{t:g}", growth <= 1.0 + tol,
-                                growth, 1.0 + tol))
+            checks.append(Check(f"e2_operator_norm_t_{t:g}", growth <= 1.0 + TOL_E2,
+                                growth, 1.0 + TOL_E2))
         context = {"norm": "E2"}
     elif norm == "Einf":
         for t in t_grid:
             lump = float(np.abs(propagator(system, t, lumped=True)).sum(axis=1).max())
-            checks.append(Check(f"einf_operator_norm_t_{t:g}", lump <= 1.0 + tol_inf,
-                                lump, 1.0 + tol_inf))
+            checks.append(Check(f"einf_operator_norm_t_{t:g}", lump <= 1.0 + TOL_INF,
+                                lump, 1.0 + TOL_INF))
             cons = float(np.abs(propagator(system, t, lumped=False)).sum(axis=1).max())
             checks.append(Check(f"einf_consistent_excess_t_{t:g}", True,
-                                max(cons - 1.0, 0.0), tol_inf, mandatory=False,
+                                max(cons - 1.0, 0.0), TOL_INF, mandatory=False,
                                 note="consistent-mass excess, informational on coarse meshes"))
         context = {"norm": "Einf", "propagator": "lumped"}
     else:
@@ -150,14 +153,13 @@ def check_contraction(system: DiscreteSystem, t_grid, norm: str = "E2",
     return ValidationReport(tuple(checks), context=context)
 
 
-def check_positivity(system: DiscreteSystem, t_grid,
-                     tol_pos: float = 1e-8) -> ValidationReport:
+def check_positivity(system: DiscreteSystem, t_grid) -> ValidationReport:
     """Entrywise nonnegativity of the lumped-mass propagator on a time grid."""
     t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
     checks = []
     for t in t_grid:
         min_entry = float(propagator(system, t, lumped=True).min())
-        checks.append(Check(f"min_entry_t_{t:g}", min_entry >= -tol_pos, min_entry, -tol_pos))
+        checks.append(Check(f"min_entry_t_{t:g}", min_entry >= -TOL_POS, min_entry, -TOL_POS))
     return ValidationReport(tuple(checks), context={"propagator": "lumped"})
 
 

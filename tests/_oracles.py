@@ -10,6 +10,8 @@ the three-term form the package used before every scheme shared one step
 map.  Noise increments come from a Philox generator constructed afresh for
 every draw, with the factor applied through ``@``.  Run configs are checked
 against the section-by-section normalizer that preceded the schema table.
+The per-dof owner map and the node-by-node interpolation are the ones the
+mesh kept before ``Mesh.edge_dofs`` became its only dof map.
 """
 
 import numpy as np
@@ -17,8 +19,11 @@ from scipy.optimize import brentq
 from scipy.sparse.linalg import splu
 
 from netsde.config import config_hash
-from netsde.errors import SchemaViolation
+from netsde.errors import SchemaViolation, VertexMismatch
 from netsde.expressions import parse_expression
+from netsde.fields import _per_edge, as_edge_function
+from netsde.graph import build_graph
+from netsde.mesh import build_mesh
 from netsde.sde import SCHEMES
 
 
@@ -169,6 +174,68 @@ def philox_increment(noise, trajectory_id, step_id, dt):
                               key=((int(noise.seed) & mask) << 64) | (int(trajectory_id) & mask))
     z = np.random.Generator(bitgen).standard_normal(noise.dim)
     return np.sqrt(dt) * (noise.factor @ z)
+
+
+def reference_dof_map(mesh):
+    """``(dof_edge, dof_x)``: the 0-based edge each dof is evaluated on and
+    its local coordinate there.  Interior dofs belong to their edge; a
+    vertex dof to its lowest-index incident edge, found by a reverse loop."""
+    n_int, h = mesh.n_interior, mesh.h
+    dof_edge = np.zeros(mesh.ndof, dtype=int)
+    dof_x = np.zeros(mesh.ndof)
+    for j in range(mesh.n_edges):
+        sl = slice(j * n_int, (j + 1) * n_int)
+        dof_edge[sl] = j
+        dof_x[sl] = h * np.arange(1, n_int + 1)
+    edges0 = mesh.graph.edge_array()
+    for j in range(mesh.n_edges - 1, -1, -1):
+        a, b = edges0[j]
+        dof_edge[mesh.vertex_dofs[a]] = j
+        dof_x[mesh.vertex_dofs[a]] = 0.0
+        dof_edge[mesh.vertex_dofs[b]] = j
+        dof_x[mesh.vertex_dofs[b]] = 1.0
+    return dof_edge, dof_x
+
+
+def random_multigraph_mesh(rng):
+    """A mesh on a random connected multigraph: 2-5 vertices, a spanning
+    tree plus up to 4 extra edges, parallel edges in both orientations, the
+    edges shuffled, and 1-8 interior nodes per edge."""
+    n = int(rng.integers(2, 6))
+    edges = []
+    for v in range(2, n + 1):
+        u = int(rng.integers(1, v))
+        edges.append((u, v) if rng.random() < 0.5 else (v, u))
+    for _ in range(int(rng.integers(0, 5))):
+        if rng.random() < 0.5:
+            a, b = edges[int(rng.integers(len(edges)))]
+        else:
+            a, b = (int(i) + 1 for i in rng.choice(n, size=2, replace=False))
+        edges.append((a, b) if rng.random() < 0.5 else (b, a))
+    order = rng.permutation(len(edges))
+    return build_mesh(build_graph(n, [edges[i] for i in order]), int(rng.integers(1, 9)))
+
+
+def reference_interpolate(mesh, functions, vertex_tol=1e-12):
+    """Nodal interpolation node by node: the first edge to reach a dof sets
+    it, and every later edge at that dof must agree within ``vertex_tol``."""
+    m = mesh.n_edges
+    fns = [as_edge_function(v) for v in _per_edge(functions, m)]
+    xs = np.linspace(0.0, 1.0, mesh.n_interior + 2)
+    state = np.zeros(mesh.ndof)
+    assigned = np.zeros(mesh.ndof, dtype=bool)
+    for j in range(m):
+        values = np.broadcast_to(np.asarray(fns[j](xs), dtype=float), xs.shape)
+        for local, dof in enumerate(mesh.edge_dofs[j]):
+            if assigned[dof]:
+                if abs(state[dof] - values[local]) > vertex_tol:
+                    raise VertexMismatch(
+                        f"edge {j + 1} supplies {values[local]!r} at a shared vertex "
+                        f"already set to {state[dof]!r}")
+            else:
+                state[dof] = values[local]
+                assigned[dof] = True
+    return state
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,12 @@ import scipy.sparse as sp
 from scipy.integrate import quad
 
 from netsde.assembly import assemble_form, bind_matvec, dump_matrices, noise_covariance_factor
-from netsde.errors import DimensionMismatch, FactorizationFailure, ValidationFailure
+from netsde.errors import (
+    ConfigurationError,
+    DimensionMismatch,
+    FactorizationFailure,
+    ValidationFailure,
+)
 from netsde.fields import build_edge_fields
 from netsde.graph import VertexMatrix, build_graph
 from netsde.mesh import build_mesh, interpolate
@@ -75,6 +80,16 @@ class TestSingleEdgeBlocks:
         assert total[v0, v0] - bare[v0, v0] == pytest.approx(1.0)
         assert total[v1, v1] - bare[v1, v1] == pytest.approx(1.0)
         assert total[v0, v1] - bare[v0, v1] == pytest.approx(-1.0)
+
+    @pytest.mark.parametrize("field", ["conductance", "potential"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_non_finite_coefficient_at_quadrature_points(self, field, value):
+        # built without build_edge_fields, whose grid check would catch it first
+        fields = build_edge_fields(2)
+        bad = (lambda x: np.full_like(x, 1.0), lambda x: np.full_like(x, value))
+        mesh = build_mesh(build_graph(3, [(1, 2), (2, 3)]), 3)
+        with pytest.raises(ConfigurationError, match=f"{field} on edge 2 "):
+            assemble_form(mesh, replace(fields, **{field: bad}), VertexMatrix(-np.eye(3)))
 
     def test_rejects_invalid_vertex_matrix(self):
         with pytest.raises(ValidationFailure):

@@ -164,6 +164,20 @@ class TestCli:
         assert run_command(["validate", "--config", str(path),
                             "--output-dir", str(tmp_path / "o")]) == 1
 
+    @pytest.mark.parametrize("overrides, message", [
+        ({"fields": {"conductance": "1e400"}}, "conductance on edge 1 is not finite"),
+        ({"fields": {"potential": "exp(1000)"}}, "potential on edge 1 is not finite"),
+        ({"initial": "1e400*x"}, "edge 1 supplies the non-finite value nan at x=0.0"),
+    ], ids=["conductance", "potential", "initial"])
+    def test_non_finite_coefficient_exit_code(self, tmp_path, capsys, overrides, message):
+        path = write_config(tmp_path, minimal_config(**overrides))
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert run_command(["simulate", "--config", str(path),
+                                "--output-dir", str(tmp_path / "o")]) == 1
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("netsde: error:")]
+        assert len(errors) == 1 and message in errors[0]
+
     def test_missing_config_exit_code(self, tmp_path, capsys):
         assert run_command(["simulate", "--config", str(tmp_path / "none.json"),
                             "--output-dir", str(tmp_path / "o")]) == 2

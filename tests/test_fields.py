@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from netsde.errors import (
+    ConfigurationError,
     NegativePotential,
     NonpositiveBeta,
     NonpositiveConductance,
@@ -12,7 +13,6 @@ from netsde.fields import (
     allen_cahn_system,
     build_diffusion,
     build_edge_fields,
-    eval_diffusion,
     eval_drift,
     polynomial_drift,
     validate_diffusion,
@@ -53,6 +53,13 @@ class TestEdgeFields:
     def test_nan_coefficient_rejected(self, field, error):
         with pytest.raises(error):
             build_edge_fields(1, **{field: np.nan})
+
+    @pytest.mark.parametrize("field", ["conductance", "potential"])
+    @pytest.mark.parametrize("text", ["1e400", "exp(1000)", "1 + exp(1000*x)"])
+    def test_non_finite_coefficient_rejected_with_edge(self, field, text):
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ConfigurationError, match=f"{field} on edge 2 is not finite"):
+                build_edge_fields(2, **{field: [1.0, parse_expression(text, ("x",))]})
 
     def test_per_edge_lists(self):
         fields = build_edge_fields(2, conductance=[1.0, 2.0], weights=[2.0, 3.0])
@@ -142,11 +149,11 @@ class TestDrift:
 class TestDiffusion:
     def test_additive_unit(self):
         g = build_diffusion(2, 1.0)
-        assert eval_diffusion(g, 0.3, 0.5, 1, 7.0) == 1.0
+        assert g.functions[0](0.3, 0.5, 7.0) == 1.0
 
     def test_linear_multiplicative_vanishes_at_zero(self):
         g = build_diffusion(1, parse_expression("u", ("t", "x", "u")))
-        assert eval_diffusion(g, 0.0, 0.0, 1, 0.0) == 0.0
+        assert g.functions[0](0.0, 0.0, 0.0) == 0.0
 
     def test_sine_lipschitz_scan(self):
         g = build_diffusion(1, parse_expression("sin(u)", ("t", "x", "u")),

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,6 @@ from netsde.noise import (
     IncrementSampler,
     colored_noise_operator,
     coupled_sampler,
-    sample_noise_increment,
     white_noise_model,
 )
 
@@ -28,16 +29,16 @@ def small_system(n_int=3, n_edges=1, weights=1.0):
 class TestWhiteNoise:
     def test_bitwise_determinism(self):
         noise = white_noise_model(small_system(), seed=7)
-        a = sample_noise_increment(noise, 3, 11, 0.01)
-        b = sample_noise_increment(noise, 3, 11, 0.01)
+        a = IncrementSampler(noise, 3)(11, 0.01)
+        b = IncrementSampler(noise, 3)(11, 0.01)
         assert np.array_equal(a, b)
 
     def test_streams_differ_across_ids(self):
         noise = white_noise_model(small_system(), seed=7)
-        base = sample_noise_increment(noise, 3, 11, 0.01)
-        assert not np.array_equal(base, sample_noise_increment(noise, 4, 11, 0.01))
-        assert not np.array_equal(base, sample_noise_increment(noise, 3, 12, 0.01))
-        assert not np.array_equal(base, sample_noise_increment(noise.with_seed(8), 3, 11, 0.01))
+        base = IncrementSampler(noise, 3)(11, 0.01)
+        assert not np.array_equal(base, IncrementSampler(noise, 4)(11, 0.01))
+        assert not np.array_equal(base, IncrementSampler(noise, 3)(12, 0.01))
+        assert not np.array_equal(base, IncrementSampler(replace(noise, seed=8), 3)(11, 0.01))
 
     def test_fast_sampler_is_bitwise_identical(self):
         noise = white_noise_model(small_system(), seed=5)
@@ -47,12 +48,12 @@ class TestWhiteNoise:
 
     def test_zero_dt_gives_zero_vector(self):
         noise = white_noise_model(small_system(), seed=1)
-        assert np.all(sample_noise_increment(noise, 0, 0, 0.0) == 0.0)
+        assert np.all(IncrementSampler(noise, 0)(0, 0.0) == 0.0)
 
     def test_scaling_with_dt(self):
         noise = white_noise_model(small_system(), seed=1)
-        a = sample_noise_increment(noise, 0, 0, 0.01)
-        b = sample_noise_increment(noise, 0, 0, 0.04)
+        a = IncrementSampler(noise, 0)(0, 0.01)
+        b = IncrementSampler(noise, 0)(0, 0.04)
         np.testing.assert_allclose(b, 2.0 * a, atol=1e-15)
 
     def test_covariance_matches_mass(self):
@@ -60,7 +61,8 @@ class TestWhiteNoise:
         noise = white_noise_model(sys, seed=3)
         dt = 0.2
         n_draw = 30000
-        incs = np.array([sample_noise_increment(noise, 0, s, dt) for s in range(n_draw)])
+        sampler = IncrementSampler(noise, 0)
+        incs = np.array([sampler(s, dt) for s in range(n_draw)])
         emp = incs.T @ incs / n_draw
         target = dt * sys.mass.toarray()
         se = dt * np.sqrt((np.outer(np.diag(sys.mass.toarray()), np.diag(sys.mass.toarray()))
@@ -107,7 +109,7 @@ class TestSamplerMatchesOracle:
         big_step = (1 << 64) + 9
         draw = IncrementSampler(noise, trajectory_id=-1)(big_step, 0.5)
         assert np.array_equal(draw, philox_increment(noise, -1, big_step, 0.5))
-        masked = IncrementSampler(noise.with_seed(5), (1 << 64) - 1)
+        masked = IncrementSampler(replace(noise, seed=5), (1 << 64) - 1)
         assert np.array_equal(draw, masked(9, 0.5))
 
     def test_coupled_sampler_sums_oracle_draws(self, kind):
@@ -142,7 +144,8 @@ class TestColoredNoise:
     def test_single_mode_gives_rank_one_noise_per_edge(self):
         sys = small_system(n_int=6)
         model = colored_noise_operator(sys, decay=3.0, n_modes=1)
-        draws = np.array([sample_noise_increment(model, 0, s, 1.0) for s in range(40)])
+        sampler = IncrementSampler(model, 0)
+        draws = np.array([sampler(s, 1.0) for s in range(40)])
         rank = np.linalg.matrix_rank(draws, tol=1e-10)
         assert rank == 1
 

@@ -17,7 +17,7 @@ from netsde.fields import (
 )
 from netsde.graph import VertexMatrix, build_graph
 from netsde.mesh import build_mesh, eval_state, interpolate
-from netsde.noise import IncrementSampler, sample_noise_increment, white_noise_model
+from netsde.noise import IncrementSampler, white_noise_model
 from netsde.sde import (
     Problem,
     SolverConfig,
@@ -28,7 +28,12 @@ from netsde.sde import (
 )
 from netsde.semigroup import generalized_eigs, solve_heat
 
-from _oracles import backward_euler_heat, three_term_exponential_step
+from _oracles import (
+    backward_euler_heat,
+    random_multigraph_mesh,
+    reference_dof_map,
+    three_term_exponential_step,
+)
 
 
 def conserved_heat_system(n_int=4):
@@ -102,7 +107,7 @@ class TestEmStep:
         n_rep = 20000
         outs = np.empty((n_rep, sys.ndof))
         for rep in range(n_rep):
-            dW = sample_noise_increment(noise, rep, 0, dt)
+            dW = IncrementSampler(noise, rep)(0, dt)
             outs[rep] = stepper.step(u0, 0.0, dW)
         emp_mean = outs.mean(axis=0)
         emp_cov = np.cov(outs.T)
@@ -251,7 +256,8 @@ def reference_nodal_drift(spec, mesh):
     3 computes them (version 2 used ``u ** l``)."""
     d = spec.top_power
     consts = spec.constant_values
-    if spec.is_constant() and all(consts[j] == consts[0] for j in range(1, spec.n_edges)):
+    if (all(v is not None for row in consts for v in row)
+            and all(consts[j] == consts[0] for j in range(1, spec.n_edges))):
         coeff = np.asarray(consts[0], dtype=float)
 
         def evaluate_const(t, u):
@@ -265,8 +271,9 @@ def reference_nodal_drift(spec, mesh):
 
         return evaluate_const
 
-    by_edge = [np.flatnonzero(mesh.dof_edge == j) for j in range(mesh.n_edges)]
-    xs = [mesh.dof_x[idx] for idx in by_edge]
+    dof_edge, dof_x = reference_dof_map(mesh)
+    by_edge = [np.flatnonzero(dof_edge == j) for j in range(mesh.n_edges)]
+    xs = [dof_x[idx] for idx in by_edge]
 
     def evaluate(t, u):
         out = np.empty_like(u)
@@ -311,8 +318,9 @@ class TestNodalDrift:
 def reference_nodal_diffusion(spec, mesh):
     """The nodal diffusion evaluator as it stood before it shared the drift's
     dispatcher: one array filled edge by edge, also for a constant g."""
-    by_edge = [np.flatnonzero(mesh.dof_edge == j) for j in range(mesh.n_edges)]
-    xs = [mesh.dof_x[idx] for idx in by_edge]
+    dof_edge, dof_x = reference_dof_map(mesh)
+    by_edge = [np.flatnonzero(dof_edge == j) for j in range(mesh.n_edges)]
+    xs = [dof_x[idx] for idx in by_edge]
 
     def evaluate(t, u):
         out = np.empty_like(u)
@@ -352,10 +360,32 @@ class TestNodalDiffusion:
 
     def test_spec_without_constants_evaluates_per_edge(self):
         mesh = build_mesh(build_graph(4, [(1, 2), (1, 3), (1, 4)]), 5)
-        spec = DiffusionSpec(tuple(as_edge_function(2.0, ("t", "x", "u")) for _ in range(3)))
+        spec = DiffusionSpec(tuple(as_edge_function(2.0, ("t", "x", "u")) for _ in range(3)),
+                             (), None, (None, None, None))
         gamma = nodal_diffusion_evaluator(spec, mesh)(0.0, np.zeros(mesh.ndof))
         assert isinstance(gamma, np.ndarray)
         assert gamma.tobytes() == np.full(mesh.ndof, 2.0).tobytes()
+
+
+def test_per_edge_evaluators_match_reference_on_multigraphs():
+    # x-dependent coefficients that differ between edges at shared vertices,
+    # so every vertex value shows which incident edge evaluated it
+    rng = np.random.default_rng(11)
+    for _ in range(100):
+        mesh = random_multigraph_mesh(rng)
+        m = mesh.n_edges
+        slopes = [float(a) for a in rng.uniform(-1.0, 1.0, m)]
+        drift = polynomial_drift(
+            1, [[0.0, parse_expression(f"1 + ({a!r})*x", ("t", "x")), 0.0, 1.0] for a in slopes],
+            n_edges=m)
+        diffusion = build_diffusion(
+            m, [parse_expression(f"1 + ({a!r})*x*sin(u)", ("t", "x", "u")) for a in slopes])
+        t = float(rng.uniform(0.0, 1.0))
+        u = rng.standard_normal(mesh.ndof)
+        assert (nodal_drift_evaluator(drift, mesh)(t, u).tobytes()
+                == reference_nodal_drift(drift, mesh)(t, u).tobytes())
+        assert (nodal_diffusion_evaluator(diffusion, mesh)(t, u).tobytes()
+                == reference_nodal_diffusion(diffusion, mesh)(t, u).tobytes())
 
 
 class TestEnergyDecay:
