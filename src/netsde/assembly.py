@@ -23,7 +23,7 @@ import scipy.sparse.linalg as spla
 from scipy.sparse import _sparsetools
 
 from .errors import DimensionMismatch, FactorizationFailure, ValidationFailure
-from .fields import EdgeFieldSet, check_coefficient_samples
+from .fields import EdgeFieldSet
 from .graph import VertexMatrix, validate_vertex_matrix
 from .mesh import _GAUSS_XI, Mesh
 
@@ -81,53 +81,33 @@ def assemble_form(mesh: Mesh, fields: EdgeFieldSet, matrix: VertexMatrix) -> Dis
     gauss_x = elem_left[:, None] + h * _GAUSS_XI[None, :]
     phi_left = 1.0 - _GAUSS_XI
     phi_right = _GAUSS_XI
+    # (edges, elements, Gauss points) samples
+    c_vals, p_vals = fields.checked_samples(gauss_x, " at a quadrature point")
 
-    rows_g, cols_g, vals_g = [], [], []
-    rows_s, cols_s, vals_s = [], [], []
-    for j in range(m):
-        mu = fields.weights[j]
-        c_vals = np.broadcast_to(np.asarray(fields.conductance[j](gauss_x), dtype=float),
-                                 gauss_x.shape)
-        p_vals = np.broadcast_to(np.asarray(fields.potential[j](gauss_x), dtype=float),
-                                 gauss_x.shape)
-        check_coefficient_samples(j + 1, c_vals, p_vals, " at a quadrature point")
+    # element terms as (edges, elements) arrays
+    half_mu = fields.weights[:, None] * 0.5
+    scale = half_mu * h
+    stiff = half_mu * c_vals.sum(axis=2) / h          # mu * int_elem c * (1/h)^2
+    pot_ll = scale * (p_vals * phi_left ** 2).sum(axis=2)
+    pot_lr = scale * (p_vals * phi_left * phi_right).sum(axis=2)
+    pot_rr = scale * (p_vals * phi_right ** 2).sum(axis=2)
+    mass_ll = scale * np.full(n_elem, (phi_left ** 2).sum())
+    mass_lr = scale * np.full(n_elem, (phi_left * phi_right).sum())
+    mass_rr = scale * np.full(n_elem, (phi_right ** 2).sum())
 
-        stiff = mu * 0.5 * c_vals.sum(axis=1) / h          # mu * int_elem c * (1/h)^2
-        pot_ll = mu * 0.5 * h * (p_vals * phi_left ** 2).sum(axis=1)
-        pot_lr = mu * 0.5 * h * (p_vals * phi_left * phi_right).sum(axis=1)
-        pot_rr = mu * 0.5 * h * (p_vals * phi_right ** 2).sum(axis=1)
-        mass_ll = mu * 0.5 * h * np.full(n_elem, (phi_left ** 2).sum())
-        mass_lr = mu * 0.5 * h * np.full(n_elem, (phi_left * phi_right).sum())
-        mass_rr = mu * 0.5 * h * np.full(n_elem, (phi_right ** 2).sum())
-
-        left = mesh.edge_dofs[j, :-1]
-        right = mesh.edge_dofs[j, 1:]
-        for r, c, v in (
-            (left, left, stiff + pot_ll),
-            (right, right, stiff + pot_rr),
-            (left, right, -stiff + pot_lr),
-            (right, left, -stiff + pot_lr),
-        ):
-            rows_s.append(r)
-            cols_s.append(c)
-            vals_s.append(v)
-        for r, c, v in (
-            (left, left, mass_ll),
-            (right, right, mass_rr),
-            (left, right, mass_lr),
-            (right, left, mass_lr),
-        ):
-            rows_g.append(r)
-            cols_g.append(c)
-            vals_g.append(v)
-
+    # COO entries edge by edge, (ll, rr, lr, rl) blocks within an edge: the
+    # CSR conversion sums the entries at a shared vertex dof in this order
     ndof = mesh.ndof
-    G = sp.coo_matrix(
-        (np.concatenate(vals_g), (np.concatenate(rows_g), np.concatenate(cols_g))),
-        shape=(ndof, ndof)).tocsr()
-    S = sp.coo_matrix(
-        (np.concatenate(vals_s), (np.concatenate(rows_s), np.concatenate(cols_s))),
-        shape=(ndof, ndof)).tocsr()
+    left, right = mesh.edge_dofs[:, :-1], mesh.edge_dofs[:, 1:]
+    rows = np.stack([left, right, left, right], axis=1).ravel()
+    cols = np.stack([left, right, right, left], axis=1).ravel()
+
+    def coo_to_csr(ll, rr, lr, rl):
+        vals = np.stack([ll, rr, lr, rl], axis=1).ravel()
+        return sp.coo_matrix((vals, (rows, cols)), shape=(ndof, ndof)).tocsr()
+
+    G = coo_to_csr(mass_ll, mass_rr, mass_lr, mass_lr)
+    S = coo_to_csr(stiff + pot_ll, stiff + pot_rr, -stiff + pot_lr, -stiff + pot_lr)
 
     vi, vk = np.meshgrid(mesh.vertex_dofs, mesh.vertex_dofs, indexing="ij")
     K = sp.coo_matrix(

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -264,16 +265,22 @@ _COMMANDS = {
 }
 
 
+_NUMPY_FP_WARNING = r"(overflow|invalid value|divide by zero|underflow) encountered in "
+
+
 def run_command(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.threads is not None:
         _log("warning", "--threads is ignored; trajectories run serially in id order")
     try:
-        config = parse_config(args.config)
-        config = config.with_overrides(seed=args.seed, trajectories=args.trajectories,
-                                       output_dir=args.output_dir)
-        out_dir = _resolve_output_dir(args, config)
-        return _COMMANDS[args.command](args, config, out_dir)
+        # values are checked for finiteness where used; unlike np.errstate, a filter costs no time
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", _NUMPY_FP_WARNING, RuntimeWarning)
+            config = parse_config(args.config)
+            config = config.with_overrides(seed=args.seed, trajectories=args.trajectories,
+                                           output_dir=args.output_dir)
+            out_dir = _resolve_output_dir(args, config)
+            return _COMMANDS[args.command](args, config, out_dir)
     except ConfigurationError as err:
         _log("error", str(err))
         return 1

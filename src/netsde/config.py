@@ -436,16 +436,6 @@ def normalize_config(raw: dict, source: str = "") -> RunConfig:
 # model construction
 # ---------------------------------------------------------------------------
 
-def _coefficient_to_spec(value, variables):
-    if isinstance(value, str):
-        return parse_expression(value, variables)
-    if isinstance(value, list):
-        if all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value):
-            return value
-        return [_coefficient_to_spec(v, variables) for v in value]
-    return value
-
-
 @dataclass(frozen=True)
 class BuiltCoefficients:
     """The assembly-free part of a configuration: graph and coefficient data."""
@@ -467,12 +457,7 @@ def build_coefficients(config: RunConfig) -> BuiltCoefficients:
                           zero_ok=data["vertex_matrix_zero_ok"])
 
     f = data["fields"]
-    base_fields = build_edge_fields(
-        m,
-        conductance=_coefficient_to_spec(f["conductance"], ("x",)),
-        potential=_coefficient_to_spec(f["potential"], ("x",)),
-        weights=f["weights"],
-    )
+    base_fields = build_edge_fields(m, f["conductance"], f["potential"], f["weights"])
 
     drift_cfg = data["drift"]
     drift = None
@@ -481,22 +466,14 @@ def build_coefficients(config: RunConfig) -> BuiltCoefficients:
         allen_cahn = allen_cahn_system(drift_cfg["betas"], base_fields)
         drift, fields = allen_cahn.drift, allen_cahn.fields
     elif drift_cfg["type"] == "polynomial":
-        drift = polynomial_drift(
-            drift_cfg["degree"],
-            _coefficient_to_spec(drift_cfg["coefficients"], ("t", "x")),
-            n_edges=m,
-            lower_bound=drift_cfg["lower_bound"],
-            upper_bound=drift_cfg["upper_bound"],
-        )
+        drift = polynomial_drift(drift_cfg["degree"], drift_cfg["coefficients"], n_edges=m,
+                                 lower_bound=drift_cfg["lower_bound"],
+                                 upper_bound=drift_cfg["upper_bound"])
 
     diff_cfg = data["diffusion"]
     lipschitz = sorted((float(r), float(c)) for r, c in (diff_cfg.get("lipschitz") or {}).items())
-    diffusion = build_diffusion(
-        m,
-        _coefficient_to_spec(diff_cfg["expression"], ("t", "x", "u")),
-        lipschitz=lipschitz,
-        linear_growth=diff_cfg.get("linear_growth"),
-    )
+    diffusion = build_diffusion(m, diff_cfg["expression"], lipschitz=lipschitz,
+                                linear_growth=diff_cfg.get("linear_growth"))
     return BuiltCoefficients(graph, matrix, fields, drift, diffusion)
 
 
@@ -515,6 +492,6 @@ def build_model(config: RunConfig) -> Problem:
             system, noise_cfg["decay"], seed=data["seed"],
             amplitudes=noise_cfg.get("amplitudes"), n_modes=noise_cfg.get("modes"))
 
-    initial = interpolate(mesh, _coefficient_to_spec(data["initial"], ("x",)))
+    initial = interpolate(mesh, data["initial"])
     return Problem(system, SolverConfig(**data["solver"]), initial, built.drift,
                    built.diffusion, noise, config_hash=config.hash)

@@ -1,10 +1,12 @@
 """Per-edge coefficient data: conductances, potentials, weights, drift and
 noise coefficients, and the double-well (Allen-Cahn) specialization.
 
-Edge functions may be supplied as python callables, compiled Expressions,
-plain numbers, or nodal sample arrays on a uniform grid over [0,1] (linearly
-interpolated).  All evaluation helpers are vectorized over numpy arrays and
-pure, so a frozen spec is safe to share between concurrent trajectories.
+Every per-edge coefficient is an ``EdgeFunction``, built by
+``as_edge_function`` from a number, an expression string, a compiled
+Expression, nodal samples on a uniform grid over [0,1] (linearly
+interpolated) or a python callable; it knows whether it is constant.  All
+evaluation helpers are vectorized over numpy arrays and pure, so a frozen
+spec is safe to share between concurrent trajectories.
 """
 
 from __future__ import annotations
@@ -21,30 +23,55 @@ from .errors import (
     NonpositiveConductance,
     NonpositiveWeight,
 )
-from .expressions import Expression
+from .expressions import Expression, parse_expression
 from .graph import MetricGraph, edge_indices_at_vertex
 from .report import Check, ValidationReport
 
 
-def _constant_fn(v):
-    def fn(*args):
-        if not args:
-            return v
-        shape = np.broadcast(*(np.asarray(a) for a in args)).shape
-        return np.full(shape, v) if shape else v
-    return fn
+@dataclass(frozen=True, slots=True)
+class EdgeFunction:
+    """A per-edge coefficient: called with its variables' values, elementwise.
 
-
-def as_edge_function(value, variables=("x",)):
-    """Coerce a scalar / Expression / callable / nodal array to a callable.
-
-    Nodal arrays are interpreted as samples on a uniform grid over [0,1];
-    they only make sense for single-variable functions of x.
+    ``constant`` is the float value of a coefficient that uses none of its
+    variables, else None; a constant returns its value broadcast to its
+    arguments' shape (the bare float for scalar arguments) and has no ``fn``.
     """
-    if isinstance(value, Expression):
-        return lambda *args: value(**dict(zip(variables, args)))
-    if callable(value):
+
+    fn: object = None
+    constant: float | None = None
+
+    def __call__(self, *args):
+        if self.constant is None:
+            return self.fn(*args)
+        shape = np.broadcast(*args).shape
+        return np.full(shape, self.constant) if shape else self.constant
+
+
+def float_samples(fn, *args) -> np.ndarray:
+    """The values of the coefficient ``fn`` at ``args`` as floats, broadcast
+    to the arguments' shape."""
+    shape = np.broadcast(*args).shape
+    values = np.asarray(fn(*args), dtype=float)
+    return values if values.shape == shape else np.broadcast_to(values, shape)
+
+
+def as_edge_function(value, variables=("x",)) -> EdgeFunction:
+    """An EdgeFunction of ``variables`` from a number, an expression string,
+    an Expression, nodal samples or a callable.
+
+    Nodal samples lie on a uniform grid over [0,1] and are linearly
+    interpolated; they only make sense for single-variable functions of x.
+    """
+    if isinstance(value, EdgeFunction):
         return value
+    if isinstance(value, str):
+        value = parse_expression(value, variables)
+    if isinstance(value, Expression):
+        if value.is_constant:
+            return EdgeFunction(constant=value.constant_value())
+        return EdgeFunction(lambda *args: value(**dict(zip(variables, args))))
+    if callable(value):
+        return EdgeFunction(value)
     if isinstance(value, (list, tuple, np.ndarray)) and np.ndim(value) == 1:
         samples = np.asarray(value, dtype=float)
         if samples.size < 2:
@@ -52,40 +79,32 @@ def as_edge_function(value, variables=("x",)):
         if variables != ("x",):
             raise DimensionMismatch("nodal samples are only supported for functions of x")
         grid = np.linspace(0.0, 1.0, samples.size)
-        return lambda x, s=samples, g=grid: np.interp(x, g, s)
-    return _constant_fn(float(value))
+        return EdgeFunction(lambda x: np.interp(x, grid, samples))
+    return EdgeFunction(constant=float(value))
 
 
-def _constant_of(value):
-    """Return the float value if ``value`` is a constant spec, else None."""
-    if isinstance(value, Expression):
-        return value.constant_value() if value.is_constant else None
-    if isinstance(value, (int, float, np.floating, np.integer)):
-        return float(value)
-    return None
-
-
-def _per_edge(value, m):
-    """Broadcast a shared spec or a per-edge list to a list of length m.
+def edge_functions(value, m, variables=("x",)) -> tuple:
+    """One EdgeFunction per edge from a shared value or a per-edge list.
 
     Lists of length m are read as one entry per edge; nodal sample vectors
-    must therefore be numpy arrays, nested lists, or have length != m.
+    must therefore be numpy arrays, nested lists, or have length != m.  A
+    shared value is converted once.
     """
     if isinstance(value, (list, tuple)):
         if len(value) == m:
-            return list(value)
-        if all(isinstance(v, (int, float, np.floating, np.integer)) for v in value):
-            return [np.asarray(value, dtype=float)] * m
-        raise DimensionMismatch(f"expected one entry per edge ({m}), got {len(value)}")
-    return [value] * m
+            return tuple(as_edge_function(v, variables) for v in value)
+        if not all(isinstance(v, (int, float, np.floating, np.integer)) for v in value):
+            raise DimensionMismatch(f"expected one entry per edge ({m}), got {len(value)}")
+        value = np.asarray(value, dtype=float)
+    return (as_edge_function(value, variables),) * m
 
 
 @dataclass(frozen=True)
 class EdgeFieldSet:
     """Validated per-edge linear coefficients: c_j > 0, p_j >= 0, mu_j > 0."""
 
-    conductance: tuple          # callables c_j(x)
-    potential: tuple            # callables p_j(x)
+    conductance: tuple          # EdgeFunctions c_j(x)
+    potential: tuple            # EdgeFunctions p_j(x)
     weights: np.ndarray         # mu_j
 
     @property
@@ -96,18 +115,24 @@ class EdgeFieldSet:
         """(m, 2) array of c_j evaluated at the edge endpoints."""
         return np.array([[float(c(0.0)), float(c(1.0))] for c in self.conductance])
 
-
-def check_coefficient_samples(edge: int, c_vals, p_vals, where: str = ""):
-    """Raise unless the samples of c_j are positive, those of p_j
-    nonnegative, and both finite; ``edge`` is 1-based."""
-    c_min, p_min = float(np.min(c_vals)), float(np.min(p_vals))
-    if not c_min > 0.0:
-        raise NonpositiveConductance(f"conductance on edge {edge} reaches {c_min} <= 0{where}")
-    if not p_min >= 0.0:
-        raise NegativePotential(f"potential on edge {edge} reaches {p_min} < 0{where}")
-    for name, vals in (("conductance", c_vals), ("potential", p_vals)):
-        if not np.isfinite(vals).all():
-            raise ConfigurationError(f"{name} on edge {edge} is not finite{where}")
+    def checked_samples(self, x, where: str = ""):
+        """Samples of every c_j and p_j at local coordinates ``x``, as two
+        (m,) + x.shape arrays.  Edge by edge, raise unless the samples of c_j
+        are positive, those of p_j nonnegative, and both finite."""
+        c_vals = np.empty((self.n_edges,) + np.shape(x))
+        p_vals = np.empty_like(c_vals)
+        for j, (c, p) in enumerate(zip(self.conductance, self.potential)):
+            c_vals[j], p_vals[j] = float_samples(c, x), float_samples(p, x)
+            c_min, p_min = float(c_vals[j].min()), float(p_vals[j].min())
+            if not c_min > 0.0:
+                raise NonpositiveConductance(
+                    f"conductance on edge {j + 1} reaches {c_min} <= 0{where}")
+            if not p_min >= 0.0:
+                raise NegativePotential(f"potential on edge {j + 1} reaches {p_min} < 0{where}")
+            for name, vals in (("conductance", c_vals[j]), ("potential", p_vals[j])):
+                if not np.isfinite(vals).all():
+                    raise ConfigurationError(f"{name} on edge {j + 1} is not finite{where}")
+        return c_vals, p_vals
 
 
 def build_edge_fields(n_edges: int, conductance=1.0, potential=0.0, weights=1.0) -> EdgeFieldSet:
@@ -117,26 +142,15 @@ def build_edge_fields(n_edges: int, conductance=1.0, potential=0.0, weights=1.0)
     uniform grid of 129 points; assembly re-checks at its quadrature points.
     """
     m = int(n_edges)
-    c_specs = _per_edge(conductance, m)
-    p_specs = _per_edge(potential, m)
-    if np.ndim(weights) == 0:
-        mu = np.full(m, float(weights))
-    else:
-        mu = np.asarray(weights, dtype=float)
+    mu = np.full(m, float(weights)) if np.ndim(weights) == 0 else np.asarray(weights, dtype=float)
     if mu.shape != (m,):
         raise DimensionMismatch(f"weights must be scalar or length {m}")
     if not np.all(mu > 0.0):
         raise NonpositiveWeight(f"edge weights must be positive, got {mu}")
 
-    grid = np.linspace(0.0, 1.0, 129)
-    c_fns, p_fns = [], []
-    for j in range(m):
-        c = as_edge_function(c_specs[j])
-        p = as_edge_function(p_specs[j])
-        check_coefficient_samples(j + 1, c(grid), p(grid))
-        c_fns.append(c)
-        p_fns.append(p)
-    return EdgeFieldSet(tuple(c_fns), tuple(p_fns), mu)
+    fields = EdgeFieldSet(edge_functions(conductance, m), edge_functions(potential, m), mu)
+    fields.checked_samples(np.linspace(0.0, 1.0, 129))
+    return fields
 
 
 def shifted_fields(fields: EdgeFieldSet, shifts) -> EdgeFieldSet:
@@ -147,7 +161,7 @@ def shifted_fields(fields: EdgeFieldSet, shifts) -> EdgeFieldSet:
     if not np.all(shifts >= 0.0):
         raise NegativePotential(f"potential shifts must be nonnegative, got {shifts}")
     shifted = tuple(
-        (lambda x, p=p, s=s: p(x) + s) for p, s in zip(fields.potential, shifts)
+        EdgeFunction(lambda x, p=p, s=s: p(x) + s) for p, s in zip(fields.potential, shifts)
     )
     return EdgeFieldSet(fields.conductance, shifted, fields.weights)
 
@@ -167,10 +181,9 @@ class DriftSpec:
     """
 
     degree: int                       # k; polynomial degree is 2k+1
-    coefficients: tuple               # [edge][l] callables of (t, x), l = 0..2k+1
+    coefficients: tuple               # [edge][l] EdgeFunctions of (t, x), l = 0..2k+1
     lower_bound: float
     upper_bound: float
-    constant_values: tuple            # [edge][l] float or None, detected constants
 
     @property
     def n_edges(self) -> int:
@@ -183,37 +196,35 @@ class DriftSpec:
 
 def polynomial_drift(degree: int, coefficients, n_edges: int,
                      lower_bound: float = 1e-6, upper_bound: float = 1e6) -> DriftSpec:
-    """Assemble a DriftSpec from per-edge (or shared) coefficient specs.
+    """Assemble a DriftSpec from per-edge (or shared) coefficients.
 
     ``coefficients`` is either one list of 2*degree+2 entries shared by all
-    edges or a list of such lists, lowest power first.
+    edges or a list of such lists, lowest power first; each entry is
+    anything ``as_edge_function`` takes, in the variables (t, x).
     """
     k = int(degree)
     if k < 0:
         raise ValueError("degree parameter must be nonnegative")
     n_coeff = 2 * k + 2
-    if coefficients and isinstance(coefficients[0], (list, tuple)):
-        rows = [list(row) for row in coefficients]
-    else:
-        rows = [list(coefficients)] * n_edges
-    if len(rows) != n_edges or any(len(r) != n_coeff for r in rows):
+    shared = not (coefficients and isinstance(coefficients[0], (list, tuple)))
+    rows = [coefficients] if shared else coefficients
+    if (not shared and len(rows) != n_edges) or any(len(r) != n_coeff for r in rows):
         raise DimensionMismatch(
             f"need {n_coeff} coefficients (powers 0..{2 * k + 1}) for each of {n_edges} edges")
     fns = tuple(tuple(as_edge_function(v, variables=("t", "x")) for v in row) for row in rows)
-    consts = tuple(tuple(_constant_of(v) for v in row) for row in rows)
-    return DriftSpec(k, fns, float(lower_bound), float(upper_bound), consts)
+    return DriftSpec(k, fns * n_edges if shared else fns, float(lower_bound), float(upper_bound))
 
 
 def eval_drift(spec: DriftSpec, t, x, edge: int, value):
     """Evaluate the reaction polynomial on an edge (1-based index).
 
-    Detected constant coefficients enter as floats (so ``x`` may be None when
-    the whole row is constant) and lower-order terms with the constant
+    Constant coefficients enter as floats (so ``x`` may be None when the
+    whole row is constant) and lower-order terms with the constant
     coefficient zero are skipped; the leading term is always evaluated.
     """
-    consts = spec.constant_values[edge - 1]
-    coeff = [fn(t, x) if c is None else c
-             for fn, c in zip(spec.coefficients[edge - 1], consts)]
+    row = spec.coefficients[edge - 1]
+    consts = [fn.constant for fn in row]
+    coeff = [fn(t, x) if c is None else c for fn, c in zip(row, consts)]
     d = spec.top_power
     value = np.asarray(value, dtype=float)
     # powers by repeated multiplication: value ** l goes through C pow,
@@ -237,7 +248,8 @@ def validate_drift(spec: DriftSpec, graph: MetricGraph, horizon: float = 1.0,
     Bounds are scanned on an ``n_time x n_space`` lattice over
     [0,horizon]x[0,1] per edge.  Vertex compatibility requires, for every
     power and every vertex, equal coefficient values across all incident
-    edges; the report records the worst mismatch.
+    edges; the report records the worst mismatch.  A NaN sample makes the
+    check it enters fail and report NaN.
     """
     if spec.n_edges != graph.n_edges:
         raise DimensionMismatch(
@@ -247,15 +259,15 @@ def validate_drift(spec: DriftSpec, graph: MetricGraph, horizon: float = 1.0,
     tg, xg = np.meshgrid(ts, xs, indexing="ij")
 
     d = spec.top_power
+    # np.minimum / np.maximum propagate NaN, where Python's min / max drop it
     lead_min, lead_max, other_max = np.inf, -np.inf, 0.0
-    for j in range(spec.n_edges):
-        for l in range(d + 1):
-            vals = np.broadcast_to(spec.coefficients[j][l](tg, xg), tg.shape)
-            if l == d:
-                lead_min = min(lead_min, float(vals.min()))
-                lead_max = max(lead_max, float(vals.max()))
-            else:
-                other_max = max(other_max, float(np.abs(vals).max()))
+    for row in spec.coefficients:
+        for fn in row[:d]:
+            other_max = np.maximum(other_max, np.abs(float_samples(fn, tg, xg)).max())
+        vals = float_samples(row[d], tg, xg)
+        lead_min = np.minimum(lead_min, vals.min())
+        lead_max = np.maximum(lead_max, vals.max())
+    lead_min, lead_max, other_max = float(lead_min), float(lead_max), float(other_max)
 
     worst_mismatch = 0.0
     for i in range(1, graph.n_vertices + 1):
@@ -266,10 +278,11 @@ def validate_drift(spec: DriftSpec, graph: MetricGraph, horizon: float = 1.0,
         coords = [0.0 if graph.edges[j - 1][0] == i else 1.0 for j in incident]
         for l in range(d + 1):
             traces = np.array([
-                np.broadcast_to(spec.coefficients[j - 1][l](ts, np.full_like(ts, cx)), ts.shape)
+                float_samples(spec.coefficients[j - 1][l], ts, np.full_like(ts, cx))
                 for j, cx in zip(incident, coords)
             ])
-            worst_mismatch = max(worst_mismatch, float(np.ptp(traces, axis=0).max()))
+            worst_mismatch = np.maximum(worst_mismatch, np.ptp(traces, axis=0).max())
+    worst_mismatch = float(worst_mismatch)
 
     checks = (
         Check("leading_lower_bound", lead_min >= spec.lower_bound, lead_min, spec.lower_bound),
@@ -335,10 +348,9 @@ class DiffusionSpec:
     |g| <= c*(1+|eta|).  Both are metadata checked by sampling, not proved.
     """
 
-    functions: tuple
+    functions: tuple               # [edge] EdgeFunctions of (t, x, u)
     lipschitz: tuple               # pairs (radius, constant)
     linear_growth: float | None
-    constant_values: tuple         # [edge] float or None, detected constants
 
     @property
     def n_edges(self) -> int:
@@ -346,21 +358,20 @@ class DiffusionSpec:
 
 
 def build_diffusion(n_edges: int, function, lipschitz=(), linear_growth=None) -> DiffusionSpec:
-    specs = _per_edge(function, n_edges)
-    fns = tuple(as_edge_function(v, variables=("t", "x", "u")) for v in specs)
+    fns = edge_functions(function, n_edges, variables=("t", "x", "u"))
     lip = tuple((float(r), float(c)) for r, c in lipschitz)
     growth = None if linear_growth is None else float(linear_growth)
-    return DiffusionSpec(fns, lip, growth, tuple(_constant_of(v) for v in specs))
+    return DiffusionSpec(fns, lip, growth)
 
 
 def _worst_on_lattice(spec: DiffusionSpec, ts, xs, etas, measure) -> float:
-    """max(0, largest ``measure(g_j values, eta grid)``) on the (t, x, eta) lattice."""
+    """max(0, largest ``measure(g_j values, eta grid)``) on the (t, x, eta)
+    lattice; NaN if any measure is NaN."""
     tg, xg, eg = np.meshgrid(ts, xs, etas, indexing="ij")
     worst = 0.0
     for g in spec.functions:
-        vals = np.broadcast_to(g(tg, xg, eg), tg.shape)
-        worst = max(worst, float(measure(vals, eg).max()))
-    return worst
+        worst = np.maximum(worst, measure(float_samples(g, tg, xg, eg), eg).max())
+    return float(worst)
 
 
 # points of the (t, x, eta) lattice that validate_diffusion scans

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, MeshTooCoarse, VertexMismatch
-from .fields import as_edge_function, _per_edge
+from .fields import edge_functions, float_samples
 from .graph import MetricGraph
 
 
@@ -79,15 +79,15 @@ VERTEX_TOL = 1e-12
 def interpolate(mesh: Mesh, functions) -> np.ndarray:
     """Nodal interpolation of per-edge functions into a coefficient vector.
 
-    ``functions`` is a shared spec or a per-edge list (scalars, Expressions,
-    callables of x, or nodal sample arrays).  The nodal values must be
+    ``functions`` is a shared value or a per-edge list of anything
+    ``fields.as_edge_function`` takes.  The nodal values must be
     finite, and the supplied functions must agree at shared vertices to
     within ``VERTEX_TOL``.
     """
     xs = node_coordinates(mesh)
     values = []
-    for j, spec in enumerate(_per_edge(functions, mesh.n_edges)):
-        v = np.broadcast_to(np.asarray(as_edge_function(spec)(xs), dtype=float), xs.shape)
+    for j, fn in enumerate(edge_functions(functions, mesh.n_edges)):
+        v = float_samples(fn, xs)
         if not np.isfinite(v).all():
             k = int(np.argmin(np.isfinite(v)))
             raise ConfigurationError(

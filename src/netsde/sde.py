@@ -53,6 +53,11 @@ class SolverConfig:
             raise ConfigurationError(f"need 0 < dt <= t_end, got dt={self.dt}, t_end={self.t_end}")
         if self.scheme not in SCHEMES:
             raise ConfigurationError(f"unknown scheme {self.scheme!r}; choose from {SCHEMES}")
+        stride = self.snapshot_stride
+        if isinstance(stride, bool) or not isinstance(stride, (int, np.integer)) or stride < 1:
+            raise ConfigurationError(f"snapshot_stride must be an integer >= 1, got {stride!r}")
+        if not self.blowup_guard > 0.0:  # also false for NaN, which would disable the guard
+            raise ConfigurationError(f"blowup_guard must be positive, got {self.blowup_guard}")
 
     @property
     def n_steps(self) -> int:
@@ -80,15 +85,16 @@ class Problem:
 
 
 def _nodal_evaluator(mesh: Mesh, rows, whole, on_edge):
-    """Nodal evaluator over dofs from per-edge detected constants ``rows``.
+    """Nodal evaluator over dofs from per-edge rows of EdgeFunctions.
 
-    When every edge has the same fully constant row, ``whole(t, u)`` serves
-    the whole vector; else ``on_edge(t, x, j, u_j)`` runs on the nodes of
-    each 0-based edge j.  A vertex dof takes the value of its lowest-index
-    incident edge; under vertex compatibility every incident edge gives the
-    same value there.
+    When every edge's row is constant with the same values, ``whole(t, u)``
+    serves the whole vector; else ``on_edge(t, x, j, u_j)`` runs on the
+    nodes of each 0-based edge j.  A vertex dof takes the value of its
+    lowest-index incident edge; under vertex compatibility every incident
+    edge gives the same value there.
     """
-    if None not in rows[0] and all(row == rows[0] for row in rows):
+    consts = [tuple(fn.constant for fn in row) for row in rows]
+    if None not in consts[0] and all(row == consts[0] for row in consts):
         return whole
     xs = node_coordinates(mesh)
 
@@ -103,7 +109,7 @@ def nodal_drift_evaluator(spec: DriftSpec | None, mesh: Mesh):
     """Vectorized nodal reaction term F(t, u) -> array over dofs."""
     if spec is None:
         return None
-    return _nodal_evaluator(mesh, spec.constant_values,
+    return _nodal_evaluator(mesh, spec.coefficients,
                             lambda t, u: eval_drift(spec, t, None, 1, u),
                             lambda t, x, j, u: eval_drift(spec, t, x, j + 1, u))
 
@@ -113,8 +119,8 @@ def nodal_diffusion_evaluator(spec: DiffusionSpec | None, mesh: Mesh):
     by all edges is returned as that float (same product bits as an array)."""
     if spec is None:
         return None
-    rows = [(c,) for c in spec.constant_values]
-    return _nodal_evaluator(mesh, rows, lambda t, u: rows[0][0],
+    gamma = spec.functions[0].constant
+    return _nodal_evaluator(mesh, [(g,) for g in spec.functions], lambda t, u: gamma,
                             lambda t, x, j, u: spec.functions[j](t, x, u))
 
 
@@ -197,7 +203,6 @@ def simulate_path(problem: Problem, trajectory_id: int = 0,
         sampler = IncrementSampler(problem.noise, trajectory_id)
 
     u = np.asarray(problem.initial, dtype=float).copy()
-    stride = max(int(cfg.snapshot_stride), 1)
     times = [0.0]
     states = [u.copy()]
     sup = float(np.abs(u).max())
@@ -215,7 +220,7 @@ def simulate_path(problem: Problem, trajectory_id: int = 0,
             raise BlowupDetected(
                 f"trajectory {trajectory_id} exceeded guard {guard:g} at step {step + 1}",
                 trajectory_id=trajectory_id, step=step + 1)
-        if (step + 1) % stride == 0 or step + 1 == n_steps:
+        if (step + 1) % cfg.snapshot_stride == 0 or step + 1 == n_steps:
             times.append((step + 1) * cfg.dt)
             states.append(u.copy())
     seed = problem.noise.seed if problem.noise is not None else None

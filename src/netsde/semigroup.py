@@ -183,7 +183,7 @@ def solve_heat(system: DiscreteSystem, initial: np.ndarray, horizon: float, dt: 
         raise ValueError(f"unknown method {method!r}")
     n_steps = config.n_steps
     spectral = generalized_eigs(system)
-    steps = list(range(0, n_steps + 1, max(int(snapshot_stride), 1)))
+    steps = list(range(0, n_steps + 1, snapshot_stride))
     if steps[-1] != n_steps:
         steps.append(n_steps)
     times = dt * np.asarray(steps, dtype=float)

@@ -11,17 +11,19 @@ map.  Noise increments come from a Philox generator constructed afresh for
 every draw, with the factor applied through ``@``.  Run configs are checked
 against the section-by-section normalizer that preceded the schema table.
 The per-dof owner map and the node-by-node interpolation are the ones the
-mesh kept before ``Mesh.edge_dofs`` became its only dof map.
+mesh kept before ``Mesh.edge_dofs`` became its only dof map, and the
+edge-by-edge assembly is the one that preceded the one-pass assembly.
 """
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.optimize import brentq
 from scipy.sparse.linalg import splu
 
 from netsde.config import config_hash
 from netsde.errors import SchemaViolation, VertexMismatch
 from netsde.expressions import parse_expression
-from netsde.fields import _per_edge, as_edge_function
+from netsde.fields import edge_functions
 from netsde.graph import build_graph
 from netsde.mesh import build_mesh
 from netsde.sde import SCHEMES
@@ -216,11 +218,81 @@ def random_multigraph_mesh(rng):
     return build_mesh(build_graph(n, [edges[i] for i in order]), int(rng.integers(1, 9)))
 
 
+def reference_assemble_form(mesh, fields, matrix):
+    """(G, S, K, A_form, lumped mass) assembled edge by edge: each edge's
+    coefficients sampled and checked at its Gauss points, then its element
+    terms appended to the COO lists as (ll, rr, lr, rl) blocks.  Only valid
+    coefficients are compared, so the check names no error type."""
+    gauss_xi = np.array([0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)])
+    h = mesh.h
+    n_elem = mesh.n_interior + 1
+    elem_left = h * np.arange(n_elem)
+    gauss_x = elem_left[:, None] + h * gauss_xi[None, :]
+    phi_left = 1.0 - gauss_xi
+    phi_right = gauss_xi
+
+    rows_g, cols_g, vals_g = [], [], []
+    rows_s, cols_s, vals_s = [], [], []
+    for j in range(mesh.n_edges):
+        mu = fields.weights[j]
+        c_vals = np.broadcast_to(np.asarray(fields.conductance[j](gauss_x), dtype=float),
+                                 gauss_x.shape)
+        p_vals = np.broadcast_to(np.asarray(fields.potential[j](gauss_x), dtype=float),
+                                 gauss_x.shape)
+        if not (c_vals.min() > 0.0 and p_vals.min() >= 0.0
+                and np.isfinite(c_vals).all() and np.isfinite(p_vals).all()):
+            raise ValueError(f"edge {j + 1} has an invalid coefficient sample")
+
+        stiff = mu * 0.5 * c_vals.sum(axis=1) / h
+        pot_ll = mu * 0.5 * h * (p_vals * phi_left ** 2).sum(axis=1)
+        pot_lr = mu * 0.5 * h * (p_vals * phi_left * phi_right).sum(axis=1)
+        pot_rr = mu * 0.5 * h * (p_vals * phi_right ** 2).sum(axis=1)
+        mass_ll = mu * 0.5 * h * np.full(n_elem, (phi_left ** 2).sum())
+        mass_lr = mu * 0.5 * h * np.full(n_elem, (phi_left * phi_right).sum())
+        mass_rr = mu * 0.5 * h * np.full(n_elem, (phi_right ** 2).sum())
+
+        left = mesh.edge_dofs[j, :-1]
+        right = mesh.edge_dofs[j, 1:]
+        for r, c, v in (
+            (left, left, stiff + pot_ll),
+            (right, right, stiff + pot_rr),
+            (left, right, -stiff + pot_lr),
+            (right, left, -stiff + pot_lr),
+        ):
+            rows_s.append(r)
+            cols_s.append(c)
+            vals_s.append(v)
+        for r, c, v in (
+            (left, left, mass_ll),
+            (right, right, mass_rr),
+            (left, right, mass_lr),
+            (right, left, mass_lr),
+        ):
+            rows_g.append(r)
+            cols_g.append(c)
+            vals_g.append(v)
+
+    ndof = mesh.ndof
+    G = sp.coo_matrix(
+        (np.concatenate(vals_g), (np.concatenate(rows_g), np.concatenate(cols_g))),
+        shape=(ndof, ndof)).tocsr()
+    S = sp.coo_matrix(
+        (np.concatenate(vals_s), (np.concatenate(rows_s), np.concatenate(cols_s))),
+        shape=(ndof, ndof)).tocsr()
+    vi, vk = np.meshgrid(mesh.vertex_dofs, mesh.vertex_dofs, indexing="ij")
+    K = sp.coo_matrix(
+        (-matrix.entries.ravel(), (vi.ravel(), vk.ravel())), shape=(ndof, ndof)).tocsr()
+    K.eliminate_zeros()
+    A_form = (-(S + K)).tocsr()
+    lumped = np.asarray(G.sum(axis=1)).ravel()
+    return G, S, K, A_form, lumped
+
+
 def reference_interpolate(mesh, functions, vertex_tol=1e-12):
     """Nodal interpolation node by node: the first edge to reach a dof sets
     it, and every later edge at that dof must agree within ``vertex_tol``."""
     m = mesh.n_edges
-    fns = [as_edge_function(v) for v in _per_edge(functions, m)]
+    fns = edge_functions(functions, m)
     xs = np.linspace(0.0, 1.0, mesh.n_interior + 2)
     state = np.zeros(mesh.ndof)
     assigned = np.zeros(mesh.ndof, dtype=bool)

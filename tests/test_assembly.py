@@ -5,14 +5,17 @@ import pytest
 import scipy.sparse as sp
 from scipy.integrate import quad
 
+from _oracles import random_multigraph_mesh, reference_assemble_form
 from netsde.assembly import assemble_form, bind_matvec, dump_matrices, noise_covariance_factor
 from netsde.errors import (
     ConfigurationError,
     DimensionMismatch,
     FactorizationFailure,
+    NegativePotential,
     ValidationFailure,
 )
-from netsde.fields import build_edge_fields
+from netsde.expressions import parse_expression
+from netsde.fields import as_edge_function, build_edge_fields
 from netsde.graph import VertexMatrix, build_graph
 from netsde.mesh import build_mesh, interpolate
 
@@ -90,6 +93,16 @@ class TestSingleEdgeBlocks:
         mesh = build_mesh(build_graph(3, [(1, 2), (2, 3)]), 3)
         with pytest.raises(ConfigurationError, match=f"{field} on edge 2 "):
             assemble_form(mesh, replace(fields, **{field: bad}), VertexMatrix(-np.eye(3)))
+
+    def test_first_failing_edge_is_reported(self):
+        # edge 2 fails on its potential, edge 3 on its conductance
+        fields = replace(
+            build_edge_fields(3),
+            conductance=(lambda x: 1.0 + x, lambda x: 1.0 + x, lambda x: x - 1.0),
+            potential=(lambda x: 0.0 * x, lambda x: x - 1.0, lambda x: 0.0 * x))
+        mesh = build_mesh(build_graph(4, [(1, 2), (1, 3), (1, 4)]), 3)
+        with pytest.raises(NegativePotential, match="potential on edge 2 reaches"):
+            assemble_form(mesh, fields, VertexMatrix(-np.eye(4)))
 
     def test_rejects_invalid_vertex_matrix(self):
         with pytest.raises(ValidationFailure):
@@ -303,3 +316,69 @@ def test_matrix_market_dump(tmp_path):
     import scipy.io
     reread = scipy.io.mmread(tmp_path / "mass.mtx")
     np.testing.assert_allclose(reread.toarray(), sys.mass.toarray(), atol=1e-15)
+
+
+def _matrix_bytes(system):
+    mats = (system.mass, system.stiffness_potential, system.vertex_coupling,
+            system.form_matrix)
+    return [(A.indptr.tobytes(), A.indices.tobytes(), A.data.tobytes()) for A in mats]
+
+
+_COEFFICIENT_KINDS = ("constant", "string", "expression", "samples", "callable")
+
+
+def _coefficient(kind, rng, floor):
+    """An x-dependent coefficient (constant for ``kind == "constant"``) of
+    the given kind, with values in [floor, floor + 2]."""
+    a, b = (float(v) for v in rng.uniform(0.0, 1.0, 2))
+    if kind == "constant":
+        return floor + a
+    if kind == "string":
+        return f"{floor + a!r} + ({b!r})*x*x"
+    if kind == "expression":
+        return parse_expression(f"{floor + a!r} + ({b!r})*sin(3*x)^2", ("x",))
+    if kind == "samples":
+        return floor + rng.uniform(0.0, 1.0, int(rng.integers(2, 6)))
+    return lambda x: floor + a + b * np.cos(2.0 * x) ** 2
+
+
+def _random_coefficients(rng, m, floor):
+    if rng.random() < 0.25:
+        return _coefficient(str(rng.choice(_COEFFICIENT_KINDS)), rng, floor)
+    return [_coefficient(str(kind), rng, floor) for kind in rng.choice(_COEFFICIENT_KINDS, m)]
+
+
+def test_one_pass_assembly_matches_edge_by_edge_oracle():
+    rng = np.random.default_rng(20261018)
+    for _ in range(300):
+        mesh = random_multigraph_mesh(rng)
+        n, m = mesh.graph.n_vertices, mesh.n_edges
+        weights = rng.uniform(0.5, 2.0, m) if rng.random() < 0.75 else 1.0
+        fields = build_edge_fields(m, _random_coefficients(rng, m, 0.1),
+                                   _random_coefficients(rng, m, 0.0), weights)
+        B = rng.standard_normal((n, n))
+        M = -(B @ B.T)
+        matrix = VertexMatrix(0.5 * (M + M.T) - 0.1 * np.eye(n))
+        system = assemble_form(mesh, fields, matrix)
+        G, S, K, A_form, lumped = reference_assemble_form(mesh, fields, matrix)
+        assert _matrix_bytes(system) == [(A.indptr.tobytes(), A.indices.tobytes(),
+                                          A.data.tobytes()) for A in (G, S, K, A_form)]
+        assert system.lumped_mass.tobytes() == lumped.tobytes()
+
+
+class TestOneCoefficientFiveSpellings:
+    SPELLINGS = (2, "2", parse_expression("2"), [2.0, 2.0], lambda x: 2.0 + 0.0 * x)
+
+    def test_constness_detected_once(self):
+        assert ([as_edge_function(v).constant for v in self.SPELLINGS]
+                == [2.0, 2.0, 2.0, None, None])
+
+    def test_same_matrices_and_states(self):
+        mesh = build_mesh(build_graph(4, [(1, 2), (1, 3), (1, 4)]), 5)
+        matrix = VertexMatrix(-np.eye(4))
+        outcomes = [
+            (_matrix_bytes(assemble_form(mesh, build_edge_fields(3, v, v), matrix)),
+             interpolate(mesh, v).tobytes())
+            for v in self.SPELLINGS
+        ]
+        assert all(outcome == outcomes[0] for outcome in outcomes[1:])

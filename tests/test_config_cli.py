@@ -111,7 +111,8 @@ class TestParseConfig:
         assert problem.config_hash == config.hash
         assert problem.noise.seed == 7
         # Allen-Cahn with beta = 1: -u^3 + beta^2 u on the single edge
-        assert problem.drift.constant_values == ((0.0, 1.0, 0.0, 1.0),)
+        assert (tuple(tuple(fn.constant for fn in row) for row in problem.drift.coefficients)
+                == ((0.0, 1.0, 0.0, 1.0),))
 
     def test_polynomial_drift_config(self, tmp_path):
         cfg = minimal_config(drift={
@@ -159,6 +160,35 @@ class TestCli:
         report = json.loads((out / "report.json").read_text())
         assert not report["passed"]
 
+    @pytest.mark.parametrize("overrides, report, check", [
+        ({"drift": {"type": "polynomial", "degree": 1, "coefficients": [0.0, 1.0, 0.0, "x/x"]}},
+         "drift", "leading_lower_bound"),
+        ({"drift": {"type": "polynomial", "degree": 1, "coefficients": [0.0, 1.0, 0.0, "x/x"]}},
+         "drift", "leading_upper_bound"),
+        ({"drift": {"type": "polynomial", "degree": 1,
+                    "coefficients": [0.0, "1 + 0*(1/(1-x))", 0.0, 1.0]}},
+         "drift", "coefficient_magnitude"),
+        ({"drift": {"type": "polynomial", "degree": 1, "coefficients": [0.0, "1/x", 0.0, 1.0]}},
+         "drift", "vertex_compatibility"),
+        # u/u is 1 except at u = 0, where it is NaN
+        ({"diffusion": {"expression": "u/u", "linear_growth": 2}}, "diffusion", "linear_growth"),
+        ({"diffusion": {"expression": "u/u", "lipschitz": {"1": 5}}},
+         "diffusion", "lipschitz_radius_1"),
+    ], ids=["leading_lower", "leading_upper", "magnitude", "vertex", "growth", "lipschitz"])
+    def test_validate_reports_nan_sample_as_failure(self, tmp_path, capsys, overrides,
+                                                    report, check):
+        cfg = minimal_config(graph={"n_vertices": 4, "edges": [[1, 2], [1, 3], [1, 4]]},
+                             vertex_matrix=(-np.eye(4)).tolist(), **overrides)
+        out = tmp_path / "out"
+        assert run_command(["validate", "--config", str(write_config(tmp_path, cfg)),
+                            "--output-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert all(line.startswith("netsde:") for line in err.splitlines())
+        assert f"{report}:{check}" in err
+        checks = json.loads((out / "report.json").read_text())["reports"][report]["checks"]
+        measured = next(c["measured"] for c in checks if c["name"] == check)
+        assert np.isnan(measured)
+
     def test_schema_violation_exit_code(self, tmp_path, capsys):
         path = write_config(tmp_path, minimal_config(bogus_key=1))
         assert run_command(["validate", "--config", str(path),
@@ -171,11 +201,11 @@ class TestCli:
     ], ids=["conductance", "potential", "initial"])
     def test_non_finite_coefficient_exit_code(self, tmp_path, capsys, overrides, message):
         path = write_config(tmp_path, minimal_config(**overrides))
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert run_command(["simulate", "--config", str(path),
-                                "--output-dir", str(tmp_path / "o")]) == 1
-        errors = [line for line in capsys.readouterr().err.splitlines()
-                  if line.startswith("netsde: error:")]
+        assert run_command(["simulate", "--config", str(path),
+                            "--output-dir", str(tmp_path / "o")]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert all(line.startswith("netsde:") for line in lines)
+        errors = [line for line in lines if line.startswith("netsde: error:")]
         assert len(errors) == 1 and message in errors[0]
 
     def test_missing_config_exit_code(self, tmp_path, capsys):

@@ -185,6 +185,26 @@ class TestSimulatePath:
         traj = simulate_path(problem)
         np.testing.assert_allclose(traj.times, [0.0, 0.005, 0.01])
 
+    @pytest.mark.parametrize("changes", [
+        {"blowup_guard": float("nan")}, {"blowup_guard": 0.0}, {"blowup_guard": -1.0},
+        {"snapshot_stride": 0}, {"snapshot_stride": 2.5}, {"snapshot_stride": True},
+    ], ids=["nan_guard", "zero_guard", "negative_guard", "zero_stride", "fractional_stride",
+            "bool_stride"])
+    def test_solver_config_rejects_invalid_field(self, changes):
+        with pytest.raises(ConfigurationError):
+            SolverConfig(1e-3, 1e-2, **changes)
+
+    def test_solver_config_accepts_infinite_guard_and_numpy_stride(self):
+        cfg = SolverConfig(1e-3, 1e-2, snapshot_stride=np.int64(5), blowup_guard=np.inf)
+        assert cfg.snapshot_stride == 5 and cfg.blowup_guard == np.inf
+
+    @pytest.mark.parametrize("method", ["backward_euler", "spectral"])
+    def test_solve_heat_rejects_zero_stride(self, method):
+        sys = conserved_heat_system()
+        with pytest.raises(ConfigurationError, match="snapshot_stride"):
+            solve_heat(sys, np.zeros(sys.ndof), horizon=0.2, dt=0.05, method=method,
+                       snapshot_stride=0)
+
     def test_noise_without_diffusion_rejected(self):
         problem, _ = allen_cahn_problem(noise_seed=1, t_end=0.01)
         bad = Problem(problem.system, problem.config, problem.initial,
@@ -255,7 +275,7 @@ def reference_nodal_drift(spec, mesh):
     ``eval_drift``, with powers by repeated multiplication as stream version
     3 computes them (version 2 used ``u ** l``)."""
     d = spec.top_power
-    consts = spec.constant_values
+    consts = [[fn.constant for fn in row] for row in spec.coefficients]
     if (all(v is not None for row in consts for v in row)
             and all(consts[j] == consts[0] for j in range(1, spec.n_edges))):
         coeff = np.asarray(consts[0], dtype=float)
@@ -360,8 +380,9 @@ class TestNodalDiffusion:
 
     def test_spec_without_constants_evaluates_per_edge(self):
         mesh = build_mesh(build_graph(4, [(1, 2), (1, 3), (1, 4)]), 5)
-        spec = DiffusionSpec(tuple(as_edge_function(2.0, ("t", "x", "u")) for _ in range(3)),
-                             (), None, (None, None, None))
+        spec = DiffusionSpec(tuple(as_edge_function(lambda t, x, u: np.full_like(u, 2.0),
+                                                    ("t", "x", "u")) for _ in range(3)),
+                             (), None)
         gamma = nodal_diffusion_evaluator(spec, mesh)(0.0, np.zeros(mesh.ndof))
         assert isinstance(gamma, np.ndarray)
         assert gamma.tobytes() == np.full(mesh.ndof, 2.0).tobytes()
