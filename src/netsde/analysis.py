@@ -19,7 +19,7 @@ from .graph import weighted_incidence
 from .fields import well_density
 from .mesh import edge_integral
 from .noise import coupled_sampler
-from .sde import Problem, Stepper, simulate_path
+from .sde import Problem, Stepper, simulate_path, whole_steps
 from .trajectory import TrajectorySet
 
 
@@ -97,39 +97,44 @@ def _ols_loglog(x, y):
     return float(coef[0]), 1.96 * se, r2, residuals
 
 
-def _validate_lags(lags):
+def _lag_grid(times, lags, burn_fraction: float):
+    """Check at least 4 increasing lags, whole multiples of the uniform spacing
+    of ``times``, against the burn-in; return lags, lag snapshots and start."""
     lags = np.asarray(lags, dtype=float)
     if lags.size < 4:
         raise LadderTooShort(f"need at least 4 lags, got {lags.size}")
     if np.any(np.diff(lags) <= 0.0):
         raise ConfigurationError("lags must be strictly increasing")
-    return lags
+    if not 0.0 <= burn_fraction < 1.0:
+        raise ConfigurationError(f"burn_fraction must lie in [0, 1), got {burn_fraction}")
+    times = np.asarray(times, dtype=float)
+    if times.size < 2:
+        raise InsufficientResolution(f"need at least 2 snapshots, got {times.size}")
+    spacing = float(times[1] - times[0])
+    if np.max(np.abs(np.diff(times) - spacing)) > 1e-9 * max(spacing, 1.0):
+        raise ConfigurationError("snapshot times must be uniformly spaced")
+    steps = whole_steps(lags, spacing, "lag / snapshot spacing", InsufficientResolution)
+    start = int(math.ceil(burn_fraction * (times.size - 1)))
+    if start + steps[-1] >= times.size:
+        raise InsufficientResolution(
+            f"burn-in {start} plus the largest lag ({steps[-1]} snapshots) "
+            f"exceeds the {times.size} available snapshots")
+    return lags, steps, start
 
 
 def holder_exponent_from_paths(times, paths, lags, norm_fn=None,
                                burn_fraction: float = 0.25) -> ExponentEstimate:
     """Regress log mean increment norms against log lag over sampled paths.
 
-    ``paths`` is a sequence of (n_snap, d) arrays sharing the uniform
-    ``times``; every lag must be an integer multiple of the snapshot
+    ``paths`` is a nonempty sequence of (n_snap, d) arrays sharing the
+    uniform ``times``; every lag must be a whole multiple of the snapshot
     spacing.  Increment norms are averaged over interior start times (after
     a burn-in prefix) and over paths, then fitted by ordinary least squares.
     """
-    lags = _validate_lags(lags)
-    times = np.asarray(times, dtype=float)
-    spacing = float(times[1] - times[0])
-    if np.max(np.abs(np.diff(times) - spacing)) > 1e-9 * max(spacing, 1.0):
-        raise ConfigurationError("snapshot times must be uniformly spaced")
-    steps = np.round(lags / spacing).astype(int)
-    if np.any(np.abs(steps * spacing - lags) > 1e-6 * lags) or np.any(steps < 1):
-        raise InsufficientResolution(
-            f"lags {lags} are not integer multiples of the snapshot spacing {spacing:g}")
-    n_snap = times.size
-    start = int(math.ceil(burn_fraction * (n_snap - 1)))
-    if start + steps[-1] >= n_snap:
-        raise InsufficientResolution(
-            f"burn-in {start} plus the largest lag ({steps[-1]} snapshots) "
-            f"exceeds the {n_snap} available snapshots")
+    lags, steps, start = _lag_grid(times, lags, burn_fraction)
+    if len(paths) == 0:
+        raise ConfigurationError(f"need at least one path, got {len(paths)}")
+    n_snap = len(times)
     if norm_fn is None:
         norm_fn = lambda diffs: np.linalg.norm(diffs, axis=1)
 
@@ -188,18 +193,14 @@ def estimate_holder_exponent(problem: Problem, lags, n_trajectories: int,
         norm_fn = einf_norm_rows
     else:
         raise ValueError(f"unknown norm {norm!r}")
-    lags = _validate_lags(lags)
-    dt = problem.config.dt
-    if lags[0] < 4.0 * dt:
+    cfg = problem.config
+    # the lags' lengths in time steps pick the snapshot stride
+    _, steps, _ = _lag_grid(cfg.dt * np.arange(cfg.n_steps + 1), lags, burn_fraction)
+    if steps[0] < 4:
         raise InsufficientResolution(
-            f"smallest lag {lags[0]:g} must be at least 4x the time step {dt:g}")
-    steps = np.round(lags / dt).astype(int)
-    if np.any(np.abs(steps * dt - lags) > 1e-6 * lags):
-        raise InsufficientResolution("every lag must be an integer multiple of dt")
-    stride = int(np.gcd.reduce(steps))
-    run_problem = problem.with_config(snapshot_stride=stride)
-    if run_problem.config.n_steps % stride != 0:
-        raise ConfigurationError("snapshot stride must divide the step count")
+            f"smallest lag {lags[0]:g} must be at least 4x the time step {cfg.dt:g}")
+    run_problem = problem.with_config(snapshot_stride=int(np.gcd.reduce(steps)))
+    _lag_grid(run_problem.config.snapshot_steps * float(cfg.dt), lags, burn_fraction)
     trajs = run_trajectories(run_problem, range(n_trajectories))
     return holder_exponent_from_paths(trajs[0].times, [t.states for t in trajs],
                                       lags, norm_fn, burn_fraction)
@@ -225,11 +226,11 @@ def estimate_strong_order(problem: Problem, dt_ladder, n_trajectories: int,
         raise LadderTooShort(
             f"need at least 4 ladder entries (reference plus 3 levels), got {ladder.size}")
     dt_ref = float(ladder[0])
-    ratios = np.round(ladder[1:] / dt_ref).astype(int)
-    if np.any(np.abs(ratios * dt_ref - ladder[1:]) > 1e-9 * ladder[1:]) or np.any(ratios < 2):
+    # anything but whole multiples (>= 2) would decouple the noise between levels
+    ratios = whole_steps(ladder[1:], dt_ref, "ladder step / finest step")
+    if np.any(ratios < 2):
         raise ConfigurationError(
-            "every ladder step must be an integer multiple (>= 2) of the finest step; "
-            "anything else would decouple the noise between levels")
+            f"every ladder step must be at least twice the finest step, got {ladder.tolist()}")
     # each level's SolverConfig checks its dt against t_end before any march
     levels = [problem.with_config(dt=float(dt)) for dt in ladder]
     levels = [level.with_config(snapshot_stride=level.config.n_steps) for level in levels]

@@ -25,7 +25,7 @@ from scipy.sparse import _sparsetools
 from .errors import DimensionMismatch, FactorizationFailure, ValidationFailure
 from .fields import EdgeFieldSet
 from .graph import VertexMatrix, validate_vertex_matrix
-from .mesh import _GAUSS_XI, Mesh
+from .mesh import GAUSS_XI, Mesh
 
 
 @dataclass(frozen=True)
@@ -78,9 +78,9 @@ def assemble_form(mesh: Mesh, fields: EdgeFieldSet, matrix: VertexMatrix) -> Dis
     n_elem = mesh.n_interior + 1
     # local coordinates of the two Gauss points in every element of one edge
     elem_left = h * np.arange(n_elem)
-    gauss_x = elem_left[:, None] + h * _GAUSS_XI[None, :]
-    phi_left = 1.0 - _GAUSS_XI
-    phi_right = _GAUSS_XI
+    gauss_x = elem_left[:, None] + h * GAUSS_XI[None, :]
+    phi_left = 1.0 - GAUSS_XI
+    phi_right = GAUSS_XI
     # (edges, elements, Gauss points) samples
     c_vals, p_vals = fields.checked_samples(gauss_x, " at a quadrature point")
 

@@ -277,6 +277,11 @@ def run_command(argv=None) -> int:
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", _NUMPY_FP_WARNING, RuntimeWarning)
             config = parse_config(args.config)
+            experiment = config.experiment
+            if args.trajectories is not None and (experiment["name"] != args.command
+                                                  or "trajectories" not in experiment):
+                raise ConfigurationError(f"--trajectories is not used by {args.command} "
+                                         f"with a {experiment['name']!r} experiment config")
             config = config.with_overrides(seed=args.seed, trajectories=args.trajectories,
                                            output_dir=args.output_dir)
             out_dir = _resolve_output_dir(args, config)

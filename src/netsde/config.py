@@ -494,4 +494,4 @@ def build_model(config: RunConfig) -> Problem:
 
     initial = interpolate(mesh, data["initial"])
     return Problem(system, SolverConfig(**data["solver"]), initial, built.drift,
-                   built.diffusion, noise, config_hash=config.hash)
+                   built.diffusion, noise)

@@ -147,6 +147,8 @@ def build_edge_fields(n_edges: int, conductance=1.0, potential=0.0, weights=1.0)
         raise DimensionMismatch(f"weights must be scalar or length {m}")
     if not np.all(mu > 0.0):
         raise NonpositiveWeight(f"edge weights must be positive, got {mu}")
+    if not np.isfinite(mu).all():
+        raise ConfigurationError(f"edge weights must be finite, got {mu}")
 
     fields = EdgeFieldSet(edge_functions(conductance, m), edge_functions(potential, m), mu)
     fields.checked_samples(np.linspace(0.0, 1.0, 129))
@@ -154,14 +156,17 @@ def build_edge_fields(n_edges: int, conductance=1.0, potential=0.0, weights=1.0)
 
 
 def shifted_fields(fields: EdgeFieldSet, shifts) -> EdgeFieldSet:
-    """Return a copy with p_j replaced by p_j + shift_j (shifts >= 0)."""
+    """Return a copy with p_j replaced by p_j + shift_j (shifts >= 0); a
+    constant p_j stays constant."""
     shifts = np.asarray(shifts, dtype=float)
     if shifts.shape != (fields.n_edges,):
         raise DimensionMismatch("need one potential shift per edge")
     if not np.all(shifts >= 0.0):
         raise NegativePotential(f"potential shifts must be nonnegative, got {shifts}")
     shifted = tuple(
-        EdgeFunction(lambda x, p=p, s=s: p(x) + s) for p, s in zip(fields.potential, shifts)
+        EdgeFunction(lambda x, p=p, s=s: p(x) + s) if p.constant is None
+        else EdgeFunction(constant=p.constant + float(s))
+        for p, s in zip(fields.potential, shifts)
     )
     return EdgeFieldSet(fields.conductance, shifted, fields.weights)
 
@@ -323,6 +328,8 @@ def allen_cahn_system(betas, base_fields: EdgeFieldSet) -> AllenCahnSpec:
         raise DimensionMismatch(f"need one beta per edge ({base_fields.n_edges})")
     if not np.all(betas > 0.0):
         raise NonpositiveBeta(f"well parameters must be positive, got {betas}")
+    if not np.isfinite(betas).all():
+        raise ConfigurationError(f"well parameters must be finite, got {betas}")
     beta = float(betas.max())
     rho = beta ** 2 - betas ** 2
     drift = polynomial_drift(

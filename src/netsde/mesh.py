@@ -113,7 +113,8 @@ def eval_state(mesh: Mesh, state: np.ndarray, edge: int, x):
     return (1.0 - theta) * nodes[k] + theta * nodes[k + 1]
 
 
-_GAUSS_XI = np.array([0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)])
+# local positions of the two Gauss points on the reference element [0, 1]
+GAUSS_XI = np.array([0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)])
 
 
 def edge_integral(mesh: Mesh, state: np.ndarray, density, weights) -> float:
@@ -125,7 +126,7 @@ def edge_integral(mesh: Mesh, state: np.ndarray, density, weights) -> float:
         nodes = state[mesh.edge_dofs[j]]
         left, right = nodes[:-1], nodes[1:]
         acc = 0.0
-        for xi in _GAUSS_XI:
+        for xi in GAUSS_XI:
             acc += 0.5 * h * np.sum(density((1.0 - xi) * left + xi * right))
         total += weights[j] * acc
     return total

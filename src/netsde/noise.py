@@ -38,7 +38,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .assembly import DiscreteSystem, bind_matvec, noise_covariance_factor
-from .errors import DecayTooSlow, DimensionMismatch
+from .errors import ConfigurationError, DecayTooSlow, DimensionMismatch
 from .mesh import Mesh
 
 _MASK64 = (1 << 64) - 1
@@ -162,9 +162,9 @@ def colored_noise_operator(system: DiscreteSystem, decay: float, seed: int = 0,
 
     ``decay`` must exceed 1/2 so the mode weights are square-summable.  The
     default mode count resolves up to the mesh's interior resolution.
-    ``amplitudes`` is one number for every edge or one per edge.
+    ``amplitudes`` is one nonnegative number for every edge or one per edge.
     """
-    if decay <= 0.5:
+    if not decay > 0.5:  # also true for NaN
         raise DecayTooSlow(f"spectral decay exponent must exceed 1/2, got {decay}")
     mesh = system.mesh
     m = mesh.n_edges
@@ -178,6 +178,9 @@ def colored_noise_operator(system: DiscreteSystem, decay: float, seed: int = 0,
         amp = np.full(m, float(amp))
     if amp.shape != (m,):
         raise DimensionMismatch(f"need one noise amplitude per edge ({m}), got {amp.size}")
+    if not np.all((amp >= 0.0) & (amp < np.inf)):
+        raise ConfigurationError(
+            f"noise amplitudes must be finite and nonnegative, got {amp.tolist()}")
 
     mode_weights = np.array([k ** (-decay) for k in range(1, n_modes + 1)])
     # L2(0,1; mu dx)-orthonormal mode is sqrt(2/mu) sin(k pi x); the weighted

@@ -40,8 +40,24 @@ from .trajectory import TrajectorySet
 SCHEMES = ("semi_implicit_tamed", "semi_implicit_plain", "exponential_euler")
 
 
+WHOLE_TOL = 1e-9  # relative tolerance of every whole-number-of-steps rule
+
+
+def whole_steps(durations, step: float, what: str, error=ConfigurationError) -> np.ndarray:
+    """``durations / step`` as whole numbers >= 1 (an int array), each within
+    the relative tolerance WHOLE_TOL; else ``error`` names ``what`` and the ratios."""
+    ratios = np.asarray(durations, dtype=float) / step
+    counts = np.round(ratios)
+    if not np.all((counts >= 1) & (np.abs(counts - ratios) <= WHOLE_TOL * ratios)):
+        raise error(f"{what} must be a whole number >= 1, got {ratios.tolist()}")
+    return counts.astype(int)
+
+
 @dataclass(frozen=True)
 class SolverConfig:
+    """Time grid and scheme of one march; ``n_steps`` and ``snapshot_steps``
+    are computed on use, so ``dt`` can be replaced before the grid is checked."""
+
     dt: float
     t_end: float
     scheme: str = "semi_implicit_tamed"
@@ -49,7 +65,7 @@ class SolverConfig:
     blowup_guard: float = 1e6
 
     def __post_init__(self):
-        if not 0.0 < self.dt <= self.t_end:
+        if not 0.0 < self.dt <= self.t_end < math.inf:
             raise ConfigurationError(f"need 0 < dt <= t_end, got dt={self.dt}, t_end={self.t_end}")
         if self.scheme not in SCHEMES:
             raise ConfigurationError(f"unknown scheme {self.scheme!r}; choose from {SCHEMES}")
@@ -61,11 +77,13 @@ class SolverConfig:
 
     @property
     def n_steps(self) -> int:
-        steps = int(round(self.t_end / self.dt))
-        if steps < 1 or abs(steps * self.dt - self.t_end) > 1e-8 * self.t_end:
-            raise ConfigurationError(
-                f"t_end={self.t_end} is not an integer multiple of dt={self.dt}")
-        return steps
+        return int(whole_steps(self.t_end, self.dt, "t_end / dt"))
+
+    @property
+    def snapshot_steps(self) -> np.ndarray:
+        """The steps whose states a march keeps: 0, stride, 2*stride, ... and the last."""
+        n_steps = self.n_steps
+        return np.union1d(np.arange(0, n_steps, self.snapshot_stride), n_steps)
 
 
 @dataclass(frozen=True)
@@ -78,7 +96,6 @@ class Problem:
     drift: DriftSpec | None = None
     diffusion: DiffusionSpec | None = None
     noise: NoiseModel | None = None
-    config_hash: str = ""
 
     def with_config(self, **changes) -> "Problem":
         return replace(self, config=replace(self.config, **changes))
@@ -191,7 +208,7 @@ def simulate_path(problem: Problem, trajectory_id: int = 0,
     which signals scheme instability and should not occur with taming.
     """
     cfg = problem.config
-    n_steps = cfg.n_steps
+    snapshots = cfg.snapshot_steps
     if (problem.noise is None) != (problem.diffusion is None):
         raise ConfigurationError(
             "noise model and diffusion coefficients must be supplied together")
@@ -202,12 +219,13 @@ def simulate_path(problem: Problem, trajectory_id: int = 0,
     elif sampler is None:
         sampler = IncrementSampler(problem.noise, trajectory_id)
 
-    u = np.asarray(problem.initial, dtype=float).copy()
-    times = [0.0]
-    states = [u.copy()]
+    u = np.asarray(problem.initial, dtype=float)
+    states = np.empty((snapshots.size,) + u.shape)
+    states[0] = u
+    schedule, kept = snapshots.tolist(), 1
     sup = float(np.abs(u).max())
     guard = float(cfg.blowup_guard)
-    for step in range(n_steps):
+    for step in range(schedule[-1]):
         t = step * cfg.dt
         dW = sampler(step, cfg.dt) if sampler is not None else None
         u = stepper.step(u, t, dW)
@@ -220,10 +238,8 @@ def simulate_path(problem: Problem, trajectory_id: int = 0,
             raise BlowupDetected(
                 f"trajectory {trajectory_id} exceeded guard {guard:g} at step {step + 1}",
                 trajectory_id=trajectory_id, step=step + 1)
-        if (step + 1) % cfg.snapshot_stride == 0 or step + 1 == n_steps:
-            times.append((step + 1) * cfg.dt)
-            states.append(u.copy())
-    seed = problem.noise.seed if problem.noise is not None else None
-    return TrajectorySet(np.asarray(times), np.asarray(states), cfg.scheme, sup,
-                         trajectory_id=trajectory_id, seed=seed,
-                         config_hash=problem.config_hash)
+        if step + 1 == schedule[kept]:
+            states[kept] = u
+            kept += 1
+    return TrajectorySet(snapshots * float(cfg.dt), states, cfg.scheme, sup,
+                         trajectory_id=trajectory_id)

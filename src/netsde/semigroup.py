@@ -170,8 +170,8 @@ def solve_heat(system: DiscreteSystem, initial: np.ndarray, horizon: float, dt: 
     ``backward_euler`` marches ``(G - dt*A_form) u+ = G u`` with
     ``sde.simulate_path``: the plain semi-implicit scheme without reaction or
     noise.  ``spectral`` evaluates the exact semigroup at the same snapshot
-    times.  Both raise ConfigurationError unless ``horizon`` is a positive
-    integer multiple of ``dt``.
+    times, ``SolverConfig.snapshot_steps``.  Both raise ConfigurationError
+    unless ``horizon`` is a whole multiple of ``dt``.
     """
     from .sde import Problem, SolverConfig, simulate_path  # sde imports this module
 
@@ -181,12 +181,8 @@ def solve_heat(system: DiscreteSystem, initial: np.ndarray, horizon: float, dt: 
         return replace(simulate_path(Problem(system, config, initial)), scheme="backward_euler")
     if method != "spectral":
         raise ValueError(f"unknown method {method!r}")
-    n_steps = config.n_steps
+    times = config.snapshot_steps * float(dt)
     spectral = generalized_eigs(system)
-    steps = list(range(0, n_steps + 1, snapshot_stride))
-    if steps[-1] != n_steps:
-        steps.append(n_steps)
-    times = dt * np.asarray(steps, dtype=float)
     states = np.array([semigroup_apply(system, t, initial, spectral) for t in times])
     sup = float(np.abs(states).max())
     return TrajectorySet(times, states, "spectral", sup)

@@ -9,7 +9,7 @@ import numpy as np
 
 @dataclass(frozen=True)
 class TrajectorySet:
-    """Snapshots of one run: times, states in FEM coordinates, provenance.
+    """Snapshots of one run: times and states in FEM coordinates.
 
     Vertex continuity holds at every snapshot by construction of the shared
     vertex dofs.  ``sup_norm`` is the maximum nodal absolute value over every
@@ -21,8 +21,6 @@ class TrajectorySet:
     scheme: str
     sup_norm: float
     trajectory_id: int = 0
-    seed: int | None = None
-    config_hash: str = ""
 
     def final_state(self) -> np.ndarray:
         return self.states[-1]

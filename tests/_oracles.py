@@ -7,7 +7,8 @@ matrix exponentials, Monte Carlo reference statistics use plain numpy, and
 the colored-noise factor is materialized from per-element antiderivatives.
 The backward-Euler march and the exponential-Euler step keep the loop and
 the three-term form the package used before every scheme shared one step
-map.  Noise increments come from a Philox generator constructed afresh for
+map, and the stochastic march keeps the snapshot loop that preceded
+``SolverConfig.snapshot_steps``.  Noise increments come from a Philox generator constructed afresh for
 every draw, with the factor applied through ``@``.  Run configs are checked
 against the section-by-section normalizer that preceded the schema table.
 The per-dof owner map and the node-by-node interpolation are the ones the
@@ -26,7 +27,8 @@ from netsde.expressions import parse_expression
 from netsde.fields import edge_functions
 from netsde.graph import build_graph
 from netsde.mesh import build_mesh
-from netsde.sde import SCHEMES
+from netsde.noise import IncrementSampler
+from netsde.sde import SCHEMES, Stepper
 
 
 def robin_eigenvalues(count, kappa=1.0):
@@ -154,6 +156,28 @@ def backward_euler_heat(system, initial, horizon, dt, snapshot_stride=1):
         sup = max(sup, float(np.abs(u).max()))
         if step % snapshot_stride == 0 or step == n_steps:
             times.append(step * dt)
+            states.append(u.copy())
+    return np.asarray(times), np.asarray(states), sup
+
+
+def reference_simulate_path(problem, trajectory_id=0):
+    """``(times, states, sup_norm)`` of one trajectory from a loop of its
+    own: a state copy appended to a list every ``snapshot_stride`` steps and
+    at the last step, the list stacked at the end."""
+    cfg = problem.config
+    n_steps = int(round(cfg.t_end / cfg.dt))
+    stepper = Stepper(problem.system, cfg.dt, cfg.scheme, problem.drift, problem.diffusion)
+    sampler = None if problem.noise is None else IncrementSampler(problem.noise, trajectory_id)
+    u = np.asarray(problem.initial, dtype=float).copy()
+    times = [0.0]
+    states = [u.copy()]
+    sup = float(np.abs(u).max())
+    for step in range(n_steps):
+        dW = sampler(step, cfg.dt) if sampler is not None else None
+        u = stepper.step(u, step * cfg.dt, dW)
+        sup = max(sup, float(np.abs(u).max()))
+        if (step + 1) % cfg.snapshot_stride == 0 or step + 1 == n_steps:
+            times.append((step + 1) * cfg.dt)
             states.append(u.copy())
     return np.asarray(times), np.asarray(states), sup
 

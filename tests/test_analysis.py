@@ -335,6 +335,106 @@ class TestStrongOrder:
         assert expo.estimate >= semi.estimate - 0.05
 
 
+class _Marched(Exception):
+    """Raised in place of a march: the estimator accepted its time grid."""
+
+
+def _refuse_march(*args, **kwargs):
+    raise _Marched
+
+
+class TestTimeGrid:
+    """The whole-multiple rule at its four sites, and the estimators' grid
+    errors, which come before the first step."""
+
+    @pytest.fixture
+    def steps(self, monkeypatch):
+        calls = []
+        original = Stepper.step
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(Stepper, "step", counted)
+        return calls
+
+    @staticmethod
+    def check_site(site, off, monkeypatch):
+        """Run ``site`` on a grid whose checked duration is off by the
+        relative amount ``off``; _Marched or a value when it is accepted."""
+        stretch = 1.0 + off
+        if site == "t_end/dt":
+            return SolverConfig(1e-3, 0.2 * stretch).n_steps
+        if site == "lags/dt":
+            monkeypatch.setattr(analysis, "run_trajectories", _refuse_march)
+            return estimate_holder_exponent(heat_noise_problem(t_end=0.2),
+                                            [4e-3 * stretch, 8e-3, 16e-3, 32e-3], 1)
+        if site == "lags/spacing":
+            times = 1e-3 * np.arange(301)
+            paths = list(np.random.default_rng(1).standard_normal((2, times.size, 3)))
+            return holder_exponent_from_paths(times, paths, [2e-3 * stretch, 4e-3, 8e-3, 16e-3])
+        monkeypatch.setattr(analysis, "simulate_path", _refuse_march)
+        dt = 0.0625 / 256
+        return estimate_strong_order(heat_noise_problem(t_end=0.0625),
+                                     [dt, 4 * dt * stretch, 8 * dt, 16 * dt], 1)
+
+    @pytest.mark.parametrize("site", ["t_end/dt", "lags/dt", "lags/spacing", "ladder/finest"])
+    def test_whole_multiple_tolerance(self, site, monkeypatch):
+        try:
+            self.check_site(site, 1e-11, monkeypatch)
+        except _Marched:
+            pass
+        with pytest.raises(ConfigurationError, match="whole number"):
+            self.check_site(site, 1e-7, monkeypatch)
+
+    # lags in units of dt = 1e-3 on t_end = 0.2 unless the case changes t_end
+    @pytest.mark.parametrize("t_end, lags, burn_fraction, error, match", [
+        (0.2, [4, 8, 16], 0.25, LadderTooShort, "got 3"),
+        (0.2, [8, 4, 16, 32], 0.25, ConfigurationError, "increasing"),
+        (0.2, [4.5, 8, 16, 32], 0.25, InsufficientResolution, "whole number"),
+        (0.2, [2, 4, 8, 16], 0.25, InsufficientResolution, "at least 4x"),
+        (0.2, [4, 8, 16, 160], 0.25, InsufficientResolution, "burn-in"),
+        (0.2, [4, 8, 16, 32], -0.5, ConfigurationError, "-0.5"),
+        (0.2, [4, 8, 16, 32], float("nan"), ConfigurationError, "nan"),
+        (0.2005, [4, 8, 16, 32], 0.25, ConfigurationError, "t_end"),
+        (0.201, [4, 8, 16, 32], 0.25, ConfigurationError, "uniformly spaced"),
+    ], ids=["short_ladder", "unordered", "lag_off_grid", "lag_below_4dt", "burn_in",
+            "negative_burn_fraction", "nan_burn_fraction", "t_end_off_grid",
+            "stride_not_dividing_steps"])
+    def test_holder_grid_errors_come_before_the_first_step(self, steps, t_end, lags,
+                                                           burn_fraction, error, match):
+        problem = heat_noise_problem(dt=1e-3, t_end=t_end)
+        with pytest.raises(error, match=match):
+            estimate_holder_exponent(problem, np.array(lags) * 1e-3, n_trajectories=2,
+                                     burn_fraction=burn_fraction)
+        assert steps == []
+
+    # ladders in units of 1e-3 on t_end = 0.064
+    @pytest.mark.parametrize("ladder, error, match", [
+        ([1, 2, 4], LadderTooShort, "got 3"),
+        ([1, 2.5, 4, 8], ConfigurationError, "whole number"),
+        ([1, 1, 2, 4], ConfigurationError, "at least twice"),
+        ([1, 3, 6, 12], ConfigurationError, "t_end"),
+        ([1.5, 3, 6, 12], ConfigurationError, "t_end"),
+    ], ids=["short_ladder", "not_nested", "repeated_step", "level_off_t_end",
+            "finest_off_t_end"])
+    def test_strong_order_grid_errors_come_before_the_first_step(self, steps, ladder, error,
+                                                                 match):
+        problem = heat_noise_problem(dt=1e-3, t_end=0.064)
+        with pytest.raises(error, match=match):
+            estimate_strong_order(problem, np.array(ladder) * 1e-3, n_trajectories=2)
+        assert steps == []
+
+    def test_paths_need_two_snapshots(self):
+        with pytest.raises(InsufficientResolution, match="got 1"):
+            holder_exponent_from_paths([0.0], [np.zeros((1, 3))], [1e-3, 2e-3, 4e-3, 8e-3])
+
+    def test_paths_need_one_path(self):
+        with pytest.raises(ConfigurationError, match="got 0"):
+            holder_exponent_from_paths(1e-3 * np.arange(101), [], [1e-3, 2e-3, 4e-3, 8e-3])
+
+
 class TestVertexResidual:
     def test_constant_conserved_state_has_zero_residual(self):
         graph = build_graph(3, [(1, 2), (2, 3)])

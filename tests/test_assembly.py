@@ -15,7 +15,13 @@ from netsde.errors import (
     ValidationFailure,
 )
 from netsde.expressions import parse_expression
-from netsde.fields import as_edge_function, build_edge_fields
+from netsde.fields import (
+    EdgeFieldSet,
+    EdgeFunction,
+    allen_cahn_system,
+    as_edge_function,
+    build_edge_fields,
+)
 from netsde.graph import VertexMatrix, build_graph
 from netsde.mesh import build_mesh, interpolate
 
@@ -364,6 +370,24 @@ def test_one_pass_assembly_matches_edge_by_edge_oracle():
         assert _matrix_bytes(system) == [(A.indptr.tobytes(), A.indices.tobytes(),
                                           A.data.tobytes()) for A in (G, S, K, A_form)]
         assert system.lumped_mass.tobytes() == lumped.tobytes()
+
+
+@pytest.mark.parametrize("potential", [0.25, [0.25, "x*(1-x)", 0.0]])
+def test_shifted_potential_assembles_like_a_pointwise_shift(potential):
+    """A constant p_j shifted by rho_j stays constant; assembly sees the
+    samples of p_j(x) + rho_j taken point by point."""
+    mesh = build_mesh(build_graph(4, [(1, 2), (1, 3), (1, 4)]), 5)
+    base = build_edge_fields(3, potential=potential)
+    spec = allen_cahn_system([1.0, 1.5, 2.0], base)
+    pointwise = EdgeFieldSet(base.conductance, tuple(
+        EdgeFunction(lambda x, p=p, s=s: p(x) + s) for p, s in zip(base.potential, spec.rho)),
+        base.weights)
+    matrix = VertexMatrix(-np.eye(4))
+    system = assemble_form(mesh, spec.fields, matrix)
+    G, S, K, A_form, lumped = reference_assemble_form(mesh, pointwise, matrix)
+    assert _matrix_bytes(system) == [(A.indptr.tobytes(), A.indices.tobytes(),
+                                      A.data.tobytes()) for A in (G, S, K, A_form)]
+    assert system.lumped_mass.tobytes() == lumped.tobytes()
 
 
 class TestOneCoefficientFiveSpellings:

@@ -108,7 +108,6 @@ class TestParseConfig:
         config = parse_config(write_config(tmp_path, minimal_config()))
         problem = build_model(config)
         assert problem.system.ndof == 4 + 2
-        assert problem.config_hash == config.hash
         assert problem.noise.seed == 7
         # Allen-Cahn with beta = 1: -u^3 + beta^2 u on the single edge
         assert (tuple(tuple(fn.constant for fn in row) for row in problem.drift.coefficients)
@@ -353,6 +352,27 @@ class TestCli:
             assert run_command([command, "--config", str(path),
                                 "--output-dir", str(tmp_path / "o")]) == 1
             assert f"experiment.name must be '{command}'" in capsys.readouterr().err
+
+    def test_trajectory_count_overrides_own_experiment(self, tmp_path):
+        path = write_config(tmp_path, minimal_config(experiment={"name": "simulate"}))
+        out = tmp_path / "o"
+        assert run_command(["simulate", "--config", str(path), "--output-dir", str(out),
+                            "--trajectories", "3"]) == 0
+        assert json.loads((out / "summary.json").read_text())["trajectories"] == 3
+        assert sorted(p.name for p in out.glob("trajectory_*.csv")) == [
+            f"trajectory_000{i}.csv" for i in range(3)]
+
+    @pytest.mark.parametrize("command, experiment", [
+        ("simulate", "holder"), ("validate", "validate"), ("spectrum", "spectrum"),
+        ("validate", "simulate"),
+    ])
+    def test_unused_trajectory_count_rejected(self, tmp_path, capsys, command, experiment):
+        path = write_config(tmp_path, minimal_config(experiment={"name": experiment}))
+        out = tmp_path / "o"
+        assert run_command([command, "--config", str(path), "--output-dir", str(out),
+                            "--trajectories", "3"]) == 1
+        assert "netsde: error: --trajectories is not used" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("amplitudes", [[1.0, 2.0], [1.0, 2.0, 3.0, 4.0]])
     def test_colored_amplitude_count_must_match_edges(self, tmp_path, capsys, amplitudes):

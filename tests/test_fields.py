@@ -61,6 +61,10 @@ class TestEdgeFields:
             with pytest.raises(ConfigurationError, match=f"{field} on edge 2 is not finite"):
                 build_edge_fields(2, **{field: [1.0, parse_expression(text, ("x",))]})
 
+    def test_infinite_weight_rejected(self):
+        with pytest.raises(ConfigurationError, match="finite, got \\[inf\\]"):
+            build_edge_fields(1, weights=np.inf)
+
     def test_per_edge_lists(self):
         fields = build_edge_fields(2, conductance=[1.0, 2.0], weights=[2.0, 3.0])
         assert fields.conductance[1](0.5) == 2.0
@@ -91,6 +95,16 @@ class TestDrift:
         assert spec.fields.potential[0](0.5) == 3.0
         assert spec.fields.potential[1](0.5) == 0.0
 
+    def test_shifted_constant_potential_stays_constant(self):
+        spec = allen_cahn_system([1.0, 1.5, 2.0], build_edge_fields(3))
+        assert [p.constant for p in spec.fields.potential] == spec.rho.tolist()
+
+    def test_shifted_variable_potential_stays_variable(self):
+        fields = build_edge_fields(2, potential=[0.5, parse_expression("x", ("x",))])
+        shifted = allen_cahn_system([1.0, 2.0], fields).fields
+        assert [p.constant for p in shifted.potential] == [3.5, None]
+        assert shifted.potential[1](0.25) == 0.25
+
     def test_equal_betas_leave_potential_alone(self):
         fields = build_edge_fields(2, potential=0.25)
         shifted = allen_cahn_system([2.0, 2.0], fields).fields
@@ -103,6 +117,10 @@ class TestDrift:
     def test_nan_beta_rejected(self):
         with pytest.raises(NonpositiveBeta):
             allen_cahn_system([1.0, np.nan], build_edge_fields(2))
+
+    def test_infinite_beta_rejected(self):
+        with pytest.raises(ConfigurationError, match="finite, got \\[inf\\]"):
+            allen_cahn_system([np.inf], build_edge_fields(1))
 
     def test_odd_symmetry(self):
         drift = allen_cahn_system([1.5], build_edge_fields(1)).drift

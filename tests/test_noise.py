@@ -5,7 +5,7 @@ import pytest
 
 from _oracles import colored_factor, philox_increment
 from netsde.assembly import assemble_form
-from netsde.errors import DecayTooSlow, DimensionMismatch
+from netsde.errors import ConfigurationError, DecayTooSlow, DimensionMismatch
 from netsde.fields import build_edge_fields
 from netsde.graph import VertexMatrix, build_graph
 from netsde.mesh import build_mesh
@@ -125,6 +125,15 @@ class TestColoredNoise:
     def test_slow_decay_rejected(self):
         with pytest.raises(DecayTooSlow):
             colored_noise_operator(small_system(), decay=0.4)
+
+    def test_nan_decay_rejected(self):
+        with pytest.raises(DecayTooSlow, match="nan"):
+            colored_noise_operator(small_system(), decay=np.nan)
+
+    @pytest.mark.parametrize("amplitudes", [np.nan, np.inf, -1.0])
+    def test_amplitudes_must_be_finite_and_nonnegative(self, amplitudes):
+        with pytest.raises(ConfigurationError, match=str(amplitudes)):
+            colored_noise_operator(small_system(), decay=1.5, amplitudes=amplitudes)
 
     def test_trace_grows_with_modes_but_converges(self):
         sys = small_system(n_int=31)

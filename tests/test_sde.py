@@ -32,6 +32,7 @@ from _oracles import (
     backward_euler_heat,
     random_multigraph_mesh,
     reference_dof_map,
+    reference_simulate_path,
     three_term_exponential_step,
 )
 
@@ -185,6 +186,27 @@ class TestSimulatePath:
         traj = simulate_path(problem)
         np.testing.assert_allclose(traj.times, [0.0, 0.005, 0.01])
 
+    # 10 steps: every step, only the last, beyond the last, and a stride
+    # that does not divide the step count
+    @pytest.mark.parametrize("stride", [1, 10, 13, 3])
+    def test_snapshots_match_reference_loop(self, stride):
+        problem, _ = allen_cahn_problem(noise_seed=3, t_end=0.01, dt=1e-3)
+        problem = problem.with_config(snapshot_stride=stride)
+        traj = simulate_path(problem, trajectory_id=2)
+        times, states, sup = reference_simulate_path(problem, trajectory_id=2)
+        assert np.array_equal(traj.times, times)
+        assert np.array_equal(traj.states, states)
+        assert traj.sup_norm == sup
+
+    @pytest.mark.parametrize("stride", [1, 10, 13, 3])
+    def test_spectral_solver_keeps_the_march_snapshot_times(self, stride):
+        sys = conserved_heat_system()
+        u0 = interpolate(sys.mesh, [lambda x: x, lambda x: 1.0 + x * (1 - x)])
+        march = simulate_path(Problem(sys, SolverConfig(0.01, 0.1, snapshot_stride=stride), u0))
+        spectral = solve_heat(sys, u0, horizon=0.1, dt=0.01, method="spectral",
+                              snapshot_stride=stride)
+        assert np.array_equal(spectral.times, march.times)
+
     @pytest.mark.parametrize("changes", [
         {"blowup_guard": float("nan")}, {"blowup_guard": 0.0}, {"blowup_guard": -1.0},
         {"snapshot_stride": 0}, {"snapshot_stride": 2.5}, {"snapshot_stride": True},
@@ -193,6 +215,10 @@ class TestSimulatePath:
     def test_solver_config_rejects_invalid_field(self, changes):
         with pytest.raises(ConfigurationError):
             SolverConfig(1e-3, 1e-2, **changes)
+
+    def test_solver_config_rejects_infinite_t_end(self):
+        with pytest.raises(ConfigurationError, match="t_end=inf"):
+            SolverConfig(1e-3, float("inf")).n_steps
 
     def test_solver_config_accepts_infinite_guard_and_numpy_stride(self):
         cfg = SolverConfig(1e-3, 1e-2, snapshot_stride=np.int64(5), blowup_guard=np.inf)
