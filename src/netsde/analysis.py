@@ -2,7 +2,7 @@
 
 Everything here is deterministic given (configuration, base seed): each
 trajectory derives its noise stream from counter-based keys, trajectories
-run serially in id order through ``simulate_path``, and every reduction
+run serially in id order through ``Stepper.march``, and every reduction
 follows that order.
 """
 
@@ -19,7 +19,7 @@ from .graph import weighted_incidence
 from .fields import well_density
 from .mesh import edge_integral
 from .noise import coupled_sampler
-from .sde import Problem, Stepper, simulate_path, whole_steps
+from .sde import Problem, Stepper, whole_steps
 from .trajectory import TrajectorySet
 
 
@@ -51,9 +51,8 @@ def run_trajectories(problem: Problem, trajectory_ids) -> list[TrajectorySet]:
 
     One prefactorized stepper serves every trajectory.
     """
-    cfg = problem.config
-    stepper = Stepper(problem.system, cfg.dt, cfg.scheme, problem.drift, problem.diffusion)
-    return [simulate_path(problem, i, stepper) for i in trajectory_ids]
+    stepper = Stepper(problem)
+    return [stepper.march(i) for i in trajectory_ids]
 
 
 def monte_carlo(problem: Problem, n_trajectories: int, q: float = 4.0,
@@ -199,7 +198,12 @@ def estimate_holder_exponent(problem: Problem, lags, n_trajectories: int,
     if steps[0] < 4:
         raise InsufficientResolution(
             f"smallest lag {lags[0]:g} must be at least 4x the time step {cfg.dt:g}")
-    run_problem = problem.with_config(snapshot_stride=int(np.gcd.reduce(steps)))
+    stride = int(np.gcd.reduce(steps))
+    if cfg.n_steps % stride:
+        raise InsufficientResolution(
+            f"the snapshot stride of {stride} steps (the gcd of the lags' steps) does not "
+            f"divide the {cfg.n_steps} steps to t_end; make t_end a multiple of {stride} steps")
+    run_problem = problem.with_config(snapshot_stride=stride)
     _lag_grid(run_problem.config.snapshot_steps * float(cfg.dt), lags, burn_fraction)
     trajs = run_trajectories(run_problem, range(n_trajectories))
     return holder_exponent_from_paths(trajs[0].times, [t.states for t in trajs],
@@ -232,8 +236,7 @@ def estimate_strong_order(problem: Problem, dt_ladder, n_trajectories: int,
         raise ConfigurationError(
             f"every ladder step must be at least twice the finest step, got {ladder.tolist()}")
     # each level's SolverConfig checks its dt against t_end before any march
-    levels = [problem.with_config(dt=float(dt)) for dt in ladder]
-    levels = [level.with_config(snapshot_stride=level.config.n_steps) for level in levels]
+    n_steps = [problem.with_config(dt=float(dt)).config.n_steps for dt in ladder]
 
     system = problem.system
     if norm == "E2":
@@ -243,18 +246,20 @@ def estimate_strong_order(problem: Problem, dt_ladder, n_trajectories: int,
     else:
         raise ValueError(f"unknown norm {norm!r}")
 
-    # one set-up per system: the levels differ only in their dt-dependent part
-    base = Stepper(system, dt_ref, problem.config.scheme, problem.drift, problem.diffusion)
-    steppers = [base] + [base.with_dt(level.config.dt) for level in levels[1:]]
+    # one set-up per system: the levels differ only in their dt-dependent part,
+    # and each keeps only its initial and final states
+    base = Stepper(problem.with_config(dt=dt_ref, snapshot_stride=n_steps[0]))
+    levels = [base] + [base.with_config(dt=float(dt), snapshot_stride=n)
+                       for dt, n in zip(ladder[1:], n_steps[1:])]
 
     all_errs = []
     for traj_id in range(n_trajectories):
         finals = []
-        for level, stepper, ratio in zip(levels, steppers, [1, *ratios]):
+        for level, ratio in zip(levels, [1, *ratios]):
             # the reference level draws the trajectory's own fine stream
             sampler = (coupled_sampler(problem.noise, traj_id, ratio)
                        if ratio > 1 and problem.noise is not None else None)
-            finals.append(simulate_path(level, traj_id, stepper, sampler).final_state())
+            finals.append(level.march(traj_id, sampler).final_state())
         all_errs.append([norm_fn(u - finals[0]) for u in finals[1:]])
     means = np.mean(np.array(all_errs), axis=0)
     slope, half_width, r2, residuals = _ols_loglog(ladder[1:], means)

@@ -37,7 +37,7 @@ from .fields import validate_diffusion, validate_drift
 from .graph import validate_vertex_matrix
 from .mesh import Mesh, node_coordinates
 from .noise import STREAM_VERSION
-from .semigroup import check_contraction, check_positivity, generalized_eigs
+from .semigroup import EXPM_LIMIT, check_contraction, check_positivity, generalized_eigs
 
 
 def _log(level, message):
@@ -156,11 +156,6 @@ def _cmd_validate(args, config: RunConfig, out_dir: Path) -> int:
     return 0
 
 
-# largest system whose sup-norm contraction and positivity reports run: they
-# take dense matrix exponentials
-_DENSE_PROPERTY_LIMIT = 400
-
-
 def _cmd_spectrum(args, config: RunConfig, out_dir: Path) -> int:
     system = build_model(config).system
     count = min(_settings(config, "spectrum")["count"], system.ndof)
@@ -170,12 +165,12 @@ def _cmd_spectrum(args, config: RunConfig, out_dir: Path) -> int:
     t_grid = [0.01, 0.1, 1.0]
     properties = {"contraction_e2": check_contraction(system, t_grid, "E2").as_dict()}
     ndof = system.ndof
-    if ndof <= _DENSE_PROPERTY_LIMIT:
+    if ndof <= EXPM_LIMIT:
         properties["contraction_einf"] = check_contraction(system, t_grid, "Einf").as_dict()
         properties["positivity"] = check_positivity(system, t_grid).as_dict()
     else:
         _log("info", f"contraction_einf and positivity skipped: {ndof} dofs exceed the "
-                     f"{_DENSE_PROPERTY_LIMIT}-dof limit of their dense matrix exponentials")
+                     f"{EXPM_LIMIT}-dof limit of their dense matrix exponentials")
     _write_json(out_dir / "properties.json", properties)
     artifacts = ["spectrum.csv", "properties.json"]
     if getattr(args, "dump_matrices", False):

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .assembly import assemble_form
-from .errors import SchemaViolation
+from .errors import ConfigurationError, SchemaViolation
 from .expressions import parse_expression
 from .fields import (
     DiffusionSpec,
@@ -396,7 +396,10 @@ class RunConfig:
         data = json.loads(json.dumps(self.data))
         if seed is not None:
             data["seed"] = int(seed)
-        if trajectories is not None and "trajectories" in data["experiment"]:
+        if trajectories is not None:
+            if "trajectories" not in data["experiment"]:
+                raise ConfigurationError(f"the {data['experiment']['name']!r} experiment has "
+                                         "no trajectory count to override")
             data["experiment"]["trajectories"] = int(trajectories)
         if output_dir is not None:
             data["output_dir"] = str(output_dir)

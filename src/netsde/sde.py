@@ -15,9 +15,9 @@ eigendecomposition (``V^T G V = I``, so this is ``exp(dt A_h)`` applied to
 ``u + dt * F + G^{-1} Gamma dW``).
 
 Every march, the deterministic ``semigroup.solve_heat`` included, runs
-through ``simulate_path``.  Each trajectory derives its own noise stream
-from (seed, trajectory, step) and owns its state vector, so a trajectory's
-path does not depend on which others run or in what order.
+through ``Stepper(problem).march``; ``simulate_path`` is its one-trajectory
+form.  Each trajectory derives its own noise stream from (seed, trajectory,
+step) and owns its state, so its path does not depend on which others run.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import numpy as np
 import scipy.sparse.linalg as spla
 
 from .assembly import DiscreteSystem, bind_matvec
-from .errors import BlowupDetected, ConfigurationError, LinearSolveFailure
+from .errors import BlowupDetected, ConfigurationError, DimensionMismatch, LinearSolveFailure
 from .fields import DiffusionSpec, DriftSpec, eval_drift
 from .mesh import Mesh, node_coordinates, write_edge_values
 from .noise import IncrementSampler, NoiseModel
@@ -97,6 +97,28 @@ class Problem:
     diffusion: DiffusionSpec | None = None
     noise: NoiseModel | None = None
 
+    def __post_init__(self):
+        """Check once, before any set-up, that every part fits the system."""
+        if (self.noise is None) != (self.diffusion is None):
+            raise ConfigurationError(
+                "noise model and diffusion coefficients must be supplied together")
+        ndof, n_edges = self.system.ndof, self.system.mesh.n_edges
+        initial = np.asarray(self.initial, dtype=float)
+        if initial.shape != (ndof,):
+            raise DimensionMismatch(
+                f"initial state has shape {initial.shape}, the system has {ndof} dofs")
+        finite = np.isfinite(initial)
+        if not finite.all():
+            raise ConfigurationError(
+                f"initial state is not finite at {ndof - int(finite.sum())} of {ndof} dofs")
+        for part, spec in (("drift", self.drift), ("diffusion", self.diffusion)):
+            if spec is not None and spec.n_edges != n_edges:
+                raise DimensionMismatch(
+                    f"{part} has {spec.n_edges} edges, the system has {n_edges}")
+        if self.noise is not None and self.noise.factor.shape[0] != ndof:
+            raise DimensionMismatch(f"noise factor has {self.noise.factor.shape[0]} rows, "
+                                    f"the system has {ndof} dofs")
+
     def with_config(self, **changes) -> "Problem":
         return replace(self, config=replace(self.config, **changes))
 
@@ -142,20 +164,18 @@ def nodal_diffusion_evaluator(spec: DiffusionSpec | None, mesh: Mesh):
 
 
 class Stepper:
-    """Prefactorized one-step map for a fixed (system, dt, scheme)."""
+    """The prefactorized one-step map of one Problem, and its time loop."""
 
-    def __init__(self, system: DiscreteSystem, dt: float, scheme: str,
-                 drift: DriftSpec | None = None, diffusion: DiffusionSpec | None = None):
-        if scheme not in SCHEMES:
-            raise ConfigurationError(f"unknown scheme {scheme!r}")
-        self.system = system
-        self.dt = float(dt)
-        self.scheme = scheme
-        self.drift = nodal_drift_evaluator(drift, system.mesh)
-        self.diffusion = nodal_diffusion_evaluator(diffusion, system.mesh)
-        self._mass_matvec = bind_matvec(system.mass)
-        if scheme == "exponential_euler":
-            self._spectral = generalized_eigs(system)
+    def __init__(self, problem: Problem):
+        problem.config.n_steps  # an off-grid t_end raises before any set-up
+        self.problem = problem
+        self.dt = float(problem.config.dt)
+        self.scheme = problem.config.scheme
+        self.drift = nodal_drift_evaluator(problem.drift, problem.system.mesh)
+        self.diffusion = nodal_diffusion_evaluator(problem.diffusion, problem.system.mesh)
+        self._mass_matvec = bind_matvec(problem.system.mass)
+        if self.scheme == "exponential_euler":
+            self._spectral = generalized_eigs(problem.system)
         self._set_up_dt()
 
     def _set_up_dt(self):
@@ -167,18 +187,23 @@ class Stepper:
             decay = np.exp(self._spectral.eigenvalues * self.dt)
             self._resolve = lambda rhs: V @ (decay * (V.T @ rhs))
             return
-        system = self.system
+        system = self.problem.system
         try:
             self._resolve = spla.splu((system.mass - self.dt * system.form_matrix).tocsc()).solve
         except RuntimeError as err:
             raise LinearSolveFailure(str(err)) from err
 
-    def with_dt(self, dt: float) -> "Stepper":
-        """The same map for another time step, sharing every dt-independent
-        part (evaluators, the bound mass matvec, spectral data)."""
+    def with_config(self, **changes) -> "Stepper":
+        """The stepper of ``problem.with_config(**changes)``: it shares every
+        dt-independent part and sets up the dt-dependent one again for a new dt."""
+        if changes.get("scheme", self.scheme) != self.scheme:
+            raise ConfigurationError(
+                f"a {self.scheme} stepper cannot switch to {changes['scheme']!r}")
         other = copy.copy(self)
-        other.dt = float(dt)
-        other._set_up_dt()
+        other.problem = self.problem.with_config(**changes)
+        other.dt = float(other.problem.config.dt)
+        if other.dt != self.dt:
+            other._set_up_dt()
         return other
 
     def step(self, state: np.ndarray, t: float, increment: np.ndarray | None) -> np.ndarray:
@@ -191,55 +216,52 @@ class Stepper:
             u = state + dt * forcing
         rhs = self._mass_matvec(u)
         if increment is not None:
-            gamma = self.diffusion(t, state) if self.diffusion is not None else 1.0
-            rhs += gamma * increment
+            rhs += self.diffusion(t, state) * increment
         return self._resolve(rhs)
 
+    def march(self, trajectory_id: int = 0, sampler=None) -> TrajectorySet:
+        """March one full trajectory of the problem and collect snapshots.
 
-def simulate_path(problem: Problem, trajectory_id: int = 0,
-                  stepper: Stepper | None = None, sampler=None) -> TrajectorySet:
-    """March one full trajectory and collect snapshots.
+        ``sampler(step, dt)`` supplies the noise increments; it defaults to the
+        trajectory's own stream ``IncrementSampler(problem.noise, trajectory_id)``
+        and is ignored without a noise model.  Raises LinearSolveFailure when a
+        step produces non-finite values, and BlowupDetected (tagged with the
+        trajectory id) when the nodal sup norm exceeds the configured guard,
+        which signals scheme instability and should not occur with taming.
+        """
+        problem, cfg = self.problem, self.problem.config
+        snapshots = cfg.snapshot_steps
+        if problem.noise is None:
+            sampler = None
+        elif sampler is None:
+            sampler = IncrementSampler(problem.noise, trajectory_id)
 
-    ``sampler(step, dt)`` supplies the noise increments; it defaults to the
-    trajectory's own stream ``IncrementSampler(problem.noise, trajectory_id)``
-    and is ignored without a noise model.  Raises LinearSolveFailure when a
-    step produces non-finite values, and BlowupDetected (tagged with the
-    trajectory id) when the nodal sup norm exceeds the configured guard,
-    which signals scheme instability and should not occur with taming.
-    """
-    cfg = problem.config
-    snapshots = cfg.snapshot_steps
-    if (problem.noise is None) != (problem.diffusion is None):
-        raise ConfigurationError(
-            "noise model and diffusion coefficients must be supplied together")
-    if stepper is None:
-        stepper = Stepper(problem.system, cfg.dt, cfg.scheme, problem.drift, problem.diffusion)
-    if problem.noise is None:
-        sampler = None
-    elif sampler is None:
-        sampler = IncrementSampler(problem.noise, trajectory_id)
+        u = np.asarray(problem.initial, dtype=float)
+        states = np.empty((snapshots.size,) + u.shape)
+        states[0] = u
+        schedule, kept = snapshots.tolist(), 1
+        sup = float(np.abs(u).max())
+        guard = float(cfg.blowup_guard)
+        for step in range(schedule[-1]):
+            t = step * cfg.dt
+            dW = sampler(step, cfg.dt) if sampler is not None else None
+            u = self.step(u, t, dW)
+            level = float(np.abs(u).max())
+            sup = max(sup, level)
+            if not math.isfinite(level):
+                raise LinearSolveFailure(
+                    f"trajectory {trajectory_id} produced non-finite values at step {step + 1}")
+            if level > guard:
+                raise BlowupDetected(
+                    f"trajectory {trajectory_id} exceeded guard {guard:g} at step {step + 1}",
+                    trajectory_id=trajectory_id, step=step + 1)
+            if step + 1 == schedule[kept]:
+                states[kept] = u
+                kept += 1
+        return TrajectorySet(snapshots * float(cfg.dt), states, cfg.scheme, sup,
+                             trajectory_id=trajectory_id)
 
-    u = np.asarray(problem.initial, dtype=float)
-    states = np.empty((snapshots.size,) + u.shape)
-    states[0] = u
-    schedule, kept = snapshots.tolist(), 1
-    sup = float(np.abs(u).max())
-    guard = float(cfg.blowup_guard)
-    for step in range(schedule[-1]):
-        t = step * cfg.dt
-        dW = sampler(step, cfg.dt) if sampler is not None else None
-        u = stepper.step(u, t, dW)
-        level = float(np.abs(u).max())
-        sup = max(sup, level)
-        if not math.isfinite(level):
-            raise LinearSolveFailure(
-                f"trajectory {trajectory_id} produced non-finite values at step {step + 1}")
-        if level > guard:
-            raise BlowupDetected(
-                f"trajectory {trajectory_id} exceeded guard {guard:g} at step {step + 1}",
-                trajectory_id=trajectory_id, step=step + 1)
-        if step + 1 == schedule[kept]:
-            states[kept] = u
-            kept += 1
-    return TrajectorySet(snapshots * float(cfg.dt), states, cfg.scheme, sup,
-                         trajectory_id=trajectory_id)
+
+def simulate_path(problem: Problem, trajectory_id: int = 0) -> TrajectorySet:
+    """March one full trajectory of ``problem``: ``Stepper(problem).march``."""
+    return Stepper(problem).march(trajectory_id)

@@ -28,6 +28,9 @@ from .report import Check, ValidationReport
 from .trajectory import TrajectorySet
 
 DENSE_LIMIT = 5000  # above this many dofs use iterative shift-invert
+# largest system whose propagator, a dense matrix exponential, is formed; the
+# sup-norm contraction and positivity reports are built from it
+EXPM_LIMIT = 400
 
 
 @dataclass(frozen=True)
@@ -103,7 +106,12 @@ def semigroup_apply(system: DiscreteSystem, t: float, state: np.ndarray,
 
 
 def propagator(system: DiscreteSystem, t: float, lumped: bool = True) -> np.ndarray:
-    """Dense matrix exponential of the generator in nodal coordinates."""
+    """Dense matrix exponential of the generator in nodal coordinates; above
+    EXPM_LIMIT dofs raises ConfigurationError before forming dense arrays."""
+    if system.ndof > EXPM_LIMIT:
+        raise ConfigurationError(
+            f"a dense propagator of {system.ndof} dofs takes a dense matrix exponential; "
+            f"it is limited to EXPM_LIMIT = {EXPM_LIMIT} dofs")
     A = system.form_matrix.toarray()
     if lumped:
         B = A / system.lumped_mass[:, None]
@@ -168,8 +176,8 @@ def solve_heat(system: DiscreteSystem, initial: np.ndarray, horizon: float, dt: 
     """Deterministic reference solver for the linear flow.
 
     ``backward_euler`` marches ``(G - dt*A_form) u+ = G u`` with
-    ``sde.simulate_path``: the plain semi-implicit scheme without reaction or
-    noise.  ``spectral`` evaluates the exact semigroup at the same snapshot
+    ``sde.simulate_path`` (``Stepper.march``): the plain semi-implicit scheme
+    without reaction or noise.  ``spectral`` evaluates the exact semigroup at the same snapshot
     times, ``SolverConfig.snapshot_steps``.  Both raise ConfigurationError
     unless ``horizon`` is a whole multiple of ``dt``.
     """

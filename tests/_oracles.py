@@ -166,7 +166,7 @@ def reference_simulate_path(problem, trajectory_id=0):
     at the last step, the list stacked at the end."""
     cfg = problem.config
     n_steps = int(round(cfg.t_end / cfg.dt))
-    stepper = Stepper(problem.system, cfg.dt, cfg.scheme, problem.drift, problem.diffusion)
+    stepper = Stepper(problem)
     sampler = None if problem.noise is None else IncrementSampler(problem.noise, trajectory_id)
     u = np.asarray(problem.initial, dtype=float).copy()
     times = [0.0]

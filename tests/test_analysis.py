@@ -196,9 +196,7 @@ def reference_strong_order_errors(problem, ladder, n_trajectories, norm_fn):
     dt_ref = float(ladder[0])
     ratios = np.round(ladder[1:] / dt_ref).astype(int)
     t_end = problem.config.t_end
-    steppers = {float(dt): Stepper(problem.system, float(dt), problem.config.scheme,
-                                   problem.drift, problem.diffusion)
-                for dt in ladder}
+    steppers = {float(dt): Stepper(problem.with_config(dt=float(dt))) for dt in ladder}
 
     def final_state(dt, sampler):
         u = np.asarray(problem.initial, dtype=float).copy()
@@ -280,9 +278,9 @@ class TestStrongOrder:
 
     def test_diffusion_without_noise_rejected(self):
         problem = heat_noise_problem()
-        bad = Problem(problem.system, problem.config, problem.initial,
-                      None, problem.diffusion, None)
         with pytest.raises(ConfigurationError, match="supplied together"):
+            bad = Problem(problem.system, problem.config, problem.initial,
+                          None, problem.diffusion, None)
             estimate_strong_order(bad, 0.25 / np.array([256.0, 32.0, 16.0, 8.0]),
                                   n_trajectories=1)
 
@@ -290,7 +288,7 @@ class TestStrongOrder:
         def march(*args, **kwargs):
             raise AssertionError("trajectories marched before their count was checked")
 
-        monkeypatch.setattr(analysis, "simulate_path", march)
+        monkeypatch.setattr(Stepper, "march", march)
         problem = heat_noise_problem(dt=1e-3, t_end=0.064)
         with pytest.raises(ConfigurationError, match="at least one trajectory"):
             estimate_strong_order(problem, [2.5e-4, 1e-3, 2e-3, 4e-3], n_trajectories=0)
@@ -374,7 +372,7 @@ class TestTimeGrid:
             times = 1e-3 * np.arange(301)
             paths = list(np.random.default_rng(1).standard_normal((2, times.size, 3)))
             return holder_exponent_from_paths(times, paths, [2e-3 * stretch, 4e-3, 8e-3, 16e-3])
-        monkeypatch.setattr(analysis, "simulate_path", _refuse_march)
+        monkeypatch.setattr(Stepper, "march", _refuse_march)
         dt = 0.0625 / 256
         return estimate_strong_order(heat_noise_problem(t_end=0.0625),
                                      [dt, 4 * dt * stretch, 8 * dt, 16 * dt], 1)
@@ -398,7 +396,7 @@ class TestTimeGrid:
         (0.2, [4, 8, 16, 32], -0.5, ConfigurationError, "-0.5"),
         (0.2, [4, 8, 16, 32], float("nan"), ConfigurationError, "nan"),
         (0.2005, [4, 8, 16, 32], 0.25, ConfigurationError, "t_end"),
-        (0.201, [4, 8, 16, 32], 0.25, ConfigurationError, "uniformly spaced"),
+        (0.201, [4, 8, 16, 32], 0.25, InsufficientResolution, "stride of 4 steps .* 201 steps"),
     ], ids=["short_ladder", "unordered", "lag_off_grid", "lag_below_4dt", "burn_in",
             "negative_burn_fraction", "nan_burn_fraction", "t_end_off_grid",
             "stride_not_dividing_steps"])

@@ -7,7 +7,7 @@ import pytest
 from netsde import cli
 from netsde.cli import run_command
 from netsde.config import build_model, config_hash, normalize_config, parse_config
-from netsde.errors import SchemaViolation
+from netsde.errors import ConfigurationError, SchemaViolation
 from netsde.mesh import node_coordinates
 
 
@@ -103,6 +103,11 @@ class TestParseConfig:
     def test_seed_override(self, tmp_path):
         config = parse_config(write_config(tmp_path, minimal_config()))
         assert config.with_overrides(seed=42).seed == 42
+
+    def test_trajectory_override_needs_a_trajectory_count(self):
+        config = parse_config(Path(__file__).parent / "golden" / "configs" / "validate.json")
+        with pytest.raises(ConfigurationError, match="'validate' experiment has no trajectory"):
+            config.with_overrides(trajectories=3)
 
     def test_build_model_round_trip(self, tmp_path):
         config = parse_config(write_config(tmp_path, minimal_config()))

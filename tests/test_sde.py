@@ -5,7 +5,12 @@ import pytest
 
 from netsde.analysis import allen_cahn_energy, estimate_strong_order
 from netsde.assembly import assemble_form
-from netsde.errors import BlowupDetected, ConfigurationError, LinearSolveFailure
+from netsde.errors import (
+    BlowupDetected,
+    ConfigurationError,
+    DimensionMismatch,
+    LinearSolveFailure,
+)
 from netsde.expressions import parse_expression
 from netsde.fields import (
     DiffusionSpec,
@@ -74,22 +79,21 @@ class TestEmStep:
         sys = conserved_heat_system()
         rng = np.random.default_rng(1)
         u = rng.standard_normal(sys.ndof)
-        stepped = Stepper(sys, 0.01, "semi_implicit_tamed").step(u, 0.0, None)
+        stepped = Stepper(Problem(sys, SolverConfig(0.01, 0.01), u)).step(u, 0.0, None)
         _, states, _ = backward_euler_heat(sys, u, horizon=0.01, dt=0.01)
         np.testing.assert_allclose(stepped, states[-1], atol=1e-13)
 
     def test_constant_state_preserved_in_conserved_config(self):
         sys = conserved_heat_system()
         u = np.full(sys.ndof, 3.0)
-        stepped = Stepper(sys, 0.05, "semi_implicit_tamed").step(u, 0.0, None)
+        stepped = Stepper(Problem(sys, SolverConfig(0.05, 0.05), u)).step(u, 0.0, None)
         np.testing.assert_allclose(stepped, u, atol=1e-12)
 
     def test_well_bottom_is_fixed_point(self):
         problem, spec = allen_cahn_problem(betas=(2.0, 2.0, 2.0), initial=2.0, conserved=True)
-        sys = problem.system
         u = problem.initial
         # rho = 0, the potential is unshifted, f(beta) = 0: u stays at beta
-        stepper = Stepper(sys, 0.01, "semi_implicit_tamed", drift=spec.drift)
+        stepper = Stepper(problem.with_config(dt=0.01))
         stepped = stepper.step(u, 0.0, None)
         np.testing.assert_allclose(stepped, u, atol=1e-12)
 
@@ -104,7 +108,7 @@ class TestEmStep:
         Minv = np.linalg.inv(G - dt * sys.form_matrix.toarray())
         mean_oracle = Minv @ (G @ u0)
         cov_oracle = dt * Minv @ G @ Minv.T
-        stepper = Stepper(sys, dt, "semi_implicit_tamed", diffusion=diffusion)
+        stepper = Stepper(Problem(sys, SolverConfig(dt, dt), u0, diffusion=diffusion, noise=noise))
         n_rep = 20000
         outs = np.empty((n_rep, sys.ndof))
         for rep in range(n_rep):
@@ -233,10 +237,40 @@ class TestSimulatePath:
 
     def test_noise_without_diffusion_rejected(self):
         problem, _ = allen_cahn_problem(noise_seed=1, t_end=0.01)
-        bad = Problem(problem.system, problem.config, problem.initial,
-                      problem.drift, None, problem.noise)
         with pytest.raises(ConfigurationError):
+            bad = Problem(problem.system, problem.config, problem.initial,
+                          problem.drift, None, problem.noise)
             simulate_path(bad)
+
+    # a 3-star with 8 interior nodes per edge: 3 edges, 28 dofs
+    @pytest.mark.parametrize("part, error, match", [
+        ("short_initial", DimensionMismatch, r"initial state has shape \(27,\), .* 28 dofs"),
+        ("nan_initial", ConfigurationError, "initial state is not finite at 1 of 28 dofs"),
+        ("per_edge_drift", DimensionMismatch, "drift has 2 edges, the system has 3"),
+        ("shared_drift", DimensionMismatch, "drift has 2 edges, the system has 3"),
+        ("constant_diffusion", DimensionMismatch, "diffusion has 2 edges, the system has 3"),
+        ("varying_diffusion", DimensionMismatch, "diffusion has 2 edges, the system has 3"),
+        ("noise_of_other_system", DimensionMismatch, "noise factor has 31 rows, .* 28 dofs"),
+    ], ids=["short_initial", "nan_initial", "per_edge_drift", "shared_drift",
+            "constant_diffusion", "varying_diffusion", "noise_of_other_system"])
+    def test_problem_rejects_parts_that_do_not_fit(self, part, error, match):
+        problem, _ = allen_cahn_problem(n_int=8, noise_seed=1, t_end=0.01)
+        assert problem.system.ndof == 28
+        nan_initial = problem.initial.copy()
+        nan_initial[5] = np.nan
+        changes = {
+            "short_initial": dict(initial=problem.initial[:27]),
+            "nan_initial": dict(initial=nan_initial),
+            "per_edge_drift": dict(drift=polynomial_drift(
+                1, [[0.0, 1.0, 0.0, 1.0], [0.0, 2.0, 0.0, 1.0]], n_edges=2)),
+            "shared_drift": dict(drift=polynomial_drift(1, [0.0, 1.0, 0.0, 1.0], n_edges=2)),
+            "constant_diffusion": dict(diffusion=build_diffusion(2, 1.0)),
+            "varying_diffusion": dict(diffusion=build_diffusion(2, "1+x")),
+            "noise_of_other_system": dict(noise=white_noise_model(
+                allen_cahn_problem(n_int=9)[0].system, seed=1)),
+        }[part]
+        with pytest.raises(error, match=match):
+            replace(problem, **changes)
 
     def test_exponential_euler_matches_exact_linear_flow(self):
         sys = conserved_heat_system()
@@ -247,13 +281,58 @@ class TestSimulatePath:
         np.testing.assert_allclose(traj.final_state(), exact, atol=1e-10)
 
 
+class TestStepperWithConfig:
+    def test_shares_set_up_until_dt_changes(self, monkeypatch):
+        from netsde import sde
+
+        problem, _ = allen_cahn_problem(noise_seed=3, t_end=0.01)
+        calls = []
+        original = sde.spla.splu
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(sde.spla, "splu", counted)
+        stepper = Stepper(problem)
+        strided = stepper.with_config(snapshot_stride=5)
+        assert len(calls) == 1
+        assert strided.problem.config.snapshot_stride == 5 and stepper.problem is problem
+        coarse = stepper.with_config(dt=2e-3)
+        assert len(calls) == 2
+        for other, changes in ((strided, dict(snapshot_stride=5)), (coarse, dict(dt=2e-3))):
+            reference = simulate_path(problem.with_config(**changes), trajectory_id=1)
+            march = other.march(trajectory_id=1)
+            assert np.array_equal(march.times, reference.times)
+            assert np.array_equal(march.states, reference.states)
+
+    def test_off_grid_t_end_raises_before_set_up(self, monkeypatch):
+        from netsde import sde
+
+        def no_set_up(*args, **kwargs):
+            raise AssertionError("set up before the time grid was checked")
+
+        monkeypatch.setattr(sde.spla, "splu", no_set_up)
+        monkeypatch.setattr(sde, "generalized_eigs", no_set_up)
+        for scheme in ("semi_implicit_tamed", "exponential_euler"):
+            problem, _ = allen_cahn_problem(t_end=0.0105, scheme=scheme)
+            with pytest.raises(ConfigurationError, match="t_end / dt"):
+                Stepper(problem)
+
+    def test_scheme_change_rejected(self):
+        problem, _ = allen_cahn_problem(t_end=0.01)
+        with pytest.raises(ConfigurationError, match="exponential_euler"):
+            Stepper(problem).with_config(scheme="exponential_euler")
+
+
 class TestExponentialEuler:
     def test_step_matches_three_term_oracle(self):
         problem, _ = allen_cahn_problem(n_int=20, dt=1e-3, t_end=0.1, noise_seed=9,
                                         initial=3.0)
         diffusion = build_diffusion(3, parse_expression("1 + 0.1*u*x", ("t", "x", "u")))
         dt = problem.config.dt
-        stepper = Stepper(problem.system, dt, "exponential_euler", problem.drift, diffusion)
+        stepper = Stepper(replace(problem.with_config(scheme="exponential_euler"),
+                                  diffusion=diffusion))
         spectral = generalized_eigs(problem.system)
         sampler = IncrementSampler(problem.noise, 0)
         u = v = problem.initial
@@ -284,7 +363,7 @@ class TestExponentialEuler:
         monkeypatch.setattr(sde.spla, "splu", counted)
         simulate_path(problem)
         assert calls == []
-        Stepper(problem.system, problem.config.dt, "semi_implicit_tamed")
+        Stepper(problem.with_config(scheme="semi_implicit_tamed"))
         assert len(calls) == 1
 
 

@@ -7,7 +7,7 @@ from netsde.errors import ConfigurationError
 from netsde.fields import build_edge_fields
 from netsde.graph import VertexMatrix, build_graph
 from netsde.mesh import build_mesh, interpolate
-from netsde.sde import Stepper
+from netsde.sde import Problem, SolverConfig, Stepper
 from netsde.semigroup import (
     check_contraction,
     check_positivity,
@@ -52,7 +52,7 @@ class TestGeneralizedEigs:
         with pytest.raises(ConfigurationError, match=limit):
             solve_heat(sys, u0, horizon=0.1, dt=0.1, method="spectral")
         with pytest.raises(ConfigurationError, match=limit):
-            Stepper(sys, 0.1, "exponential_euler")
+            Stepper(Problem(sys, SolverConfig(0.1, 0.1, "exponential_euler"), u0))
         # a partial decomposition takes the iterative path instead
         np.testing.assert_allclose(generalized_eigs(sys, count=3).eigenvalues, partial,
                                    rtol=1e-10)
@@ -187,6 +187,24 @@ class TestContraction:
         assert e2.passed
         einf = check_contraction(sys, [0.02], norm="Einf")
         assert not einf.passed
+
+
+def test_dense_propagator_limit_fails_fast(monkeypatch):
+    # a 3-star with 134 interior nodes per edge: 406 dofs, above EXPM_LIMIT = 400
+    graph = build_graph(4, [(1, 2), (1, 3), (1, 4)])
+    sys = assemble_form(build_mesh(graph, 134), build_edge_fields(3), VertexMatrix(-np.eye(4)))
+
+    def dense_expm(*args, **kwargs):
+        raise AssertionError("dense expm reached above EXPM_LIMIT")
+
+    monkeypatch.setattr(semigroup.scipy.linalg, "expm", dense_expm)
+    limit = "406 dofs.*EXPM_LIMIT = 400"
+    with pytest.raises(ConfigurationError, match=limit):
+        propagator(sys, 0.1)
+    with pytest.raises(ConfigurationError, match=limit):
+        check_contraction(sys, [0.1], norm="Einf")
+    with pytest.raises(ConfigurationError, match=limit):
+        check_positivity(sys, [0.1])
 
 
 class TestPositivity:
