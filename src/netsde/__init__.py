@@ -49,15 +49,13 @@ from .graph import (
 from .mesh import Mesh, build_mesh, eval_state, interpolate
 from .noise import NoiseModel, colored_noise_operator, white_noise_model
 from .report import Check, ValidationReport
-from .sde import Problem, SolverConfig, simulate_path
+from .sde import Problem, SolverConfig, TrajectorySet, simulate_path, solve_heat
 from .semigroup import (
     SpectralData,
     check_contraction,
     check_positivity,
     generalized_eigs,
     semigroup_apply,
-    solve_heat,
 )
-from .trajectory import TrajectorySet
 
 __version__ = "0.1.0"

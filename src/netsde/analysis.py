@@ -14,13 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assembly import DiscreteSystem, bind_matvec
-from .errors import ConfigurationError, InsufficientResolution, LadderTooShort
+from .errors import ConfigurationError, DimensionMismatch, InsufficientResolution, LadderTooShort
 from .graph import weighted_incidence
 from .fields import well_density
 from .mesh import edge_integral
 from .noise import coupled_sampler
-from .sde import Problem, Stepper, whole_steps
-from .trajectory import TrajectorySet
+from .sde import Problem, Stepper, TrajectorySet, whole_steps
 
 
 @dataclass(frozen=True)
@@ -126,30 +125,34 @@ def holder_exponent_from_paths(times, paths, lags, norm_fn=None,
     """Regress log mean increment norms against log lag over sampled paths.
 
     ``paths`` is a nonempty sequence of (n_snap, d) arrays sharing the
-    uniform ``times``; every lag must be a whole multiple of the snapshot
-    spacing.  Increment norms are averaged over interior start times (after
-    a burn-in prefix) and over paths, then fitted by ordinary least squares.
+    uniform ``times``, with d taken from the first path; any other shape
+    raises DimensionMismatch.  Every lag must be a whole multiple of the
+    snapshot spacing.  Increment norms are averaged over interior start
+    times (after a burn-in prefix) and over paths, then fitted by ordinary
+    least squares.
     """
     lags, steps, start = _lag_grid(times, lags, burn_fraction)
     if len(paths) == 0:
         raise ConfigurationError(f"need at least one path, got {len(paths)}")
     n_snap = len(times)
+    paths = [np.asarray(path, dtype=float) for path in paths]
+    # a first path that is not 2-D fixes no d, and its shape cannot match
+    d = paths[0].shape[1] if paths[0].ndim == 2 else "d"
+    for i, path in enumerate(paths):
+        if path.shape != (n_snap, d):
+            raise DimensionMismatch(f"path {i} has shape {path.shape}, expected ({n_snap}, {d})")
     if norm_fn is None:
         norm_fn = lambda diffs: np.linalg.norm(diffs, axis=1)
 
     sums = np.zeros(lags.size)
     counts = np.zeros(lags.size)
-    buffer = None
+    # one buffer for every increment array; the smallest lag has the most rows
+    buffer = np.empty((n_snap - start - steps[0], d))
     for path in paths:
-        path = np.asarray(path, dtype=float)
-        if buffer is None:
-            # one buffer for every increment array; the smallest lag has the
-            # most rows
-            buffer = np.empty((n_snap - start - steps[0],) + path.shape[1:])
         for i, k in enumerate(steps):
             diffs = np.subtract(path[start + k:], path[start:-k],
                                 out=buffer[:n_snap - start - k])
-            sums[i] += float(norm_fn(np.atleast_2d(diffs)).sum())
+            sums[i] += float(norm_fn(diffs).sum())
             counts[i] += diffs.shape[0]
     means = sums / counts
     slope, half_width, r2, residuals = _ols_loglog(lags, means)

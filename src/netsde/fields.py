@@ -99,6 +99,21 @@ def edge_functions(value, m, variables=("x",)) -> tuple:
     return (as_edge_function(value, variables),) * m
 
 
+def per_edge_numbers(value, m: int, what: str) -> np.ndarray:
+    """The per-edge number rule, as an (m,) float array: one number is
+    shared by all m edges, and a list has one entry per edge.  Anything else
+    raises DimensionMismatch naming ``what``, the edge count and the length
+    given.  Signs and finiteness are the caller's to check."""
+    values = np.asarray(value, dtype=float)
+    if values.ndim == 0:
+        return np.full(m, float(values))
+    if values.shape != (m,):
+        given = f"length {len(values)}" if values.ndim == 1 else f"shape {values.shape}"
+        raise DimensionMismatch(f"need one {what} per edge ({m}) or one shared number, "
+                                f"got {given}")
+    return values
+
+
 @dataclass(frozen=True)
 class EdgeFieldSet:
     """Validated per-edge linear coefficients: c_j > 0, p_j >= 0, mu_j > 0."""
@@ -142,9 +157,7 @@ def build_edge_fields(n_edges: int, conductance=1.0, potential=0.0, weights=1.0)
     uniform grid of 129 points; assembly re-checks at its quadrature points.
     """
     m = int(n_edges)
-    mu = np.full(m, float(weights)) if np.ndim(weights) == 0 else np.asarray(weights, dtype=float)
-    if mu.shape != (m,):
-        raise DimensionMismatch(f"weights must be scalar or length {m}")
+    mu = per_edge_numbers(weights, m, "weight")
     if not np.all(mu > 0.0):
         raise NonpositiveWeight(f"edge weights must be positive, got {mu}")
     if not np.isfinite(mu).all():
@@ -321,11 +334,7 @@ def well_density(eta, beta: float):
 
 
 def allen_cahn_system(betas, base_fields: EdgeFieldSet) -> AllenCahnSpec:
-    betas = np.atleast_1d(np.asarray(betas, dtype=float))
-    if betas.shape == (1,):
-        betas = np.full(base_fields.n_edges, betas[0])
-    if betas.shape != (base_fields.n_edges,):
-        raise DimensionMismatch(f"need one beta per edge ({base_fields.n_edges})")
+    betas = per_edge_numbers(betas, base_fields.n_edges, "beta")
     if not np.all(betas > 0.0):
         raise NonpositiveBeta(f"well parameters must be positive, got {betas}")
     if not np.isfinite(betas).all():

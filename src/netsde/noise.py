@@ -38,7 +38,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .assembly import DiscreteSystem, bind_matvec, noise_covariance_factor
-from .errors import ConfigurationError, DecayTooSlow, DimensionMismatch
+from .errors import ConfigurationError, DecayTooSlow
+from .fields import per_edge_numbers
 from .mesh import Mesh
 
 _MASK64 = (1 << 64) - 1
@@ -173,11 +174,7 @@ def colored_noise_operator(system: DiscreteSystem, decay: float, seed: int = 0,
     n_modes = int(n_modes)
     if n_modes < 1:
         raise ValueError("need at least one noise mode per edge")
-    amp = np.asarray(1.0 if amplitudes is None else amplitudes, dtype=float)
-    if amp.ndim == 0:
-        amp = np.full(m, float(amp))
-    if amp.shape != (m,):
-        raise DimensionMismatch(f"need one noise amplitude per edge ({m}), got {amp.size}")
+    amp = per_edge_numbers(1.0 if amplitudes is None else amplitudes, m, "noise amplitude")
     if not np.all((amp >= 0.0) & (amp < np.inf)):
         raise ConfigurationError(
             f"noise amplitudes must be finite and nonnegative, got {amp.tolist()}")

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 
 @dataclass(frozen=True)
@@ -38,18 +38,4 @@ class ValidationReport:
         return [c.name for c in self.checks if c.mandatory and not c.passed]
 
     def as_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "checks": [
-                {
-                    "name": c.name,
-                    "passed": c.passed,
-                    "measured": c.measured,
-                    "threshold": c.threshold,
-                    "mandatory": c.mandatory,
-                    "note": c.note,
-                }
-                for c in self.checks
-            ],
-            "context": dict(self.context),
-        }
+        return {**asdict(self), "passed": self.passed}

@@ -14,10 +14,11 @@ semigroup ``V exp(Lambda dt) V^T rhs`` through the G-orthonormal
 eigendecomposition (``V^T G V = I``, so this is ``exp(dt A_h)`` applied to
 ``u + dt * F + G^{-1} Gamma dW``).
 
-Every march, the deterministic ``semigroup.solve_heat`` included, runs
-through ``Stepper(problem).march``; ``simulate_path`` is its one-trajectory
-form.  Each trajectory derives its own noise stream from (seed, trajectory,
-step) and owns its state, so its path does not depend on which others run.
+Every march runs through ``Stepper(problem).march``; ``simulate_path`` is
+its one-trajectory form and ``solve_heat`` its deterministic backward Euler
+reference.  This module builds on ``semigroup``, never the other way round.
+Each trajectory derives its own noise stream from (seed, trajectory, step)
+and owns its state, so its path does not depend on which others run.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from .fields import DiffusionSpec, DriftSpec, eval_drift
 from .mesh import Mesh, node_coordinates, write_edge_values
 from .noise import IncrementSampler, NoiseModel
 from .semigroup import generalized_eigs
-from .trajectory import TrajectorySet
 
 SCHEMES = ("semi_implicit_tamed", "semi_implicit_plain", "exponential_euler")
 
@@ -121,6 +121,24 @@ class Problem:
 
     def with_config(self, **changes) -> "Problem":
         return replace(self, config=replace(self.config, **changes))
+
+
+@dataclass(frozen=True)
+class TrajectorySet:
+    """Snapshots of one march: times and states in FEM coordinates.
+
+    Vertex continuity holds at every snapshot by construction of the shared
+    vertex dofs.  ``sup_norm`` is the maximum nodal absolute value over every
+    step taken (not only the saved snapshots).
+    """
+
+    times: np.ndarray       # (n_snap,)
+    states: np.ndarray      # (n_snap, ndof)
+    sup_norm: float
+    trajectory_id: int = 0
+
+    def final_state(self) -> np.ndarray:
+        return self.states[-1]
 
 
 def _nodal_evaluator(mesh: Mesh, rows, whole, on_edge):
@@ -258,10 +276,19 @@ class Stepper:
             if step + 1 == schedule[kept]:
                 states[kept] = u
                 kept += 1
-        return TrajectorySet(snapshots * float(cfg.dt), states, cfg.scheme, sup,
-                             trajectory_id=trajectory_id)
+        return TrajectorySet(snapshots * float(cfg.dt), states, sup, trajectory_id)
 
 
 def simulate_path(problem: Problem, trajectory_id: int = 0) -> TrajectorySet:
     """March one full trajectory of ``problem``: ``Stepper(problem).march``."""
     return Stepper(problem).march(trajectory_id)
+
+
+def solve_heat(system: DiscreteSystem, initial: np.ndarray, horizon: float, dt: float,
+               snapshot_stride: int = 1) -> TrajectorySet:
+    """Backward Euler for ``G du/dt = A_form u``: the plain semi-implicit march
+    without reaction or noise.  Raises ConfigurationError unless ``horizon`` is
+    a whole multiple of ``dt``; the exact flow is ``semigroup_apply``."""
+    config = SolverConfig(dt, horizon, "semi_implicit_plain", snapshot_stride,
+                          blowup_guard=np.inf)
+    return simulate_path(Problem(system, config, initial))

@@ -4,7 +4,9 @@ The semi-discrete flow is ``G du/dt = A_form u``; its generator in nodal
 coordinates is ``A_h = G^{-1} A_form``.  At desk scale the semigroup is
 applied exactly through the full generalized eigendecomposition of the
 symmetric pencil ``A_form v = lambda G v``, which removes time-stepping
-error from every qualitative property check.
+error from every qualitative property check.  This module imports no
+march: ``sde`` builds on it and holds ``solve_heat``, backward Euler for
+the same flow.
 
 Positivity and sup-norm contractivity are certified on the row-sum lumped
 propagator: the consistent-mass propagator is not entrywise nonnegative
@@ -15,7 +17,7 @@ label which propagator was tested).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -25,7 +27,6 @@ import scipy.sparse.linalg as spla
 from .assembly import DiscreteSystem
 from .errors import ConfigurationError, FactorizationFailure
 from .report import Check, ValidationReport
-from .trajectory import TrajectorySet
 
 DENSE_LIMIT = 5000  # above this many dofs use iterative shift-invert
 # largest system whose propagator, a dense matrix exponential, is formed; the
@@ -170,27 +171,3 @@ def check_positivity(system: DiscreteSystem, t_grid) -> ValidationReport:
         checks.append(Check(f"min_entry_t_{t:g}", min_entry >= -TOL_POS, min_entry, -TOL_POS))
     return ValidationReport(tuple(checks), context={"propagator": "lumped"})
 
-
-def solve_heat(system: DiscreteSystem, initial: np.ndarray, horizon: float, dt: float,
-               method: str = "backward_euler", snapshot_stride: int = 1) -> TrajectorySet:
-    """Deterministic reference solver for the linear flow.
-
-    ``backward_euler`` marches ``(G - dt*A_form) u+ = G u`` with
-    ``sde.simulate_path`` (``Stepper.march``): the plain semi-implicit scheme
-    without reaction or noise.  ``spectral`` evaluates the exact semigroup at the same snapshot
-    times, ``SolverConfig.snapshot_steps``.  Both raise ConfigurationError
-    unless ``horizon`` is a whole multiple of ``dt``.
-    """
-    from .sde import Problem, SolverConfig, simulate_path  # sde imports this module
-
-    config = SolverConfig(dt, horizon, "semi_implicit_plain", snapshot_stride,
-                          blowup_guard=np.inf)
-    if method == "backward_euler":
-        return replace(simulate_path(Problem(system, config, initial)), scheme="backward_euler")
-    if method != "spectral":
-        raise ValueError(f"unknown method {method!r}")
-    times = config.snapshot_steps * float(dt)
-    spectral = generalized_eigs(system)
-    states = np.array([semigroup_apply(system, t, initial, spectral) for t in times])
-    sup = float(np.abs(states).max())
-    return TrajectorySet(times, states, "spectral", sup)

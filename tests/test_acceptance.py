@@ -21,9 +21,8 @@ from netsde.fields import allen_cahn_system, build_diffusion, build_edge_fields
 from netsde.graph import VertexMatrix, build_graph
 from netsde.mesh import build_mesh, interpolate
 from netsde.noise import IncrementSampler, colored_noise_operator, white_noise_model
-from netsde.sde import Problem, SolverConfig, simulate_path
-from netsde.semigroup import generalized_eigs, propagator, solve_heat
-from netsde.trajectory import TrajectorySet
+from netsde.sde import Problem, SolverConfig, TrajectorySet, simulate_path, solve_heat
+from netsde.semigroup import generalized_eigs, propagator
 
 from _oracles import robin_eigenfunction, robin_eigenvalues
 from conftest import record_acceptance
@@ -301,7 +300,7 @@ def test_criterion_10_vertex_law():
     for n_int in (15, 31, 63):
         sys = assemble_form(build_mesh(graph, n_int), fields, VertexMatrix(-np.eye(2)))
         state = interpolate(sys.mesh, mode)
-        traj = TrajectorySet(np.array([0.0]), state[None, :], "steady", 1.0)
+        traj = TrajectorySet(np.array([0.0]), state[None, :], 1.0)
         residuals.append(float(vertex_residual(traj, sys)[0]))
     hs = np.array([1 / 16, 1 / 32, 1 / 64])
     order = float(np.polyfit(np.log(hs), np.log(residuals), 1)[0])

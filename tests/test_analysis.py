@@ -18,14 +18,18 @@ from netsde.analysis import (
     vertex_residual,
 )
 from netsde.assembly import assemble_form
-from netsde.errors import ConfigurationError, InsufficientResolution, LadderTooShort
+from netsde.errors import (
+    ConfigurationError,
+    DimensionMismatch,
+    InsufficientResolution,
+    LadderTooShort,
+)
 from netsde.fields import build_diffusion, build_edge_fields, polynomial_drift
 from netsde.graph import VertexMatrix, build_graph
 from netsde.mesh import build_mesh, interpolate
 from netsde.noise import IncrementSampler, coupled_sampler, white_noise_model
-from netsde.sde import Problem, SolverConfig, Stepper, simulate_path
-from netsde.trajectory import TrajectorySet
-from netsde.semigroup import semigroup_apply, solve_heat
+from netsde.sde import Problem, SolverConfig, Stepper, TrajectorySet, simulate_path, solve_heat
+from netsde.semigroup import semigroup_apply
 
 from _oracles import robin_eigenfunction, robin_eigenvalues
 
@@ -83,6 +87,18 @@ class TestHolderCalibration:
         lags = np.array([2, 4, 8, 16]) * 1e-3
         est = holder_exponent_from_paths(times, [path], lags)
         assert est.estimate == pytest.approx(1.0, abs=0.05)
+
+    @pytest.mark.parametrize("shapes, match", [
+        ([(401,)], r"path 0 has shape \(401,\), expected \(401, d\)"),
+        ([(401, 1), (90, 1)], r"path 1 has shape \(90, 1\), expected \(401, 1\)"),
+        ([(120, 1)], r"path 0 has shape \(120, 1\), expected \(401, 1\)"),
+        ([(401, 2), (401, 3)], r"path 1 has shape \(401, 3\), expected \(401, 2\)"),
+    ], ids=["one_dimensional", "short", "long", "columns"])
+    def test_paths_must_fit_the_times(self, shapes, match):
+        times, (path,) = self.brownian_paths(n_paths=1)
+        paths = [np.resize(path, shape) for shape in shapes]
+        with pytest.raises(DimensionMismatch, match=match):
+            holder_exponent_from_paths(times, paths, np.array([2, 4, 8, 16]) * 1e-3)
 
     def test_lag_validation(self):
         times, paths = self.brownian_paths(n_paths=2, n_snap=64)
@@ -440,7 +456,7 @@ class TestVertexResidual:
         M = np.array([[-1.0, 1.0, 0.0], [1.0, -2.0, 1.0], [0.0, 1.0, -1.0]])
         system = assemble_form(build_mesh(graph, 4), fields, VertexMatrix(M))
         u = np.full(system.ndof, 2.0)
-        traj = TrajectorySet(np.array([0.0]), u[None, :], "static", 2.0)
+        traj = TrajectorySet(np.array([0.0]), u[None, :], 2.0)
         assert np.all(vertex_residual(traj, system) == 0.0)
 
     def test_robin_eigenmode_residual_first_order(self):

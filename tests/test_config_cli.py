@@ -15,7 +15,7 @@ def minimal_config(**overrides):
     cfg = {
         "graph": {"n_vertices": 2, "edges": [[1, 2]]},
         "vertex_matrix": [[-1.0, 1.0], [1.0, -1.0]],
-        "drift": {"type": "allen_cahn", "betas": [1.0]},
+        "drift": {"type": "allen_cahn", "betas": 1.0},
         "solver": {"dt": 1e-3, "t_end": 0.01},
         "mesh": {"interior_nodes": 4},
         "seed": 7,

@@ -3,6 +3,7 @@ import pytest
 
 from netsde.errors import (
     ConfigurationError,
+    DimensionMismatch,
     NegativePotential,
     NonpositiveBeta,
     NonpositiveConductance,
@@ -65,6 +66,11 @@ class TestEdgeFields:
         with pytest.raises(ConfigurationError, match="finite, got \\[inf\\]"):
             build_edge_fields(1, weights=np.inf)
 
+    @pytest.mark.parametrize("weights", [[2.0], [1.0, 2.0, 3.0, 4.0], [[1.0, 2.0, 3.0]]])
+    def test_weights_need_one_number_or_one_per_edge(self, weights):
+        with pytest.raises(DimensionMismatch, match=r"one weight per edge \(3\)"):
+            build_edge_fields(3, weights=weights)
+
     def test_per_edge_lists(self):
         fields = build_edge_fields(2, conductance=[1.0, 2.0], weights=[2.0, 3.0])
         assert fields.conductance[1](0.5) == 2.0
@@ -121,6 +127,10 @@ class TestDrift:
     def test_infinite_beta_rejected(self):
         with pytest.raises(ConfigurationError, match="finite, got \\[inf\\]"):
             allen_cahn_system([np.inf], build_edge_fields(1))
+
+    def test_one_beta_in_a_list_is_not_shared(self):
+        with pytest.raises(DimensionMismatch, match=r"one beta per edge \(3\).*got length 1"):
+            allen_cahn_system([1.5], build_edge_fields(3))
 
     def test_odd_symmetry(self):
         drift = allen_cahn_system([1.5], build_edge_fields(1)).drift

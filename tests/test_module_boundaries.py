@@ -1,8 +1,10 @@
-"""Private names stay inside their module.
+"""Private names stay inside their module, and package imports run one way.
 
 Every ``src/netsde/*.py`` module is parsed with ``ast``: no module imports
 another netsde module's private (underscore) name, and only ``assembly.py``
 imports SciPy's private ``_sparsetools``, through ``assembly.bind_matvec``.
+Every relative import is a module-level statement, and the graph of
+``from .module import ...`` edges has no cycle.
 """
 
 import ast
@@ -31,6 +33,46 @@ def _imports(path: Path):
                 yield alias.name, None
 
 
+def _relative_imports(path: Path):
+    """``(name, nested)`` for every relative import in the file: ``from .mesh
+    import x`` and ``from . import mesh`` both give ``mesh`` (so ``from .
+    import __version__`` gives a name that is no module), and ``nested`` is
+    true unless the import is a module-level statement."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    top = set(map(id, tree.body))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            names = [node.module.split(".")[0]] if node.module else [a.name for a in node.names]
+            for name in names:
+                yield name, id(node) not in top
+
+
+def _import_cycle(paths):
+    """The first cycle of the package's import graph as ``a -> b -> a``, or None."""
+    modules = {p.stem for p in paths}
+    graph = {p.stem: sorted({m for m, _ in _relative_imports(p) if m in modules}) for p in paths}
+    done, stack = set(), []
+
+    def visit(module):
+        if module in stack:
+            return stack[stack.index(module):] + [module]
+        if module in done:
+            return None
+        stack.append(module)
+        for imported in graph[module]:
+            cycle = visit(imported)
+            if cycle:
+                return cycle
+        done.add(stack.pop())
+        return None
+
+    for module in sorted(graph):
+        cycle = visit(module)
+        if cycle:
+            return " -> ".join(cycle)
+    return None
+
+
 def _is_netsde(module: str) -> bool:
     return module.startswith(".") or module == "netsde" or module.startswith("netsde.")
 
@@ -48,6 +90,30 @@ def test_sparsetools_only_in_assembly(path):
     uses = [(module, name) for module, name in _imports(path)
             if "_sparsetools" in module.split(".") or name == "_sparsetools"]
     assert not uses, f"{path.name} imports SciPy's private _sparsetools: {uses}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_package_imports_are_module_level(path):
+    nested = [name for name, inside in _relative_imports(path) if inside]
+    assert not nested, f"{path.name} imports from the package inside a block: {nested}"
+
+
+def test_package_imports_are_acyclic():
+    cycle = _import_cycle(SOURCES)
+    assert cycle is None, f"the package imports run in a cycle: {cycle}"
+
+
+def test_the_import_rules_catch_a_planted_cycle(tmp_path):
+    planted = {"a": "from .b import f\nfrom . import __version__\n",
+               "b": "def f():\n    from .a import g\n    return g\n",
+               "c": "from .a import f\n"}
+    for name, source in planted.items():
+        (tmp_path / f"{name}.py").write_text(source)
+    paths = sorted(tmp_path.glob("*.py"))
+    assert [list(_relative_imports(p)) for p in paths] == [
+        [("b", False), ("__version__", False)], [("a", True)], [("a", False)]]
+    assert _import_cycle(paths) == "a -> b -> a"
+    assert _import_cycle(paths[:1] + paths[2:]) is None
 
 
 def test_the_rules_catch_a_violation(tmp_path):

@@ -178,7 +178,7 @@ class TestColoredNoise:
         eigs = np.linalg.eigvalsh(factor @ factor.T)
         assert eigs.min() >= -1e-12
 
-    @pytest.mark.parametrize("amplitudes", [[1.0, 2.0], [1.0, 2.0, 3.0, 4.0]])
+    @pytest.mark.parametrize("amplitudes", [[1.0, 2.0], [1.0, 2.0, 3.0, 4.0], [0.5]])
     def test_amplitudes_need_one_per_edge(self, amplitudes):
         with pytest.raises(DimensionMismatch, match="one noise amplitude per edge"):
             colored_noise_operator(small_system(n_int=4, n_edges=3), decay=1.5,

@@ -30,8 +30,9 @@ from netsde.sde import (
     nodal_diffusion_evaluator,
     nodal_drift_evaluator,
     simulate_path,
+    solve_heat,
 )
-from netsde.semigroup import generalized_eigs, solve_heat
+from netsde.semigroup import generalized_eigs, semigroup_apply
 
 from _oracles import (
     backward_euler_heat,
@@ -202,15 +203,6 @@ class TestSimulatePath:
         assert np.array_equal(traj.states, states)
         assert traj.sup_norm == sup
 
-    @pytest.mark.parametrize("stride", [1, 10, 13, 3])
-    def test_spectral_solver_keeps_the_march_snapshot_times(self, stride):
-        sys = conserved_heat_system()
-        u0 = interpolate(sys.mesh, [lambda x: x, lambda x: 1.0 + x * (1 - x)])
-        march = simulate_path(Problem(sys, SolverConfig(0.01, 0.1, snapshot_stride=stride), u0))
-        spectral = solve_heat(sys, u0, horizon=0.1, dt=0.01, method="spectral",
-                              snapshot_stride=stride)
-        assert np.array_equal(spectral.times, march.times)
-
     @pytest.mark.parametrize("changes", [
         {"blowup_guard": float("nan")}, {"blowup_guard": 0.0}, {"blowup_guard": -1.0},
         {"snapshot_stride": 0}, {"snapshot_stride": 2.5}, {"snapshot_stride": True},
@@ -228,12 +220,11 @@ class TestSimulatePath:
         cfg = SolverConfig(1e-3, 1e-2, snapshot_stride=np.int64(5), blowup_guard=np.inf)
         assert cfg.snapshot_stride == 5 and cfg.blowup_guard == np.inf
 
-    @pytest.mark.parametrize("method", ["backward_euler", "spectral"])
-    def test_solve_heat_rejects_zero_stride(self, method):
+    @pytest.mark.parametrize("solver", [solve_heat], ids=["backward_euler"])
+    def test_solve_heat_rejects_zero_stride(self, solver):
         sys = conserved_heat_system()
         with pytest.raises(ConfigurationError, match="snapshot_stride"):
-            solve_heat(sys, np.zeros(sys.ndof), horizon=0.2, dt=0.05, method=method,
-                       snapshot_stride=0)
+            solver(sys, np.zeros(sys.ndof), horizon=0.2, dt=0.05, snapshot_stride=0)
 
     def test_noise_without_diffusion_rejected(self):
         problem, _ = allen_cahn_problem(noise_seed=1, t_end=0.01)
@@ -277,7 +268,7 @@ class TestSimulatePath:
         u0 = interpolate(sys.mesh, [lambda x: np.sin(np.pi * x), lambda x: 0.0 * x])
         cfg = SolverConfig(dt=0.05, t_end=0.2, scheme="exponential_euler")
         traj = simulate_path(Problem(sys, cfg, u0))
-        exact = solve_heat(sys, u0, horizon=0.2, dt=0.2, method="spectral").final_state()
+        exact = semigroup_apply(sys, 0.2, u0)
         np.testing.assert_allclose(traj.final_state(), exact, atol=1e-10)
 
 

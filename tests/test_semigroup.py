@@ -7,14 +7,13 @@ from netsde.errors import ConfigurationError
 from netsde.fields import build_edge_fields
 from netsde.graph import VertexMatrix, build_graph
 from netsde.mesh import build_mesh, interpolate
-from netsde.sde import Problem, SolverConfig, Stepper
+from netsde.sde import Problem, SolverConfig, Stepper, solve_heat
 from netsde.semigroup import (
     check_contraction,
     check_positivity,
     generalized_eigs,
     propagator,
     semigroup_apply,
-    solve_heat,
 )
 
 from _oracles import backward_euler_heat, dense_expm_propagator, ols_slope, robin_eigenvalues
@@ -49,8 +48,6 @@ class TestGeneralizedEigs:
             generalized_eigs(sys)
         with pytest.raises(ConfigurationError, match=limit):
             semigroup_apply(sys, 0.1, u0)
-        with pytest.raises(ConfigurationError, match=limit):
-            solve_heat(sys, u0, horizon=0.1, dt=0.1, method="spectral")
         with pytest.raises(ConfigurationError, match=limit):
             Stepper(Problem(sys, SolverConfig(0.1, 0.1, "exponential_euler"), u0))
         # a partial decomposition takes the iterative path instead
@@ -250,7 +247,7 @@ class TestSolveHeat:
     def test_backward_euler_first_order_against_spectral(self):
         sys = robin_system(15)
         u0 = interpolate(sys.mesh, lambda x: np.sin(np.pi * x) + 1.0)
-        exact = solve_heat(sys, u0, horizon=0.5, dt=0.5, method="spectral").final_state()
+        exact = semigroup_apply(sys, 0.5, u0)
         errors = []
         for dt in (0.05, 0.025, 0.0125):
             approx = solve_heat(sys, u0, horizon=0.5, dt=dt).final_state()
@@ -261,7 +258,7 @@ class TestSolveHeat:
     def test_spectral_solver_matches_refined_backward_euler(self):
         sys = robin_system(7)
         u0 = interpolate(sys.mesh, lambda x: x * (1 - x))
-        spectral = solve_heat(sys, u0, horizon=0.2, dt=0.2, method="spectral").final_state()
+        spectral = semigroup_apply(sys, 0.2, u0)
         euler = solve_heat(sys, u0, horizon=0.2, dt=1e-4).final_state()
         assert sys.e2_norm(spectral - euler) < 5e-4
 
@@ -276,14 +273,13 @@ class TestSolveHeat:
         u0 = np.random.default_rng(8).standard_normal(sys.ndof)
         traj = solve_heat(sys, u0, horizon=horizon, dt=dt, snapshot_stride=stride)
         times, states, sup = backward_euler_heat(sys, u0, horizon, dt, stride)
-        assert traj.scheme == "backward_euler"
         assert np.array_equal(traj.times, times)
         assert np.array_equal(traj.states, states)
         assert traj.sup_norm == sup
 
-    @pytest.mark.parametrize("method", ["backward_euler", "spectral"])
+    @pytest.mark.parametrize("solver", [solve_heat], ids=["backward_euler"])
     @pytest.mark.parametrize("horizon, dt", [(0.5, 0.0), (0.5, -0.1), (0.5, 0.3)])
-    def test_bad_time_grid_rejected(self, method, horizon, dt):
+    def test_bad_time_grid_rejected(self, solver, horizon, dt):
         sys = robin_system(3)
         with pytest.raises(ConfigurationError):
-            solve_heat(sys, np.zeros(sys.ndof), horizon=horizon, dt=dt, method=method)
+            solver(sys, np.zeros(sys.ndof), horizon=horizon, dt=dt)
