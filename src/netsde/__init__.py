@@ -46,7 +46,7 @@ from .graph import (
     validate_vertex_matrix,
     weighted_incidence,
 )
-from .mesh import Mesh, build_mesh, eval_state, interpolate
+from .mesh import Mesh, build_mesh, interpolate
 from .noise import NoiseModel, colored_noise_operator, white_noise_model
 from .report import Check, ValidationReport
 from .sde import Problem, SolverConfig, TrajectorySet, simulate_path, solve_heat

@@ -194,7 +194,7 @@ def estimate_holder_exponent(problem: Problem, lags, n_trajectories: int,
     elif norm == "Einf":
         norm_fn = einf_norm_rows
     else:
-        raise ValueError(f"unknown norm {norm!r}")
+        raise ConfigurationError(f"unknown norm {norm!r}; choose E2 or Einf")
     cfg = problem.config
     # the lags' lengths in time steps pick the snapshot stride
     _, steps, _ = _lag_grid(cfg.dt * np.arange(cfg.n_steps + 1), lags, burn_fraction)
@@ -247,7 +247,7 @@ def estimate_strong_order(problem: Problem, dt_ladder, n_trajectories: int,
     elif norm == "Einf":
         norm_fn = system.einf_norm
     else:
-        raise ValueError(f"unknown norm {norm!r}")
+        raise ConfigurationError(f"unknown norm {norm!r}; choose E2 or Einf")
 
     # one set-up per system: the levels differ only in their dt-dependent part,
     # and each keeps only its initial and final states

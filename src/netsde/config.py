@@ -231,10 +231,14 @@ def _lipschitz(value, path, errors, section=None):
         return value
     for radius, constant in value.items():
         try:
-            if not _finite(float(radius)):
-                errors.add(f"{path}.{radius}", "radius must be finite")
+            r = float(radius)
         except ValueError:
             errors.add(f"{path}.{radius}", "radius must be numeric")
+        else:
+            if not _finite(r):
+                errors.add(f"{path}.{radius}", "radius must be finite")
+            elif r <= 0.0:
+                errors.add(f"{path}.{radius}", f"radius must be positive, got {r}")
         _nonnegative(constant, f"{path}.{radius}", errors)
     return value
 
@@ -382,7 +386,6 @@ class RunConfig:
 
     data: dict
     hash: str
-    source: str = ""
 
     @property
     def seed(self) -> int:
@@ -403,7 +406,7 @@ class RunConfig:
             data["experiment"]["trajectories"] = int(trajectories)
         if output_dir is not None:
             data["output_dir"] = str(output_dir)
-        return normalize_config(data, source=self.source)
+        return normalize_config(data)
 
 
 def config_hash(data: dict) -> str:
@@ -422,17 +425,17 @@ def parse_config(path) -> RunConfig:
         raw = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as err:
         raise SchemaViolation([("", f"not valid JSON: {err}")]) from None
-    return normalize_config(raw, source=str(path))
+    return normalize_config(raw)
 
 
-def normalize_config(raw: dict, source: str = "") -> RunConfig:
+def normalize_config(raw: dict) -> RunConfig:
     errors = _Collector()
     if not isinstance(raw, dict):
         errors.add("", "top level must be an object")
         errors.raise_if_any()
     data = _walk(raw, SCHEMA, "", errors)
     errors.raise_if_any()
-    return RunConfig(data, config_hash(data), source=source)
+    return RunConfig(data, config_hash(data))
 
 
 # ---------------------------------------------------------------------------

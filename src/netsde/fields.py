@@ -222,13 +222,17 @@ def polynomial_drift(degree: int, coefficients, n_edges: int,
     """
     k = int(degree)
     if k < 0:
-        raise ValueError("degree parameter must be nonnegative")
+        raise ConfigurationError(f"degree parameter must be nonnegative, got {k}")
     n_coeff = 2 * k + 2
-    shared = not (coefficients and isinstance(coefficients[0], (list, tuple)))
+    shared = not (isinstance(coefficients, (list, tuple)) and coefficients
+                  and isinstance(coefficients[0], (list, tuple)))
     rows = [coefficients] if shared else coefficients
-    if (not shared and len(rows) != n_edges) or any(len(r) != n_coeff for r in rows):
-        raise DimensionMismatch(
-            f"need {n_coeff} coefficients (powers 0..{2 * k + 1}) for each of {n_edges} edges")
+    need = f"need {n_coeff} coefficients (powers 0..{2 * k + 1}) for each of {n_edges} edges"
+    if not shared and len(rows) != n_edges:
+        raise DimensionMismatch(f"{need}, got {len(rows)} rows")
+    for r, row in enumerate(rows):
+        if not isinstance(row, (list, tuple, np.ndarray)) or len(row) != n_coeff:
+            raise DimensionMismatch(f"{need}; row {r + 1} is {row!r}")
     fns = tuple(tuple(as_edge_function(v, variables=("t", "x")) for v in row) for row in rows)
     return DriftSpec(k, fns * n_edges if shared else fns, float(lower_bound), float(upper_bound))
 
@@ -374,8 +378,15 @@ class DiffusionSpec:
 
 
 def build_diffusion(n_edges: int, function, lipschitz=(), linear_growth=None) -> DiffusionSpec:
+    """Raises ConfigurationError for a Lipschitz pair whose radius is not
+    finite and positive or whose constant is not finite and nonnegative."""
     fns = edge_functions(function, n_edges, variables=("t", "x", "u"))
     lip = tuple((float(r), float(c)) for r, c in lipschitz)
+    for r, c in lip:
+        if not (0.0 < r < np.inf and 0.0 <= c < np.inf):  # also true for NaN
+            raise ConfigurationError(
+                f"Lipschitz pair (radius {r}, constant {c}) needs a finite radius > 0 "
+                "and a finite constant >= 0")
     growth = None if linear_growth is None else float(linear_growth)
     return DiffusionSpec(fns, lip, growth)
 

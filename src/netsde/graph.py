@@ -14,10 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    ConfigurationError,
     DimensionMismatch,
     DisconnectedGraph,
     EmptyEdgeList,
     LoopEdge,
+    NonpositiveConductance,
     NonpositiveWeight,
     VertexIdOutOfRange,
 )
@@ -106,14 +108,14 @@ def edge_indices_at_vertex(graph: MetricGraph, vertex: int) -> set[int]:
 
 
 def weighted_incidence(graph: MetricGraph, mu, c_at_endpoints):
-    """Weighted incidence matrices used by the Kirchhoff flux balance.
+    """The incidence matrices with column j scaled by ``mu_j * c_j(0)`` and by
+    ``mu_j * c_j(1)``, used by the Kirchhoff flux balance.
 
     ``mu`` holds the positive edge weights and ``c_at_endpoints[j]`` the pair
-    (c_j(0), c_j(1)) of conductance endpoint values.  Entry (i-1, j-1) of the
-    first matrix is ``mu_j * c_j(0)`` when edge j starts at vertex i, of the
-    second ``mu_j * c_j(1)`` when it ends there.
+    (c_j(0), c_j(1)) of conductance endpoint values, finite and positive, so
+    every entry off the incidence is an exact zero.
     """
-    n, m = graph.n_vertices, graph.n_edges
+    m = graph.n_edges
     mu = np.asarray(mu, dtype=float)
     if mu.shape != (m,):
         raise DimensionMismatch(f"mu must have one entry per edge ({m}), got shape {mu.shape}")
@@ -122,12 +124,11 @@ def weighted_incidence(graph: MetricGraph, mu, c_at_endpoints):
     ends = np.asarray(c_at_endpoints, dtype=float)
     if ends.shape != (m, 2):
         raise DimensionMismatch(f"c_at_endpoints must have shape ({m}, 2), got {ends.shape}")
-    w_plus = np.zeros((n, m))
-    w_minus = np.zeros((n, m))
-    for j, (a, b) in enumerate(graph.edge_array()):
-        w_plus[a, j] = mu[j] * ends[j, 0]
-        w_minus[b, j] = mu[j] * ends[j, 1]
-    return w_plus, w_minus
+    if not np.all((ends > 0.0) & (ends < np.inf)):
+        raise NonpositiveConductance(
+            f"conductance endpoint values must be finite and positive, got {ends.tolist()}")
+    plus, minus, _ = incidence_matrices(graph)
+    return plus * (mu * ends[:, 0]), minus * (mu * ends[:, 1])
 
 
 @dataclass(frozen=True)
@@ -166,7 +167,7 @@ def validate_vertex_matrix(matrix: VertexMatrix, profile: str = "basic",
     the flow is positive and sup-norm contractive.
     """
     if profile not in ("basic", "strict"):
-        raise ValueError(f"unknown profile {profile!r}")
+        raise ConfigurationError(f"unknown profile {profile!r}; choose basic or strict")
     M = matrix.entries
     n = M.shape[0]
     if n_vertices is not None and n != n_vertices:

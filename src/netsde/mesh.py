@@ -103,16 +103,6 @@ def interpolate(mesh: Mesh, functions) -> np.ndarray:
     return state
 
 
-def eval_state(mesh: Mesh, state: np.ndarray, edge: int, x):
-    """Piecewise-linear reconstruction of a state on edge ``edge`` (1-based)."""
-    nodes = np.asarray(state)[mesh.edge_dofs[edge - 1]]
-    x = np.asarray(x, dtype=float)
-    s = x * (mesh.n_interior + 1)
-    k = np.clip(np.floor(s).astype(int), 0, mesh.n_interior)
-    theta = s - k
-    return (1.0 - theta) * nodes[k] + theta * nodes[k + 1]
-
-
 # local positions of the two Gauss points on the reference element [0, 1]
 GAUSS_XI = np.array([0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)])
 

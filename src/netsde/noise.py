@@ -16,8 +16,7 @@ the interior rows of ``factor @ z`` are a discrete sine transform, computed
 for all edges by one real FFT of length 2(N+1).  The sine is 2(N+1)-periodic
 in k, so modes beyond N+1 fold onto that grid instead of being cut or
 rejected, and every mode count runs the same code.  The two end half-hats
-have closed-form loads, an O(K) dot product per edge end, and the trace is a
-closed-form sum over modes.
+have closed-form loads, an O(K) dot product per edge end.
 
 Streams are deterministic functions of (base seed, trajectory, step): the
 Philox key packs ``(seed << 64) | trajectory`` and the 256-bit block counter
@@ -58,14 +57,10 @@ STREAM_VERSION = 4
 
 @dataclass(frozen=True)
 class NoiseModel:
-    """Covariance factor plus the RNG stream policy."""
+    """The increment factor and the base seed of the RNG streams."""
 
-    kind: str                    # "white" or "colored"
     factor: object               # (ndof, r) increment factor: sparse L or SineFactor
     seed: int
-    covariance_trace: float
-    decay: float | None = None
-    n_modes: int | None = None
     _matvec: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -84,9 +79,7 @@ class NoiseModel:
 
 def white_noise_model(system: DiscreteSystem, seed: int = 0, lumped: bool = False) -> NoiseModel:
     """Increments with covariance dt*G (or the lumped diagonal variant)."""
-    factor = noise_covariance_factor(system, lumped=lumped)
-    trace = float(system.lumped_mass.sum()) if lumped else float(system.mass.diagonal().sum())
-    return NoiseModel("white", factor, int(seed), trace)
+    return NoiseModel(noise_covariance_factor(system, lumped=lumped), int(seed))
 
 
 class SineFactor:
@@ -132,18 +125,6 @@ class SineFactor:
         out[self._interior_dofs] = -spectrum.imag[:, 1:-1]
         return out
 
-    def squared_norm(self) -> float:
-        """Sum of the squared entries, i.e. the trace of factor @ factor.T.
-
-        Over the interior nodes sum_a sin^2(k pi a h) is (N+1)/2 unless k is
-        a multiple of N+1, where every sine vanishes.
-        """
-        n_plus_1 = self._grid_shape[1] // 2
-        k = np.arange(1, self._weights.shape[1] + 1)
-        interior = self._interior_load ** 2 * (0.5 * n_plus_1) * (k % n_plus_1 != 0)
-        ends = np.sum(self._end_loads ** 2, axis=1)
-        return float(np.sum(self._weights ** 2 * (interior + ends)))
-
 
 def _one_minus_sinc(theta: np.ndarray) -> np.ndarray:
     """1 - sin(theta)/theta for theta > 0, without cancellation near 0."""
@@ -173,7 +154,7 @@ def colored_noise_operator(system: DiscreteSystem, decay: float, seed: int = 0,
         n_modes = mesh.n_interior + 1
     n_modes = int(n_modes)
     if n_modes < 1:
-        raise ValueError("need at least one noise mode per edge")
+        raise ConfigurationError(f"need at least one noise mode per edge, got {n_modes}")
     amp = per_edge_numbers(1.0 if amplitudes is None else amplitudes, m, "noise amplitude")
     if not np.all((amp >= 0.0) & (amp < np.inf)):
         raise ConfigurationError(
@@ -183,9 +164,7 @@ def colored_noise_operator(system: DiscreteSystem, decay: float, seed: int = 0,
     # L2(0,1; mu dx)-orthonormal mode is sqrt(2/mu) sin(k pi x); the weighted
     # load against phi_a gains a factor mu
     edge_weights = np.sqrt(2.0 * system.fields.weights) * amp
-    factor = SineFactor(mesh, edge_weights[:, None] * mode_weights)
-    return NoiseModel("colored", factor, int(seed), factor.squared_norm(),
-                      decay=float(decay), n_modes=n_modes)
+    return NoiseModel(SineFactor(mesh, edge_weights[:, None] * mode_weights), int(seed))
 
 
 def _philox_state(seed: int, trajectory_id: int) -> dict:

@@ -62,7 +62,7 @@ def generalized_eigs(system: DiscreteSystem, count: int | None = None) -> Spectr
     if count is None:
         count = ndof
     if count > ndof:
-        raise ValueError(f"requested {count} eigenpairs from a {ndof}-dof system")
+        raise ConfigurationError(f"requested {count} eigenpairs from a {ndof}-dof system")
     if count == ndof > DENSE_LIMIT:
         raise ConfigurationError(
             f"a full eigendecomposition of {ndof} dofs needs dense {ndof} x {ndof} "
@@ -98,7 +98,7 @@ def semigroup_apply(system: DiscreteSystem, t: float, state: np.ndarray,
                     spectral: SpectralData | None = None) -> np.ndarray:
     """Exact action of the discrete semigroup at time ``t >= 0``."""
     if t < 0:
-        raise ValueError("the semigroup is only defined for t >= 0")
+        raise ConfigurationError(f"the semigroup is only defined for t >= 0, got t={t}")
     if spectral is None or spectral.count < system.ndof:
         spectral = generalized_eigs(system)
     V = spectral.eigenvectors
@@ -158,7 +158,7 @@ def check_contraction(system: DiscreteSystem, t_grid, norm: str = "E2") -> Valid
                                 note="consistent-mass excess, informational on coarse meshes"))
         context = {"norm": "Einf", "propagator": "lumped"}
     else:
-        raise ValueError(f"unknown norm {norm!r}")
+        raise ConfigurationError(f"unknown norm {norm!r}; choose E2 or Einf")
     return ValidationReport(tuple(checks), context=context)
 
 

@@ -8,15 +8,20 @@ the colored-noise factor is materialized from per-element antiderivatives.
 The backward-Euler march and the exponential-Euler step keep the loop and
 the three-term form the package used before every scheme shared one step
 map, and the stochastic march keeps the snapshot loop that preceded
-``SolverConfig.snapshot_steps``.  Noise increments come from a Philox generator constructed afresh for
+``SolverConfig.snapshot_steps``.  The moments of the drift-free linear-implicit
+march with unit noise coefficient come in closed form from the pencil's
+eigenpairs.  Noise increments come from a Philox generator constructed afresh for
 every draw, with the factor applied through ``@``.  Run configs are checked
 against the section-by-section normalizer that preceded the schema table.
 The per-dof owner map and the node-by-node interpolation are the ones the
 mesh kept before ``Mesh.edge_dofs`` became its only dof map, and the
-edge-by-edge assembly is the one that preceded the one-pass assembly.
+edge-by-edge assembly is the one that preceded the one-pass assembly.  The
+weighted incidence matrices are filled entry by entry, as before they were
+built from the incidence matrices.
 """
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
 from scipy.optimize import brentq
 from scipy.sparse.linalg import splu
@@ -240,6 +245,39 @@ def random_multigraph_mesh(rng):
         edges.append((a, b) if rng.random() < 0.5 else (b, a))
     order = rng.permutation(len(edges))
     return build_mesh(build_graph(n, [edges[i] for i in order]), int(rng.integers(1, 9)))
+
+
+def reference_weighted_incidence(graph, mu, c_at_endpoints):
+    """The weighted incidence matrices built entry by entry, the loop that
+    preceded their construction from ``incidence_matrices``."""
+    n, m = graph.n_vertices, graph.n_edges
+    mu = np.asarray(mu, dtype=float)
+    ends = np.asarray(c_at_endpoints, dtype=float)
+    w_plus = np.zeros((n, m))
+    w_minus = np.zeros((n, m))
+    for j, (a, b) in enumerate(graph.edge_array()):
+        w_plus[a, j] = mu[j] * ends[j, 0]
+        w_minus[b, j] = mu[j] * ends[j, 1]
+    return w_plus, w_minus
+
+
+def linear_implicit_moments(system, initial, dt, n_steps):
+    """Exact mean and variance at every dof after ``n_steps`` steps of
+    ``(G - dt*A_form) u+ = G u + dW`` with ``dW ~ N(0, dt*G)``: the
+    linear-implicit march without reaction and with unit noise coefficient.
+
+    In the G-orthonormal modes of the pencil (``A_form V = G V Lambda``,
+    ``V^T G V = I``) a step is ``x+ = r (x + xi)`` with ``r = 1/(1 - dt*lambda)``
+    and ``xi ~ N(0, dt)`` independent across modes, so after n steps a mode
+    has mean ``r^n x0`` and variance ``dt r^2 (1 - r^2n) / (1 - r^2)``.  The
+    eigenvalues must be negative."""
+    G = system.mass.toarray()
+    lam, V = scipy.linalg.eigh(system.form_matrix.toarray(), G)
+    assert np.all(lam < 0.0), "the closed form needs a negative definite pencil"
+    r = 1.0 / (1.0 - dt * lam)
+    mode_mean = r ** n_steps * (V.T @ (G @ np.asarray(initial, dtype=float)))
+    mode_var = dt * r ** 2 * (1.0 - r ** (2 * n_steps)) / (1.0 - r ** 2)
+    return V @ mode_mean, (V ** 2) @ mode_var
 
 
 def reference_assemble_form(mesh, fields, matrix):

@@ -31,7 +31,7 @@ from netsde.noise import IncrementSampler, coupled_sampler, white_noise_model
 from netsde.sde import Problem, SolverConfig, Stepper, TrajectorySet, simulate_path, solve_heat
 from netsde.semigroup import semigroup_apply
 
-from _oracles import robin_eigenfunction, robin_eigenvalues
+from _oracles import linear_implicit_moments, robin_eigenfunction, robin_eigenvalues
 
 
 def heat_noise_problem(n_int=6, dt=1e-3, t_end=0.25, seed=0, stride=1, drift=None):
@@ -133,7 +133,7 @@ class TestHolderCalibration:
 
         monkeypatch.setattr(analysis, "run_trajectories", march)
         problem = heat_noise_problem(dt=1e-3, t_end=0.2)
-        with pytest.raises(ValueError, match="unknown norm"):
+        with pytest.raises(ConfigurationError, match="unknown norm"):
             estimate_holder_exponent(problem, np.array([4, 8, 16, 32]) * 1e-3,
                                      n_trajectories=2, norm="L1")
 
@@ -184,6 +184,25 @@ class TestMonteCarlo:
         decay_gap = problem.system.e2_norm(problem.initial - exact_mean)
         assert err < 0.05
         assert err < 0.1 * decay_gap
+
+    def test_moments_match_linear_implicit_closed_form(self):
+        # no drift, white noise and g = 1: every pencil mode is a Gaussian
+        # autoregression with known mean and variance
+        graph = build_graph(4, [(1, 2), (1, 3), (1, 4)])
+        system = assemble_form(build_mesh(graph, 10), build_edge_fields(3),
+                               VertexMatrix(-np.eye(4)))
+        u0 = interpolate(system.mesh, lambda x: 1.0 + np.sin(np.pi * x))
+        dt, n_steps, n = 2e-3, 50, 400
+        problem = Problem(system, SolverConfig(dt=dt, t_end=n_steps * dt), u0, None,
+                          build_diffusion(3, 1.0), white_noise_model(system, seed=2026))
+        stats = monte_carlo(problem, n_trajectories=n)
+        mean, variance = linear_implicit_moments(system, u0, dt, n_steps)
+        assert system.ndof == 34
+        # Gaussian standard errors of the sample mean and the unbiased variance
+        z_mean = (stats.mean[-1] - mean) / np.sqrt(variance / n)
+        z_var = (stats.variance[-1] * n / (n - 1) - variance) / (variance * np.sqrt(2 / (n - 1)))
+        assert np.abs(z_mean).max() < 4.0
+        assert np.abs(z_var).max() < 4.0
 
     def test_standard_error_shrinks_with_doubling(self):
         problem = heat_noise_problem(n_int=4, dt=2e-3, t_end=0.2, seed=3)
@@ -321,6 +340,12 @@ class TestStrongOrder:
         ladder = 0.25 / np.array([4096.0, 128.0, 64.0, 32.0, 16.0])
         est = estimate_strong_order(problem, ladder, n_trajectories=1)
         assert est.estimate == pytest.approx(1.0, abs=0.1)
+
+    def test_unknown_norm_rejected(self):
+        problem = heat_noise_problem()
+        with pytest.raises(ConfigurationError, match="unknown norm 'L1'"):
+            estimate_strong_order(problem, [1e-3, 2e-3, 5e-3, 1e-2], n_trajectories=2,
+                                  norm="L1")
 
     def test_ladder_too_short(self):
         problem = heat_noise_problem()

@@ -9,6 +9,9 @@ from netsde.cli import run_command
 from netsde.config import build_model, config_hash, normalize_config, parse_config
 from netsde.errors import ConfigurationError, SchemaViolation
 from netsde.mesh import node_coordinates
+from netsde.noise import SineFactor
+
+GOLDEN_CONFIGS = Path(__file__).resolve().parent / "golden" / "configs"
 
 
 def minimal_config(**overrides):
@@ -130,8 +133,9 @@ class TestParseConfig:
     def test_colored_noise_config(self, tmp_path):
         cfg = minimal_config(noise={"kind": "colored", "decay": 2.0, "modes": 3})
         problem = build_model(parse_config(write_config(tmp_path, cfg)))
-        assert problem.noise.kind == "colored"
-        assert problem.noise.n_modes == 3
+        # one edge, three modes
+        assert isinstance(problem.noise.factor, SineFactor)
+        assert problem.noise.dim == 3
 
     def test_colored_decay_bound(self, tmp_path):
         cfg = minimal_config(noise={"kind": "colored", "decay": 0.4})
@@ -197,6 +201,20 @@ class TestCli:
         path = write_config(tmp_path, minimal_config(bogus_key=1))
         assert run_command(["validate", "--config", str(path),
                             "--output-dir", str(tmp_path / "o")]) == 1
+
+    @pytest.mark.parametrize("radius", ["0", "-1"])
+    def test_nonpositive_lipschitz_radius_exit_code(self, tmp_path, capsys, radius):
+        # a radius of 0 made the scan divide 0 by 0; one of -1 passed validation
+        cfg = json.loads((GOLDEN_CONFIGS / "validate.json").read_text())
+        cfg["diffusion"] = {"expression": "sin(u)", "lipschitz": {radius: 1.0},
+                            "linear_growth": 1.5}
+        path = write_config(tmp_path, cfg)
+        assert run_command(["validate", "--config", str(path),
+                            "--output-dir", str(tmp_path / "o")]) == 1
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("netsde: error:")]
+        assert len(errors) == 1
+        assert f"diffusion.lipschitz.{radius}: radius must be positive" in errors[0]
 
     @pytest.mark.parametrize("overrides, message", [
         ({"fields": {"conductance": "1e400"}}, "conductance on edge 1 is not finite"),

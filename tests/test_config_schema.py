@@ -203,6 +203,15 @@ def test_non_finite_numbers_rejected_with_path(path, value, where):
     assert [error_path for error_path, _ in err.value.errors] == [where]
 
 
+@pytest.mark.parametrize("radius", ["0", "-1", "-0.0"])
+def test_nonpositive_lipschitz_radius_rejected_with_path(radius):
+    raw = mutate(MINIMAL, ("diffusion", "lipschitz"), "set", {radius: 1.0})
+    with pytest.raises(SchemaViolation) as err:
+        normalize_config(raw)
+    assert err.value.errors == [
+        (f"diffusion.lipschitz.{radius}", f"radius must be positive, got {float(radius)}")]
+
+
 def test_cli_rejects_infinite_burn_fraction(tmp_path, capsys):
     raw = {**MINIMAL, "experiment": {"name": "holder", "burn_fraction": INF}}
     path = tmp_path / "run.json"

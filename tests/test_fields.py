@@ -174,6 +174,20 @@ class TestDrift:
         assert eval_drift(d, 0.0, 0.0, 1, 2.0) == -2.0
 
 
+class TestPolynomialDriftInput:
+    def test_row_that_is_no_list_is_named(self):
+        with pytest.raises(DimensionMismatch, match="row 2 is 1.0"):
+            polynomial_drift(0, [[0.0, 1.0], 1.0], 2)
+
+    def test_short_shared_row_is_named(self):
+        with pytest.raises(DimensionMismatch, match=r"row 1 is \[0.0\]"):
+            polynomial_drift(0, [0.0], 2)
+
+    def test_negative_degree_rejected(self):
+        with pytest.raises(ConfigurationError, match="nonnegative, got -1"):
+            polynomial_drift(-1, [0.0, 1.0], 1)
+
+
 class TestDiffusion:
     def test_additive_unit(self):
         g = build_diffusion(2, 1.0)
@@ -200,6 +214,14 @@ class TestDiffusion:
         g = build_diffusion(1, parse_expression("2*u", ("t", "x", "u")),
                             lipschitz=[(5.0, 2.0)], linear_growth=2.0)
         assert validate_diffusion(g).passed
+
+    @pytest.mark.parametrize("radius, constant", [
+        (0.0, 1.0), (-1.0, 1.0), (np.nan, 1.0), (np.inf, 1.0),
+        (1.0, -0.5), (1.0, np.nan), (1.0, np.inf),
+    ])
+    def test_lipschitz_pair_must_be_finite_with_positive_radius(self, radius, constant):
+        with pytest.raises(ConfigurationError, match=f"radius {radius}, constant {constant}"):
+            build_diffusion(1, "sin(u)", lipschitz=[(2.0, 1.0), (radius, constant)])
 
     def test_no_metadata_is_vacuous(self):
         report = validate_diffusion(build_diffusion(1, 1.0))

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 
+from _oracles import random_multigraph_mesh, reference_weighted_incidence
 from netsde.errors import (
+    ConfigurationError,
     DimensionMismatch,
     DisconnectedGraph,
     EmptyEdgeList,
     LoopEdge,
+    NonpositiveConductance,
     NonpositiveWeight,
     VertexIdOutOfRange,
 )
@@ -171,6 +174,10 @@ class TestVertexMatrix:
         with pytest.raises(DimensionMismatch):
             validate_vertex_matrix(VertexMatrix(np.zeros((2, 2)), zero_ok=True), n_vertices=3)
 
+    def test_unknown_profile_rejected(self):
+        with pytest.raises(ConfigurationError, match="unknown profile 'lax'"):
+            validate_vertex_matrix(VertexMatrix(-np.eye(2)), "lax")
+
     def test_strict_implies_basic_on_random_instances(self):
         rng = np.random.default_rng(7)
         for _ in range(50):
@@ -205,10 +212,25 @@ class TestWeightedIncidence:
         with pytest.raises(NonpositiveWeight):
             weighted_incidence(path3(), [2.0, 0.0], [(1.0, 1.0), (1.0, 1.0)])
 
+    @pytest.mark.parametrize("ends", [(0.0, 1.0), (1.0, -1.0), (np.inf, 1.0), (1.0, np.nan)])
+    def test_endpoint_values_must_be_finite_and_positive(self, ends):
+        with pytest.raises(NonpositiveConductance, match="finite and positive"):
+            weighted_incidence(build_graph(2, [(1, 2)]), [1.0], [ends])
+
     def test_endpoint_values_used(self):
         g = build_graph(2, [(1, 2)])
         w_plus, w_minus = weighted_incidence(g, [2.0], [(1.5, 2.5)])
         assert w_plus[0, 0] == 3.0 and w_minus[1, 0] == 5.0
+
+    def test_matches_entry_by_entry_oracle(self):
+        rng = np.random.default_rng(20261019)
+        for _ in range(200):
+            graph = random_multigraph_mesh(rng).graph
+            mu = rng.uniform(0.1, 10.0, graph.n_edges)
+            ends = rng.uniform(0.1, 10.0, (graph.n_edges, 2))
+            got = weighted_incidence(graph, mu, ends)
+            expected = reference_weighted_incidence(graph, mu, ends)
+            assert [w.tobytes() for w in got] == [w.tobytes() for w in expected]
 
 
 def test_graph_is_immutable():

@@ -6,7 +6,7 @@ from netsde.errors import ConfigurationError, MeshTooCoarse, VertexMismatch
 from netsde.expressions import parse_expression
 from netsde.fields import build_edge_fields
 from netsde.graph import build_graph
-from netsde.mesh import build_mesh, eval_state, interpolate
+from netsde.mesh import build_mesh, interpolate
 
 
 def path3_mesh(n_int=3):
@@ -64,18 +64,6 @@ class TestInterpolate:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(ConfigurationError, match=f"edge 2 supplies the non-finite value {where}"):
                 interpolate(mesh, [lambda x: 1.0 - x, parse_expression(spec, ("x",))])
-
-    def test_eval_round_trip_at_nodes(self):
-        mesh = path3_mesh()
-        u = interpolate(mesh, [lambda x: x ** 2, lambda x: 1.0 + 2.0 * x])
-        xs = np.linspace(0.0, 1.0, mesh.n_interior + 2)
-        np.testing.assert_allclose(eval_state(mesh, u, 1, xs), xs ** 2, atol=1e-15)
-        np.testing.assert_allclose(eval_state(mesh, u, 2, xs), 1.0 + 2.0 * xs, atol=1e-15)
-
-    def test_eval_is_linear_between_nodes(self):
-        mesh = build_mesh(build_graph(2, [(1, 2)]), 1)
-        u = interpolate(mesh, lambda x: np.abs(x - 0.5))
-        assert eval_state(mesh, u, 1, 0.25) == pytest.approx(0.25)
 
 
 def _edge_spec(kind, rng, left, right):

@@ -4,15 +4,19 @@ Every ``src/netsde/*.py`` module is parsed with ``ast``: no module imports
 another netsde module's private (underscore) name, and only ``assembly.py``
 imports SciPy's private ``_sparsetools``, through ``assembly.bind_matvec``.
 Every relative import is a module-level statement, and the graph of
-``from .module import ...`` edges has no cycle.
+``from .module import ...`` edges has no cycle.  Every name the package
+exports has a reader: a module reads it outside its own definition, the
+README names it, or an acceptance test reads it.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "netsde").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted((ROOT / "src" / "netsde").glob("*.py"))
 
 
 def _private(name: str) -> bool:
@@ -73,6 +77,34 @@ def _import_cycle(paths):
     return None
 
 
+def _exports(init: Path):
+    """The names that a package's ``__init__`` imports from its modules."""
+    return [alias.asname or alias.name for node in ast.parse(init.read_text(encoding="utf-8")).body
+            if isinstance(node, ast.ImportFrom) and node.level for alias in node.names]
+
+
+def _reads(path: Path) -> set:
+    """The names the file reads, as a bare name or an attribute, outside the
+    top-level statement that defines them; an import alone reads nothing."""
+    reads = set()
+    for statement in ast.parse(path.read_text(encoding="utf-8")).body:
+        names = {node.id if isinstance(node, ast.Name) else node.attr
+                 for node in ast.walk(statement) if isinstance(node, (ast.Name, ast.Attribute))}
+        reads |= names - {getattr(statement, "name", None)}
+    return reads
+
+
+def _unread_exports(init: Path, modules, readme: str, acceptance: Path):
+    """The exports of ``init`` that none of ``modules``, the ``readme`` text
+    and the ``acceptance`` tests reads, sorted."""
+    readers = _reads(acceptance)
+    for path in modules:
+        if path != init:
+            readers |= _reads(path)
+    return sorted(name for name in _exports(init) if name not in readers
+                  and not re.search(rf"\b{re.escape(name)}\b", readme))
+
+
 def _is_netsde(module: str) -> bool:
     return module.startswith(".") or module == "netsde" or module.startswith("netsde.")
 
@@ -124,3 +156,30 @@ def test_the_rules_catch_a_violation(tmp_path):
     assert [name for module, name in imports if _is_netsde(module) and _private(name)] == [
         "_GAUSS_XI"]
     assert ("scipy.sparse", "_sparsetools") in imports
+
+
+def test_every_export_has_a_reader():
+    unread = _unread_exports(ROOT / "src" / "netsde" / "__init__.py", SOURCES,
+                             (ROOT / "README.md").read_text(encoding="utf-8"),
+                             ROOT / "tests" / "test_acceptance.py")
+    assert not unread, f"exports that no module, README line or acceptance test reads: {unread}"
+
+
+def test_the_export_rule_catches_a_planted_orphan(tmp_path):
+    planted = {
+        "__init__.py": "from .a import documented, orphan, recursive, used\n"
+                       "from .b import accepted\n",
+        "a.py": "def used():\n    return 1\n\n\ndef orphan():\n    return 2\n\n\n"
+                "def recursive(n):\n    return recursive(n - 1)\n\n\n"
+                "def documented():\n    return 3\n",
+        "b.py": "from .a import orphan, used\n\nVALUE = used()\n\n\n"
+                "def accepted():\n    return 4\n",
+        "test_acceptance.py": "import pkg\n\npkg.accepted()\n",
+    }
+    for name, source in planted.items():
+        (tmp_path / name).write_text(source)
+    modules = [tmp_path / name for name in ("__init__.py", "a.py", "b.py")]
+    unread = _unread_exports(tmp_path / "__init__.py", modules, "Call `documented()`.",
+                             tmp_path / "test_acceptance.py")
+    # an import alone is no read, and neither is a call inside the definition
+    assert unread == ["orphan", "recursive"]

@@ -21,7 +21,7 @@ from netsde.fields import (
     polynomial_drift,
 )
 from netsde.graph import VertexMatrix, build_graph
-from netsde.mesh import build_mesh, eval_state, interpolate
+from netsde.mesh import build_mesh, interpolate
 from netsde.noise import IncrementSampler, white_noise_model
 from netsde.sde import (
     Problem,
@@ -158,9 +158,9 @@ class TestSimulatePath:
         mesh = problem.system.mesh
         for snap in traj.states:
             # all three edges start at vertex 1: traces agree exactly
-            v1 = eval_state(mesh, snap, 1, 0.0)
-            assert eval_state(mesh, snap, 2, 0.0) == v1
-            assert eval_state(mesh, snap, 3, 0.0) == v1
+            v1 = snap[mesh.edge_dofs[0, 0]]
+            assert snap[mesh.edge_dofs[1, 0]] == v1
+            assert snap[mesh.edge_dofs[2, 0]] == v1
 
     def test_untamed_explodes_tamed_survives(self):
         kwargs = dict(n_int=2, dt=0.5, t_end=5.0, betas=(1.0, 1.0, 1.0), initial=50.0)

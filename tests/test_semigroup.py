@@ -67,6 +67,10 @@ class TestGeneralizedEigs:
         assert np.array_equal(first.eigenvectors, second.eigenvectors)
         np.testing.assert_allclose(first.eigenvalues, dense.eigenvalues, rtol=1e-9)
 
+    def test_more_pairs_than_dofs_rejected(self):
+        with pytest.raises(ConfigurationError, match="requested 6 eigenpairs from a 5-dof"):
+            generalized_eigs(robin_system(3), count=6)
+
     def test_eigenvalues_real_descending_nonpositive(self):
         sys = robin_system(15)
         spec = generalized_eigs(sys)
@@ -154,11 +158,15 @@ class TestSemigroupApply:
         assert np.all(np.diff(norms) <= 1e-12)
 
     def test_negative_time_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             semigroup_apply(robin_system(3), -0.1, np.zeros(5))
 
 
 class TestContraction:
+    def test_unknown_norm_rejected(self):
+        with pytest.raises(ConfigurationError, match="unknown norm 'L1'"):
+            check_contraction(robin_system(3), [0.1], norm="L1")
+
     def test_e2_passes_for_valid_matrix(self):
         report = check_contraction(conserved_system(), [0.1, 1.0], norm="E2")
         assert report.passed
