@@ -258,9 +258,9 @@ def estimate_strong_order(problem: Problem, dt_ladder, n_trajectories: int,
     all_errs = []
     for traj_id in range(n_trajectories):
         finals = []
-        for level, ratio in zip(levels, [1, *ratios]):
+        for level, ratio, steps in zip(levels, [1, *ratios], n_steps):
             # the reference level draws the trajectory's own fine stream
-            sampler = (coupled_sampler(problem.noise, traj_id, ratio)
+            sampler = (coupled_sampler(problem.noise, traj_id, ratio, steps)
                        if ratio > 1 and problem.noise is not None else None)
             finals.append(level.march(traj_id, sampler).final_state())
         all_errs.append([norm_fn(u - finals[0]) for u in finals[1:]])

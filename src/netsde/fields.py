@@ -379,7 +379,8 @@ class DiffusionSpec:
 
 def build_diffusion(n_edges: int, function, lipschitz=(), linear_growth=None) -> DiffusionSpec:
     """Raises ConfigurationError for a Lipschitz pair whose radius is not
-    finite and positive or whose constant is not finite and nonnegative."""
+    finite and positive or whose constant is not finite and nonnegative, and
+    for a linear growth constant that is not finite and nonnegative."""
     fns = edge_functions(function, n_edges, variables=("t", "x", "u"))
     lip = tuple((float(r), float(c)) for r, c in lipschitz)
     for r, c in lip:
@@ -388,6 +389,9 @@ def build_diffusion(n_edges: int, function, lipschitz=(), linear_growth=None) ->
                 f"Lipschitz pair (radius {r}, constant {c}) needs a finite radius > 0 "
                 "and a finite constant >= 0")
     growth = None if linear_growth is None else float(linear_growth)
+    if growth is not None and not 0.0 <= growth < np.inf:  # also true for NaN
+        raise ConfigurationError(
+            f"linear growth constant {growth} needs to be finite and >= 0")
     return DiffusionSpec(fns, lip, growth)
 
 

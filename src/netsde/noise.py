@@ -21,7 +21,12 @@ have closed-form loads, an O(K) dot product per edge end.
 Streams are deterministic functions of (base seed, trajectory, step): the
 Philox key packs ``(seed << 64) | trajectory`` and the 256-bit block counter
 starts at ``step << 64``, so draws within a step can never run into the next
-step's block range.
+step's block range.  Increments are drawn per step but applied per block: a
+sampler draws the normals of an aligned block of steps, each from its own
+counter, and applies the factor once to the (dim, B) block.  B depends only
+on the factor's shape (``block_steps``), and the block's columns equal the
+per-step products bit for bit, so no increment changed a byte with the
+blocks: the stream version stayed 4.
 
 ``STREAM_VERSION``, recorded in every manifest, names the whole mapping from
 (config, seed) to artifact bytes, noise and arithmetic alike, and changes
@@ -73,7 +78,8 @@ class NoiseModel:
         return self.factor.shape[1]
 
     def apply(self, z: np.ndarray) -> np.ndarray:
-        """The increment factor times the standard normal vector ``z``."""
+        """The increment factor times ``z``: a standard normal vector, or a
+        (dim, B) block of them, whose columns are multiplied one by one."""
         return self._matvec(z)
 
 
@@ -114,16 +120,26 @@ class SineFactor:
         self._end_dofs = mesh.edge_dofs[:, [0, -1]].ravel()
 
     def __matmul__(self, z: np.ndarray) -> np.ndarray:
-        coeff = z.reshape(self._weights.shape) * self._weights
-        out = np.bincount(self._end_dofs, weights=(coeff @ self._end_loads).ravel(),
-                          minlength=self.shape[0])
-        grid = np.bincount(self._grid_index, weights=(coeff * self._interior_load).ravel(),
-                           minlength=self._grid_shape[0] * self._grid_shape[1])
+        """The factor times ``z``: one vector, or each column of a (dim, B)
+        block.  Every column goes through the same per-step arithmetic (a
+        stacked matmul, bincounts and FFT rows), so a block's columns equal
+        the products of its columns alone bit for bit."""
+        coeff = z.T.reshape(-1, *self._weights.shape) * self._weights   # (B, m, K)
+        n_block, n_rows = coeff.shape[0], self.shape[0]
+        block = np.arange(n_block)[:, None]
+        out = np.bincount((self._end_dofs + n_rows * block).ravel(),
+                          weights=(coeff @ self._end_loads).ravel(),
+                          minlength=n_block * n_rows).reshape(n_block, n_rows)
+        grid_size = self._grid_shape[0] * self._grid_shape[1]
+        grid = np.bincount((self._grid_index + grid_size * block).ravel(),
+                           weights=(coeff * self._interior_load).ravel(),
+                           minlength=n_block * grid_size)
         # -imag(rfft(v))[a] = sum_r v_r sin(2 pi a r / (2(N+1))), one real FFT
-        # for every edge
-        spectrum = np.fft.rfft(grid.reshape(self._grid_shape), axis=1)
-        out[self._interior_dofs] = -spectrum.imag[:, 1:-1]
-        return out
+        # for every edge and step
+        spectrum = np.fft.rfft(grid.reshape(-1, self._grid_shape[1]), axis=1)
+        out[:, self._interior_dofs] = -spectrum.imag[:, 1:-1].reshape(
+            n_block, *self._interior_dofs.shape)
+        return out.T if z.ndim == 2 else out[0]
 
 
 def _one_minus_sinc(theta: np.ndarray) -> np.ndarray:
@@ -184,40 +200,80 @@ def _philox_state(seed: int, trajectory_id: int) -> dict:
     }
 
 
-class IncrementSampler:
-    """Per-trajectory sampler that reuses one bit generator and one state.
+def block_steps(shape) -> int:
+    """The steps one sampler block serves for a factor of this (rows, cols)
+    shape: a power of two, at most 64, whose normals and products fit in
+    512 KiB.  Powers of two divide 2^64, so no block straddles the wrap of
+    the step ids."""
+    fit = max(1, (1 << 19) // (8 * (shape[0] + shape[1])))
+    return min(64, 1 << (fit.bit_length() - 1))
 
-    The Philox state dict is built once, for (seed, trajectory); before
-    every draw only its counter word 1 is rewritten to the step and the dict
-    is assigned to the bit generator again, which also empties its buffer.
-    Each increment is thus still the same pure function of (seed,
-    trajectory, step), whatever order the steps are drawn in.
+
+class IncrementSampler:
+    """Per-trajectory sampler: normals drawn per step, factor applied per block.
+
+    Step ids (reduced mod 2^64) fall into aligned blocks of
+    ``block_steps(factor.shape)`` steps.  The first draw of a step outside the
+    current block fills that step's block: for each of its steps, counter
+    word 1 of the one Philox state dict is rewritten to the step and the dict
+    is assigned to the bit generator again (which also empties its buffer),
+    and that step's normals fill one row; then one ``NoiseModel.apply``
+    serves the whole block, scaled by ``sqrt(dt)`` (a draw with another dt
+    fills its block again).  Each increment is thus still the same pure
+    function of (seed, trajectory, step, dt), whatever order the steps are
+    drawn in.  No block reaches past ``n_steps`` and a step there raises
+    ConfigurationError, so a march that passes its step count draws nothing
+    beyond its last step.
     """
 
-    def __init__(self, noise: NoiseModel, trajectory_id: int):
+    def __init__(self, noise: NoiseModel, trajectory_id: int, n_steps: int = 1 << 64):
         self.noise = noise
         self.trajectory_id = int(trajectory_id)
+        self._n_steps = int(n_steps)
         self._state = _philox_state(noise.seed, self.trajectory_id)
         self._counter = self._state["state"]["counter"]
         self._bitgen = np.random.Philox(key=0)
         self._gen = np.random.Generator(self._bitgen)
-        self._dim = noise.dim
+        self._block = block_steps(noise.factor.shape)
+        self._normals = np.empty((self._block, noise.dim))
+        # the filled block: first step, dt, and one increment per row
+        self._start, self._dt, self._rows = 0, None, ()
 
     def __call__(self, step_id: int, dt: float) -> np.ndarray:
-        self._counter[1] = int(step_id) & _MASK64
-        self._bitgen.state = self._state
-        z = self._gen.standard_normal(self._dim)
-        return np.sqrt(dt) * self.noise.apply(z)
+        step = int(step_id) & _MASK64
+        j = step - self._start
+        if not (0 <= j < len(self._rows) and dt == self._dt):
+            j = self._fill(step, dt)
+        # a fresh array: callers add into what they get
+        return self._rows[j].copy()
+
+    def _fill(self, step: int, dt: float) -> int:
+        """Draw, apply and scale the block holding ``step``; its row there."""
+        if step >= self._n_steps:
+            raise ConfigurationError(
+                f"step {step} is past the sampler's last step {self._n_steps - 1}")
+        start = step - step % self._block
+        normals = self._normals[:min(self._block, self._n_steps - start)]
+        for row, block_step in zip(normals, range(start, start + len(normals))):
+            self._counter[1] = block_step
+            self._bitgen.state = self._state
+            self._gen.standard_normal(out=row)
+        applied = self.noise.apply(normals.T).T
+        self._start, self._dt = start, dt
+        self._rows = np.multiply(math.sqrt(dt), applied, order="C")
+        return step - start
 
 
-def coupled_sampler(noise: NoiseModel, trajectory_id: int, ratio: int):
-    """Sampler for a coarsened grid: sums ``ratio`` fine-step increments.
+def coupled_sampler(noise: NoiseModel, trajectory_id: int, ratio: int,
+                    n_steps: int = 1 << 64):
+    """Sampler for a coarsened grid of ``n_steps`` steps: sums ``ratio``
+    fine-step increments.
 
     Used by strong-convergence ladders so that every level sees the same
     underlying noise as the reference discretization.
     """
-    fine = IncrementSampler(noise, trajectory_id)
     ratio = int(ratio)
+    fine = IncrementSampler(noise, trajectory_id, ratio * int(n_steps))
 
     def sample(step_id: int, dt: float) -> np.ndarray:
         fine_dt = dt / ratio

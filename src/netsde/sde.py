@@ -241,23 +241,24 @@ class Stepper:
         """March one full trajectory of the problem and collect snapshots.
 
         ``sampler(step, dt)`` supplies the noise increments; it defaults to the
-        trajectory's own stream ``IncrementSampler(problem.noise, trajectory_id)``
-        and is ignored without a noise model.  Raises LinearSolveFailure when a
-        step produces non-finite values, and BlowupDetected (tagged with the
-        trajectory id) when the nodal sup norm exceeds the configured guard,
-        which signals scheme instability and should not occur with taming.
+        trajectory's own stream ``IncrementSampler(problem.noise, trajectory_id,
+        n_steps)``, which draws no step past the last, and is ignored without a
+        noise model.  Raises LinearSolveFailure when a step produces non-finite
+        values, and BlowupDetected (tagged with the trajectory id) when the
+        nodal sup norm exceeds the configured guard, which signals scheme
+        instability and should not occur with taming.
         """
         problem, cfg = self.problem, self.problem.config
         snapshots = cfg.snapshot_steps
+        schedule, kept = snapshots.tolist(), 1
         if problem.noise is None:
             sampler = None
         elif sampler is None:
-            sampler = IncrementSampler(problem.noise, trajectory_id)
+            sampler = IncrementSampler(problem.noise, trajectory_id, schedule[-1])
 
         u = np.asarray(problem.initial, dtype=float)
         states = np.empty((snapshots.size,) + u.shape)
         states[0] = u
-        schedule, kept = snapshots.tolist(), 1
         sup = float(np.abs(u).max())
         guard = float(cfg.blowup_guard)
         for step in range(schedule[-1]):

@@ -223,6 +223,11 @@ class TestDiffusion:
         with pytest.raises(ConfigurationError, match=f"radius {radius}, constant {constant}"):
             build_diffusion(1, "sin(u)", lipschitz=[(2.0, 1.0), (radius, constant)])
 
+    @pytest.mark.parametrize("growth", [-1.0, np.nan, np.inf])
+    def test_linear_growth_must_be_finite_and_nonnegative(self, growth):
+        with pytest.raises(ConfigurationError, match=f"linear growth constant {growth}"):
+            build_diffusion(1, "sin(u)", linear_growth=growth)
+
     def test_no_metadata_is_vacuous(self):
         report = validate_diffusion(build_diffusion(1, 1.0))
         assert report.passed

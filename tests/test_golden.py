@@ -4,8 +4,10 @@ Each case runs one ``netsde`` command in-process on a config under
 ``golden/configs/`` and hashes every file the manifest lists, and the
 manifest itself.  ``golden/hashes.json`` holds the expected SHA-256 values
 together with the ``noise.STREAM_VERSION`` and the platform they were made
-on: numpy and scipy versions, processor count and OpenBLAS thread count,
-any of which may move floating-point results in the last bits.
+on: the numpy and scipy versions, either of which may move floating-point
+results in the last bits.  The processor count and the OpenBLAS thread count
+are not part of it: every case gives the same bytes with one BLAS thread and
+with two.
 
 On another platform the cases are skipped with the fields that differ; an
 older stream version fails.  Regenerate the hashes with
@@ -13,10 +15,8 @@ older stream version fails.  Regenerate the hashes with
 bump or a declared change of artifact format.
 """
 
-import ctypes
 import hashlib
 import json
-import os
 from pathlib import Path
 
 import numpy as np
@@ -42,21 +42,8 @@ CASES = {
 }
 
 
-def _openblas_threads():
-    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
-    for path in sorted(libs.glob("*openblas*")):
-        lib = ctypes.CDLL(str(path))
-        for name in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
-                     "openblas_get_num_threads64_", "openblas_get_num_threads"):
-            get = getattr(lib, name, None)
-            if get is not None:
-                return int(get())
-    return None
-
-
 def platform_fingerprint() -> dict:
-    return {"numpy": np.__version__, "scipy": scipy.__version__,
-            "nproc": os.cpu_count(), "openblas_threads": _openblas_threads()}
+    return {"numpy": np.__version__, "scipy": scipy.__version__}
 
 
 def run_case(name: str, out_dir: Path) -> dict:

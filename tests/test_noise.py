@@ -9,12 +9,16 @@ from netsde.errors import ConfigurationError, DecayTooSlow, DimensionMismatch
 from netsde.fields import build_edge_fields
 from netsde.graph import VertexMatrix, build_graph
 from netsde.mesh import build_mesh
+from netsde.analysis import estimate_strong_order
+from netsde.fields import build_diffusion
 from netsde.noise import (
     IncrementSampler,
+    block_steps,
     colored_noise_operator,
     coupled_sampler,
     white_noise_model,
 )
+from netsde.sde import Problem, SolverConfig, Stepper
 
 
 def small_system(n_int=3, n_edges=1, weights=1.0):
@@ -121,6 +125,135 @@ class TestSamplerMatchesOracle:
         assert np.array_equal(coarse(2, 0.04), expected)
 
 
+# N+1 = 6 on every edge: K below, at and above N+1 (folded modes)
+@pytest.mark.parametrize("kind, n_modes", [
+    ("white", None), ("lumped", None), ("colored", 4), ("colored", 6), ("colored", 15),
+])
+@pytest.mark.parametrize("n_block", [1, 3, 64])
+def test_block_apply_equals_column_by_column(kind, n_modes, n_block):
+    system = small_system(n_int=5, n_edges=3, weights=[1.0, 2.0, 0.5])
+    if kind == "colored":
+        noise = colored_noise_operator(system, decay=1.5, amplitudes=[1.0, 0.25, 3.0],
+                                       n_modes=n_modes)
+    else:
+        noise = white_noise_model(system, lumped=kind == "lumped")
+    z = np.random.default_rng(n_block).standard_normal((n_block, noise.dim))
+    block = noise.apply(z.T)
+    assert block.shape == (system.ndof, n_block)
+    assert np.array_equal(block, np.column_stack([noise.apply(column) for column in z]))
+
+
+@pytest.mark.parametrize("shape, steps", [
+    ((26, 26), 64), ((292, 292), 64), ((1204, 1203), 16), ((3004, 3004), 8), ((10 ** 6, 1), 1),
+])
+def test_block_steps_depend_on_the_factor_shape(shape, steps):
+    assert block_steps(shape) == steps
+
+
+@pytest.mark.parametrize("kind", ["white", "lumped", "colored"])
+class TestBlockedSampler:
+    """Draws served from blocks of ``block_steps`` steps equal the oracle's
+    whatever block, order or sampler they come from."""
+
+    def test_steps_across_blocks_in_and_out_of_order(self, kind):
+        noise = star_noise(kind)
+        n_block = block_steps(noise.factor.shape)
+        sampler = IncrementSampler(noise, trajectory_id=2)
+        in_order = list(range(3 * n_block + 2))
+        out_of_order = [2 * n_block + 1, 0, n_block - 1, 5 * n_block, n_block, 1, 2 * n_block + 1]
+        for step in in_order + out_of_order:
+            assert np.array_equal(sampler(step, 0.25), philox_increment(noise, 2, step, 0.25))
+
+    def test_interleaved_samplers_of_one_model(self, kind):
+        noise = star_noise(kind)
+        first, second = IncrementSampler(noise, 0), IncrementSampler(noise, 1)
+        for step in range(3 * block_steps(noise.factor.shape) + 1):
+            assert np.array_equal(first(step, 0.01), philox_increment(noise, 0, step, 0.01))
+            assert np.array_equal(second(step, 0.01), philox_increment(noise, 1, step, 0.01))
+
+    def test_steps_around_the_64_bit_wrap(self, kind):
+        noise = star_noise(kind)
+        n_block = block_steps(noise.factor.shape)
+        sampler = IncrementSampler(noise, trajectory_id=4)
+        for step in ((1 << 64) - 1, 1 << 64, (1 << 64) + n_block + 1, (1 << 64) - n_block, 3):
+            assert np.array_equal(sampler(step, 0.5), philox_increment(noise, 4, step, 0.5))
+
+    def test_coupled_sums_across_blocks(self, kind):
+        noise = star_noise(kind)
+        n_coarse = 3 * block_steps(noise.factor.shape) // 4 + 2
+        coarse = coupled_sampler(noise, trajectory_id=3, ratio=4, n_steps=n_coarse)
+        for step in [*range(n_coarse), 1, 0]:
+            expected = philox_increment(noise, 3, 4 * step, 0.01)
+            for i in range(1, 4):
+                expected += philox_increment(noise, 3, 4 * step + i, 0.01)
+            assert np.array_equal(coarse(step, 0.04), expected)
+
+    def test_another_dt_within_a_block(self, kind):
+        noise = star_noise(kind)
+        sampler = IncrementSampler(noise, trajectory_id=6)
+        for step, dt in ((5, 0.25), (6, 0.01), (5, 0.25), (7, 0.25), (5, 0.0)):
+            assert np.array_equal(sampler(step, dt), philox_increment(noise, 6, step, dt))
+
+    def test_mutating_a_draw_leaves_the_stream_unchanged(self, kind):
+        noise = star_noise(kind)
+        sampler = IncrementSampler(noise, trajectory_id=1)
+        draw = sampler(5, 0.25)
+        draw += 1.0
+        draw[0] = np.nan
+        assert np.array_equal(sampler(5, 0.25), philox_increment(noise, 1, 5, 0.25))
+
+
+class TestDrawsStopAtTheLastStep:
+    """A march draws every step of its trajectory once, each from its own
+    Philox reset, and no step past its last."""
+
+    @pytest.fixture
+    def resets(self, monkeypatch):
+        counters, philox = [], np.random.Philox
+
+        # numpy checks a state's generator name against the class name
+        class Philox(philox):
+            @property
+            def state(self):
+                return philox.state.__get__(self)
+
+            @state.setter
+            def state(self, value):
+                counters.append(int(value["state"]["counter"][1]))
+                philox.state.__set__(self, value)
+
+        monkeypatch.setattr(np.random, "Philox", Philox)
+        return counters
+
+    @staticmethod
+    def problem(n_blocks, extra):
+        """White noise on a 3-star, marched for ``n_blocks`` whole sampler
+        blocks and ``extra`` steps."""
+        system = small_system(n_int=5, n_edges=3)
+        noise = white_noise_model(system, seed=2)
+        n_steps = n_blocks * block_steps(noise.factor.shape) + extra
+        config = SolverConfig(dt=1e-3, t_end=n_steps * 1e-3, snapshot_stride=7)
+        return Problem(system, config, np.zeros(system.ndof), None, build_diffusion(3, 1.0), noise)
+
+    def test_march(self, resets):
+        problem = self.problem(2, 5)
+        Stepper(problem).march(trajectory_id=3)
+        assert resets == list(range(problem.config.n_steps))
+
+    def test_strong_order_ladder(self, resets):
+        problem = self.problem(2, 8)
+        n_fine = problem.config.n_steps
+        ladder = problem.config.t_end / np.array([n_fine, n_fine / 2, n_fine / 4, n_fine / 8])
+        estimate_strong_order(problem, ladder, n_trajectories=2)
+        assert resets == 2 * 4 * list(range(n_fine))
+
+    def test_a_step_past_the_last_is_refused(self):
+        sampler = IncrementSampler(star_noise("white"), trajectory_id=0, n_steps=10)
+        sampler(9, 0.1)
+        with pytest.raises(ConfigurationError, match="past the sampler's last step 9"):
+            sampler(10, 0.1)
+
+
 class TestColoredNoise:
     def test_zero_modes_rejected(self):
         with pytest.raises(ConfigurationError, match="at least one noise mode"):
@@ -193,8 +326,11 @@ class TestColoredNoise:
         factor = reference_colored_factor(sys, 2.0, amplitudes, n_modes)
         assert np.array_equal(colored_factor(sys, 2.0, amplitudes, n_modes), factor)
 
-    # N+1 = 97 and 401 are prime; K below, at and above N+1 (folded modes)
+    # N+1 = 97, 401 and 41 are prime, N+1 = 100 is smooth, so both of
+    # pocketfft's paths run; K below, at and above N+1 (folded modes)
     @pytest.mark.parametrize("n_int, n_edges, n_modes, weights, amplitudes", [
+        (99, 3, None, [1.0, 2.0, 0.5], [1.0, 0.25, 3.0]),
+        (99, 1, 250, 2.0, 0.5),
         (96, 1, 50, 1.0, None),
         (96, 3, 97, [1.0, 2.0, 0.5], [1.0, 0.25, 3.0]),
         (96, 3, 300, [1.0, 2.0, 0.5], [1.0, 0.25, 3.0]),
