@@ -329,14 +329,14 @@ class TestColoredNoise:
     # N+1 = 97, 401 and 41 are prime, N+1 = 100 is smooth, so both of
     # pocketfft's paths run; K below, at and above N+1 (folded modes)
     @pytest.mark.parametrize("n_int, n_edges, n_modes, weights, amplitudes", [
-        (99, 3, None, [1.0, 2.0, 0.5], [1.0, 0.25, 3.0]),
-        (99, 1, 250, 2.0, 0.5),
         (96, 1, 50, 1.0, None),
         (96, 3, 97, [1.0, 2.0, 0.5], [1.0, 0.25, 3.0]),
         (96, 3, 300, [1.0, 2.0, 0.5], [1.0, 0.25, 3.0]),
         (400, 1, 1000, 2.0, 0.5),
         (400, 3, None, [1.0, 2.0, 0.5], [1.0, 0.25, 3.0]),
         (40, 3, 100, [1.0, 2.0, 0.5], [1.0, 0.25, 3.0]),
+        (99, 3, None, [1.0, 2.0, 0.5], [1.0, 0.25, 3.0]),
+        (99, 1, 250, 2.0, 0.5),
     ])
     def test_apply_matches_oracle_factor(self, n_int, n_edges, n_modes, weights, amplitudes):
         sys = small_system(n_int=n_int, n_edges=n_edges, weights=weights)
