@@ -56,7 +56,8 @@ _MASK64 = (1 << 64) - 1
 # a step forms its right-hand side with one mass matvec, G (u + dt F).
 # 4: exponential Euler applies its semigroup to the right-hand side the
 # implicit schemes share, G (u + dt F) + Gamma dW, so its states differ at
-# rounding level; every other scheme's bytes are unchanged.
+# rounding level; every other scheme's bytes are unchanged.  Exponential
+# Euler has since been removed; no remaining scheme's bytes moved.
 STREAM_VERSION = 4
 
 

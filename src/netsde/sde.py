@@ -6,17 +6,13 @@ One step of the default linear-implicit scheme solves
 
 with the reaction term tamed by its sup norm, ``F_tamed = F / (1 +
 dt*max|F|)``, and the noise coefficient acting diagonally on nodal values
-(Ito convention: both are evaluated at the left endpoint).  Every scheme
-forms the same right-hand side ``rhs = G (u + dt * F) + Gamma * dW``; the
-plain variant skips taming.  Only the map from ``rhs`` to the next state
-differs: the implicit solve above, or for exponential Euler the exact
-semigroup ``V exp(Lambda dt) V^T rhs`` through the G-orthonormal
-eigendecomposition (``V^T G V = I``, so this is ``exp(dt A_h)`` applied to
-``u + dt * F + G^{-1} Gamma dW``).
+(Ito convention: both are evaluated at the left endpoint).  The plain
+variant skips taming; both schemes share the sparse factorization of
+``G - dt*A_form``, so the scheme is not part of a stepper's set-up.
 
 Every march runs through ``Stepper(problem).march``; ``simulate_path`` is
 its one-trajectory form and ``solve_heat`` its deterministic backward Euler
-reference.  This module builds on ``semigroup``, never the other way round.
+reference, whose exact flow ``semigroup`` computes without this module.
 Each trajectory derives its own noise stream from (seed, trajectory, step)
 and owns its state, so its path does not depend on which others run.
 """
@@ -35,9 +31,8 @@ from .errors import BlowupDetected, ConfigurationError, DimensionMismatch, Linea
 from .fields import DiffusionSpec, DriftSpec, eval_drift
 from .mesh import Mesh, node_coordinates, write_edge_values
 from .noise import IncrementSampler, NoiseModel
-from .semigroup import generalized_eigs
 
-SCHEMES = ("semi_implicit_tamed", "semi_implicit_plain", "exponential_euler")
+SCHEMES = ("semi_implicit_tamed", "semi_implicit_plain")
 
 
 WHOLE_TOL = 1e-9  # relative tolerance of every whole-number-of-steps rule
@@ -192,19 +187,10 @@ class Stepper:
         self.drift = nodal_drift_evaluator(problem.drift, problem.system.mesh)
         self.diffusion = nodal_diffusion_evaluator(problem.diffusion, problem.system.mesh)
         self._mass_matvec = bind_matvec(problem.system.mass)
-        if self.scheme == "exponential_euler":
-            self._spectral = generalized_eigs(problem.system)
         self._set_up_dt()
 
     def _set_up_dt(self):
-        """Set up the dt-dependent map from the right-hand side to the next
-        state: the sparse factorization of ``G - dt*A_form``, or the
-        spectral semigroup for exponential Euler."""
-        if self.scheme == "exponential_euler":
-            V = self._spectral.eigenvectors
-            decay = np.exp(self._spectral.eigenvalues * self.dt)
-            self._resolve = lambda rhs: V @ (decay * (V.T @ rhs))
-            return
+        """Factorize ``G - dt*A_form``, the only dt-dependent part."""
         system = self.problem.system
         try:
             self._resolve = spla.splu((system.mass - self.dt * system.form_matrix).tocsc()).solve
@@ -213,13 +199,11 @@ class Stepper:
 
     def with_config(self, **changes) -> "Stepper":
         """The stepper of ``problem.with_config(**changes)``: it shares every
-        dt-independent part and sets up the dt-dependent one again for a new dt."""
-        if changes.get("scheme", self.scheme) != self.scheme:
-            raise ConfigurationError(
-                f"a {self.scheme} stepper cannot switch to {changes['scheme']!r}")
+        dt-independent part and factorizes again only for a new dt."""
         other = copy.copy(self)
         other.problem = self.problem.with_config(**changes)
         other.dt = float(other.problem.config.dt)
+        other.scheme = other.problem.config.scheme
         if other.dt != self.dt:
             other._set_up_dt()
         return other

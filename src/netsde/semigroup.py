@@ -4,9 +4,9 @@ The semi-discrete flow is ``G du/dt = A_form u``; its generator in nodal
 coordinates is ``A_h = G^{-1} A_form``.  At desk scale the semigroup is
 applied exactly through the full generalized eigendecomposition of the
 symmetric pencil ``A_form v = lambda G v``, which removes time-stepping
-error from every qualitative property check.  This module imports no
-march: ``sde`` builds on it and holds ``solve_heat``, backward Euler for
-the same flow.
+error from every qualitative property check.  No march uses it:
+``sde`` and this module import neither the other, and ``sde.solve_heat``
+is backward Euler for the flow that ``semigroup_apply`` gives exactly.
 
 Positivity and sup-norm contractivity are certified on the row-sum lumped
 propagator: the consistent-mass propagator is not entrywise nonnegative

@@ -5,13 +5,13 @@ the Robin spectrum comes from the scalar boundary-value problem's
 characteristic equation, contraction/positivity cross-checks use dense
 matrix exponentials, Monte Carlo reference statistics use plain numpy, and
 the colored-noise factor is materialized from per-element antiderivatives.
-The backward-Euler march and the exponential-Euler step keep the loop and
-the three-term form the package used before every scheme shared one step
-map, and the stochastic march keeps the snapshot loop that preceded
-``SolverConfig.snapshot_steps``.  The moments of the drift-free linear-implicit
-march with unit noise coefficient come in closed form from the pencil's
-eigenpairs.  Noise increments come from a Philox generator constructed afresh for
-every draw, with the factor applied through ``@``.  Run configs are checked
+The backward-Euler march keeps the loop the package used before every
+scheme shared one step map, and the stochastic march keeps the snapshot
+loop that preceded ``SolverConfig.snapshot_steps``.  The moments of the
+drift-free linear-implicit march with unit noise coefficient and any
+increment covariance come in closed form from the pencil's eigenpairs.
+Noise increments come from a Philox generator constructed afresh for every
+draw, with the factor applied through ``@``.  Run configs are checked
 against the section-by-section normalizer that preceded the schema table.
 The per-dof owner map and the node-by-node interpolation are the ones the
 mesh kept before ``Mesh.edge_dofs`` became its only dof map, and the
@@ -187,15 +187,6 @@ def reference_simulate_path(problem, trajectory_id=0):
     return np.asarray(times), np.asarray(states), sup
 
 
-def three_term_exponential_step(spectral, mass, dt, state, forcing, noise_term):
-    """One exponential-Euler step ``V e^{Lambda dt} V^T G w`` with
-    ``w = u + dt*F + G^{-1} Gamma dW``: the projector ``V^T G`` formed dense
-    and the noise term moved to nodal values by a mass solve."""
-    V = spectral.eigenvectors
-    w = state + dt * forcing + splu(mass.tocsc()).solve(noise_term)
-    return V @ (np.exp(spectral.eigenvalues * dt) * ((V.T @ mass.toarray()) @ w))
-
-
 def philox_increment(noise, trajectory_id, step_id, dt):
     """One noise increment from a Philox generator built for this draw alone:
     key ``(seed << 64) | trajectory`` and counter ``step << 64``, each id
@@ -261,23 +252,27 @@ def reference_weighted_incidence(graph, mu, c_at_endpoints):
     return w_plus, w_minus
 
 
-def linear_implicit_moments(system, initial, dt, n_steps):
+def linear_implicit_moments(system, initial, dt, n_steps, covariance=None):
     """Exact mean and variance at every dof after ``n_steps`` steps of
-    ``(G - dt*A_form) u+ = G u + dW`` with ``dW ~ N(0, dt*G)``: the
+    ``(G - dt*A_form) u+ = G u + dW`` with ``dW ~ N(0, dt*Q)``: the
     linear-implicit march without reaction and with unit noise coefficient.
+    ``covariance`` is Q, dense; it defaults to G, the white-noise covariance.
 
     In the G-orthonormal modes of the pencil (``A_form V = G V Lambda``,
-    ``V^T G V = I``) a step is ``x+ = r (x + xi)`` with ``r = 1/(1 - dt*lambda)``
-    and ``xi ~ N(0, dt)`` independent across modes, so after n steps a mode
-    has mean ``r^n x0`` and variance ``dt r^2 (1 - r^2n) / (1 - r^2)``.  The
-    eigenvalues must be negative."""
+    ``V^T G V = I``) a step is ``x+ = R (x + xi)`` with ``R = diag(r)``,
+    ``r = 1/(1 - dt*lambda)`` and ``xi ~ N(0, dt*C)``, ``C = V^T Q V``.  After
+    n steps the modes have mean ``r^n x0`` and covariance
+    ``dt C_ij r_i r_j (1 - (r_i r_j)^n) / (1 - r_i r_j)``; the dof variances
+    are the diagonal of ``V Sigma V^T``.  The eigenvalues must be negative."""
     G = system.mass.toarray()
+    Q = G if covariance is None else np.asarray(covariance, dtype=float)
     lam, V = scipy.linalg.eigh(system.form_matrix.toarray(), G)
     assert np.all(lam < 0.0), "the closed form needs a negative definite pencil"
     r = 1.0 / (1.0 - dt * lam)
     mode_mean = r ** n_steps * (V.T @ (G @ np.asarray(initial, dtype=float)))
-    mode_var = dt * r ** 2 * (1.0 - r ** (2 * n_steps)) / (1.0 - r ** 2)
-    return V @ mode_mean, (V ** 2) @ mode_var
+    rr = np.outer(r, r)
+    sigma = dt * (V.T @ Q @ V) * rr * (1.0 - rr ** n_steps) / (1.0 - rr)
+    return V @ mode_mean, np.einsum("ij,jk,ik->i", V, sigma, V)
 
 
 def reference_assemble_form(mesh, fields, matrix):

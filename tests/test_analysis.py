@@ -27,11 +27,20 @@ from netsde.errors import (
 from netsde.fields import build_diffusion, build_edge_fields, polynomial_drift
 from netsde.graph import VertexMatrix, build_graph
 from netsde.mesh import build_mesh, interpolate
-from netsde.noise import IncrementSampler, coupled_sampler, white_noise_model
+from netsde.noise import (
+    IncrementSampler,
+    colored_noise_operator,
+    coupled_sampler,
+    white_noise_model,
+)
 from netsde.sde import Problem, SolverConfig, Stepper, TrajectorySet, simulate_path, solve_heat
-from netsde.semigroup import semigroup_apply
 
-from _oracles import linear_implicit_moments, robin_eigenfunction, robin_eigenvalues
+from _oracles import (
+    colored_factor,
+    linear_implicit_moments,
+    robin_eigenfunction,
+    robin_eigenvalues,
+)
 
 
 def heat_noise_problem(n_int=6, dt=1e-3, t_end=0.25, seed=0, stride=1, drift=None):
@@ -173,30 +182,27 @@ class TestMonteCarlo:
         reference = solve_heat(problem.system, problem.initial, 0.25, 1e-3)
         np.testing.assert_allclose(stats.mean[-1], reference.final_state(), atol=1e-12)
 
-    def test_additive_mean_matches_semigroup(self):
-        # exponential scheme: the ensemble mean is exactly the semigroup image,
-        # so the gap is pure Monte Carlo error
-        problem = heat_noise_problem(n_int=5, dt=1e-3, t_end=0.2, seed=8)
-        problem = problem.with_config(scheme="exponential_euler")
-        stats = monte_carlo(problem, n_trajectories=400)
-        exact_mean = semigroup_apply(problem.system, 0.2, problem.initial)
-        err = problem.system.e2_norm(stats.mean[-1] - exact_mean)
-        decay_gap = problem.system.e2_norm(problem.initial - exact_mean)
-        assert err < 0.05
-        assert err < 0.1 * decay_gap
-
-    def test_moments_match_linear_implicit_closed_form(self):
-        # no drift, white noise and g = 1: every pencil mode is a Gaussian
-        # autoregression with known mean and variance
+    @pytest.mark.parametrize("kind", ["white", "lumped", "colored"])
+    def test_moments_match_linear_implicit_closed_form(self, kind):
+        # no drift and g = 1: the pencil modes form a Gaussian autoregression
+        # with known mean and covariance
         graph = build_graph(4, [(1, 2), (1, 3), (1, 4)])
         system = assemble_form(build_mesh(graph, 10), build_edge_fields(3),
                                VertexMatrix(-np.eye(4)))
         u0 = interpolate(system.mesh, lambda x: 1.0 + np.sin(np.pi * x))
         dt, n_steps, n = 2e-3, 50, 400
+        if kind == "colored":
+            noise = colored_noise_operator(system, 1.0, seed=2026, n_modes=8)
+            factor = colored_factor(system, 1.0, n_modes=8)
+            covariance = factor @ factor.T
+        else:
+            noise = white_noise_model(system, seed=2026, lumped=kind == "lumped")
+            G = system.mass.toarray()
+            covariance = np.diag(G.sum(axis=1)) if kind == "lumped" else G
         problem = Problem(system, SolverConfig(dt=dt, t_end=n_steps * dt), u0, None,
-                          build_diffusion(3, 1.0), white_noise_model(system, seed=2026))
+                          build_diffusion(3, 1.0), noise)
         stats = monte_carlo(problem, n_trajectories=n)
-        mean, variance = linear_implicit_moments(system, u0, dt, n_steps)
+        mean, variance = linear_implicit_moments(system, u0, dt, n_steps, covariance)
         assert system.ndof == 34
         # Gaussian standard errors of the sample mean and the unbiased variance
         z_mean = (stats.mean[-1] - mean) / np.sqrt(variance / n)
@@ -282,7 +288,7 @@ class TestBoundaryCounts:
 
 
 class TestStrongOrder:
-    @pytest.mark.parametrize("scheme", ["semi_implicit_tamed", "exponential_euler"])
+    @pytest.mark.parametrize("scheme", ["semi_implicit_tamed", "semi_implicit_plain"])
     def test_values_match_reference_loop(self, scheme):
         drift = polynomial_drift(1, [0.0, 1.0, 0.0, 1.0], n_edges=1)
         problem = heat_noise_problem(n_int=6, t_end=0.0625, seed=4, drift=drift)
@@ -290,25 +296,6 @@ class TestStrongOrder:
         ladder = 0.0625 / np.array([256.0, 32.0, 16.0, 8.0])
         est = estimate_strong_order(problem, ladder, n_trajectories=3)
         expected = reference_strong_order_errors(problem, ladder, 3, problem.system.e2_norm)
-        assert np.array_equal(est.values, expected)
-
-    def test_exponential_euler_ladder_decomposes_once(self, monkeypatch):
-        from netsde import sde
-
-        problem = heat_noise_problem(n_int=6, t_end=0.0625, seed=4)
-        problem = problem.with_config(scheme="exponential_euler")
-        ladder = 0.0625 / np.array([256.0, 32.0, 16.0, 8.0])
-        expected = reference_strong_order_errors(problem, ladder, 2, problem.system.e2_norm)
-        calls = []
-        original = sde.generalized_eigs
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(sde, "generalized_eigs", counted)
-        est = estimate_strong_order(problem, ladder, n_trajectories=2)
-        assert len(calls) == 1
         assert np.array_equal(est.values, expected)
 
     def test_diffusion_without_noise_rejected(self):
@@ -364,15 +351,6 @@ class TestStrongOrder:
         est = estimate_strong_order(problem, ladder, n_trajectories=32)
         assert 0.15 <= est.estimate <= 0.40
         assert est.r_squared > 0.9
-
-    def test_exponential_euler_no_worse_than_semi_implicit(self):
-        ladder = 0.125 / np.array([1024.0, 32.0, 16.0, 8.0])
-        problem = heat_noise_problem(n_int=6, t_end=0.125, seed=21)
-        semi = estimate_strong_order(problem, ladder, n_trajectories=16)
-        exp_problem = problem.with_config(scheme="exponential_euler")
-        expo = estimate_strong_order(exp_problem, ladder, n_trajectories=16)
-        assert expo.estimate >= semi.estimate - 0.05
-
 
 class _Marched(Exception):
     """Raised in place of a march: the estimator accepted its time grid."""

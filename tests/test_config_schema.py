@@ -55,12 +55,13 @@ EXPERIMENTS = [
 # a fixed list of replacement values for every path, valid at some paths
 WRONG = [None, True, "x", "1 + x", "u^^3", -1, 0, 2, 1e-3, 0.25, 1.5, [], [1.0, 2.0],
          [[1, 2]], [0.01, 0.02, 0.04, 0.08], {}, {"1.5": 0.5}]
-# and the names a tag or choice key can take
+# and the names a tag or choice key can take, plus the removed scheme
+# exponential_euler, which both normalizers reject
 NAMES = {
     "type": ["none", "allen_cahn", "polynomial"],
     "kind": ["white", "colored"],
     "name": ["validate", "spectrum", "simulate", "holder", "convergence"],
-    "scheme": ["semi_implicit_tamed", "exponential_euler"],
+    "scheme": ["semi_implicit_tamed", "semi_implicit_plain", "exponential_euler"],
     "norm": ["E2", "Einf"],
 }
 UNKNOWN = "zz_unknown"
@@ -221,6 +222,19 @@ def test_cli_rejects_infinite_burn_fraction(tmp_path, capsys):
     errors = [line for line in capsys.readouterr().err.splitlines()
               if line.startswith("netsde: error:")]
     assert len(errors) == 1 and "experiment.burn_fraction" in errors[0]
+
+
+def test_cli_rejects_removed_scheme(tmp_path, capsys):
+    raw = mutate(MINIMAL, ("solver", "scheme"), "set", "exponential_euler")
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    assert run_command(["simulate", "--config", str(path), "--output-dir", str(out)]) == 1
+    assert not (out / "manifest.json").exists()
+    errors = [line for line in capsys.readouterr().err.splitlines()
+              if line.startswith("netsde: error:")]
+    assert len(errors) == 1 and "solver.scheme" in errors[0]
+    assert "semi_implicit_tamed" in errors[0] and "semi_implicit_plain" in errors[0]
 
 
 def schema_keys(table):

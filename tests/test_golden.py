@@ -35,7 +35,6 @@ CASES = {
     "convergence_ladder": ("convergence", "convergence_ladder.json", []),
     "simulate_colored": ("simulate", "simulate_colored.json", []),
     "simulate_white_fine": ("simulate", "simulate_white_fine.json", []),
-    "simulate_exponential": ("simulate", "simulate_exponential.json", []),
     "colored_weighted": ("simulate", "colored_weighted.json", []),
     "validate": ("validate", "validate.json", []),
     "spectrum": ("spectrum", "spectrum.json", ["--dump-matrices"]),
@@ -74,6 +73,10 @@ def golden():
 
 def test_every_case_is_recorded(golden):
     assert sorted(golden) == sorted(CASES)
+    recorded = json.loads(HASHES.read_text(encoding="utf-8"))
+    assert sorted(recorded["platform"]) == sorted(platform_fingerprint())
+    configs = sorted(path.name for path in (GOLDEN / "configs").iterdir())
+    assert configs == sorted(config for _, config, _ in CASES.values())
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

@@ -32,14 +32,12 @@ from netsde.sde import (
     simulate_path,
     solve_heat,
 )
-from netsde.semigroup import generalized_eigs, semigroup_apply
 
 from _oracles import (
     backward_euler_heat,
     random_multigraph_mesh,
     reference_dof_map,
     reference_simulate_path,
-    three_term_exponential_step,
 )
 
 
@@ -263,14 +261,6 @@ class TestSimulatePath:
         with pytest.raises(error, match=match):
             replace(problem, **changes)
 
-    def test_exponential_euler_matches_exact_linear_flow(self):
-        sys = conserved_heat_system()
-        u0 = interpolate(sys.mesh, [lambda x: np.sin(np.pi * x), lambda x: 0.0 * x])
-        cfg = SolverConfig(dt=0.05, t_end=0.2, scheme="exponential_euler")
-        traj = simulate_path(Problem(sys, cfg, u0))
-        exact = semigroup_apply(sys, 0.2, u0)
-        np.testing.assert_allclose(traj.final_state(), exact, atol=1e-10)
-
 
 class TestStepperWithConfig:
     def test_shares_set_up_until_dt_changes(self, monkeypatch):
@@ -289,9 +279,13 @@ class TestStepperWithConfig:
         strided = stepper.with_config(snapshot_stride=5)
         assert len(calls) == 1
         assert strided.problem.config.snapshot_stride == 5 and stepper.problem is problem
+        plain = stepper.with_config(scheme="semi_implicit_plain")
+        assert len(calls) == 1
         coarse = stepper.with_config(dt=2e-3)
         assert len(calls) == 2
-        for other, changes in ((strided, dict(snapshot_stride=5)), (coarse, dict(dt=2e-3))):
+        for other, changes in ((strided, dict(snapshot_stride=5)),
+                               (plain, dict(scheme="semi_implicit_plain")),
+                               (coarse, dict(dt=2e-3))):
             reference = simulate_path(problem.with_config(**changes), trajectory_id=1)
             march = other.march(trajectory_id=1)
             assert np.array_equal(march.times, reference.times)
@@ -304,58 +298,9 @@ class TestStepperWithConfig:
             raise AssertionError("set up before the time grid was checked")
 
         monkeypatch.setattr(sde.spla, "splu", no_set_up)
-        monkeypatch.setattr(sde, "generalized_eigs", no_set_up)
-        for scheme in ("semi_implicit_tamed", "exponential_euler"):
-            problem, _ = allen_cahn_problem(t_end=0.0105, scheme=scheme)
-            with pytest.raises(ConfigurationError, match="t_end / dt"):
-                Stepper(problem)
-
-    def test_scheme_change_rejected(self):
-        problem, _ = allen_cahn_problem(t_end=0.01)
-        with pytest.raises(ConfigurationError, match="exponential_euler"):
-            Stepper(problem).with_config(scheme="exponential_euler")
-
-
-class TestExponentialEuler:
-    def test_step_matches_three_term_oracle(self):
-        problem, _ = allen_cahn_problem(n_int=20, dt=1e-3, t_end=0.1, noise_seed=9,
-                                        initial=3.0)
-        diffusion = build_diffusion(3, parse_expression("1 + 0.1*u*x", ("t", "x", "u")))
-        dt = problem.config.dt
-        stepper = Stepper(replace(problem.with_config(scheme="exponential_euler"),
-                                  diffusion=diffusion))
-        spectral = generalized_eigs(problem.system)
-        sampler = IncrementSampler(problem.noise, 0)
-        u = v = problem.initial
-        tamed = 0
-        for step in range(problem.config.n_steps):
-            t = step * dt
-            dW = sampler(step, dt)
-            u = stepper.step(u, t, dW)
-            forcing = stepper.drift(t, v)
-            taming = 1.0 + dt * np.abs(forcing).max()
-            tamed += taming > 1.01
-            v = three_term_exponential_step(spectral, problem.system.mass, dt, v,
-                                            forcing / taming, stepper.diffusion(t, v) * dW)
-            assert np.abs(u - v).max() <= 1e-12 * np.abs(v).max()
-        assert tamed > 0
-
-    def test_makes_no_sparse_factorization(self, monkeypatch):
-        from netsde import sde
-
-        problem, _ = allen_cahn_problem(noise_seed=3, t_end=0.01, scheme="exponential_euler")
-        calls = []
-        original = sde.spla.splu
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(sde.spla, "splu", counted)
-        simulate_path(problem)
-        assert calls == []
-        Stepper(problem.with_config(scheme="semi_implicit_tamed"))
-        assert len(calls) == 1
+        problem, _ = allen_cahn_problem(t_end=0.0105)
+        with pytest.raises(ConfigurationError, match="t_end / dt"):
+            Stepper(problem)
 
 
 def power(v, l):

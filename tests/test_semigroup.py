@@ -7,7 +7,7 @@ from netsde.errors import ConfigurationError
 from netsde.fields import build_edge_fields
 from netsde.graph import VertexMatrix, build_graph
 from netsde.mesh import build_mesh, interpolate
-from netsde.sde import Problem, SolverConfig, Stepper, solve_heat
+from netsde.sde import solve_heat
 from netsde.semigroup import (
     check_contraction,
     check_positivity,
@@ -43,13 +43,10 @@ class TestGeneralizedEigs:
 
         monkeypatch.setattr(semigroup.scipy.linalg, "eigh", dense_eigh)
         limit = f"{sys.ndof} dofs.*DENSE_LIMIT = {sys.ndof - 1}"
-        u0 = np.ones(sys.ndof)
         with pytest.raises(ConfigurationError, match=limit):
             generalized_eigs(sys)
         with pytest.raises(ConfigurationError, match=limit):
-            semigroup_apply(sys, 0.1, u0)
-        with pytest.raises(ConfigurationError, match=limit):
-            Stepper(Problem(sys, SolverConfig(0.1, 0.1, "exponential_euler"), u0))
+            semigroup_apply(sys, 0.1, np.ones(sys.ndof))
         # a partial decomposition takes the iterative path instead
         np.testing.assert_allclose(generalized_eigs(sys, count=3).eigenvalues, partial,
                                    rtol=1e-10)
