@@ -302,6 +302,11 @@ class TestStepperWithConfig:
         with pytest.raises(ConfigurationError, match="t_end / dt"):
             Stepper(problem)
 
+    def test_scheme_change_rejected(self):
+        problem, _ = allen_cahn_problem(t_end=0.01)
+        with pytest.raises(ConfigurationError, match="exponential_euler"):
+            Stepper(problem).with_config(scheme="exponential_euler")
+
 
 def power(v, l):
     """v ** l as ((v * v) * v) * ..., the order eval_drift multiplies in."""
