@@ -224,7 +224,12 @@ def estimate_strong_order(problem: Problem, dt_ladder, n_trajectories: int,
     The finest ladder entry defines the reference path; every coarser level
     re-runs the same trajectory with increments aggregated from the
     reference stream (decoupled noise would make levels independent and is
-    rejected).  The regression is over the coarser levels only.
+    rejected).  The regression is over the coarser levels only.  Each
+    trajectory's fine stream is drawn and applied once: the reference level's
+    sampler and every coarse level's ``coupled_sampler`` share one store of
+    applied blocks, freed after the trajectory and capped at
+    ``LADDER_STORE_BYTES`` (64 MiB); each level draws the blocks past the cap
+    again.
     """
     if n_trajectories < 1:
         raise ConfigurationError(f"need at least one trajectory, got {n_trajectories}")
@@ -257,11 +262,11 @@ def estimate_strong_order(problem: Problem, dt_ladder, n_trajectories: int,
 
     all_errs = []
     for traj_id in range(n_trajectories):
-        finals = []
+        finals, store = [], {}
         for level, ratio, steps in zip(levels, [1, *ratios], n_steps):
-            # the reference level draws the trajectory's own fine stream
-            sampler = (coupled_sampler(problem.noise, traj_id, ratio, steps)
-                       if ratio > 1 and problem.noise is not None else None)
+            # at ratio 1 the reference level marches the fine sampler itself
+            sampler = (coupled_sampler(problem.noise, traj_id, ratio, steps, store)
+                       if problem.noise is not None else None)
             finals.append(level.march(traj_id, sampler).final_state())
         all_errs.append([norm_fn(u - finals[0]) for u in finals[1:]])
     means = np.mean(np.array(all_errs), axis=0)

@@ -26,7 +26,11 @@ sampler draws the normals of an aligned block of steps, each from its own
 counter, and applies the factor once to the (dim, B) block.  B depends only
 on the factor's shape (``block_steps``), and the block's columns equal the
 per-step products bit for bit, so no increment changed a byte with the
-blocks: the stream version stayed 4.
+blocks: the stream version stayed 4.  A strong-order ladder draws each
+trajectory's fine stream once: its levels share one store of unscaled
+applied blocks, and each level scales them by its own ``sqrt(dt)``.  The
+store keeps at most ``LADDER_STORE_BYTES`` (64 MiB) of blocks; each level
+draws the blocks past that budget again.
 
 ``STREAM_VERSION``, recorded in every manifest, names the whole mapping from
 (config, seed) to artifact bytes, noise and arithmetic alike, and changes
@@ -210,6 +214,11 @@ def block_steps(shape) -> int:
     return min(64, 1 << (fit.bit_length() - 1))
 
 
+# The most bytes of unscaled applied blocks a ladder's store keeps for one
+# trajectory: a whole fine stream of 2^17 steps at 3004 dofs would take 3.1 GB
+LADDER_STORE_BYTES = 64 << 20
+
+
 class IncrementSampler:
     """Per-trajectory sampler: normals drawn per step, factor applied per block.
 
@@ -225,9 +234,18 @@ class IncrementSampler:
     drawn in.  No block reaches past ``n_steps`` and a step there raises
     ConfigurationError, so a march that passes its step count draws nothing
     beyond its last step.
+
+    ``store``, a dict shared by the samplers of one trajectory with the same
+    noise model and ``n_steps`` (a strong-order ladder's levels), maps a
+    block's first step to its unscaled applied block.  A fill takes the block
+    from there, resetting Philox, drawing and applying only on a miss, and
+    keeps a missed block while the store stays within ``LADDER_STORE_BYTES``;
+    every sampler scales by its own ``sqrt(dt)``, so its increments do not
+    depend on which sampler drew the block.
     """
 
-    def __init__(self, noise: NoiseModel, trajectory_id: int, n_steps: int = 1 << 64):
+    def __init__(self, noise: NoiseModel, trajectory_id: int, n_steps: int = 1 << 64,
+                 store: dict | None = None):
         self.noise = noise
         self.trajectory_id = int(trajectory_id)
         self._n_steps = int(n_steps)
@@ -237,6 +255,7 @@ class IncrementSampler:
         self._gen = np.random.Generator(self._bitgen)
         self._block = block_steps(noise.factor.shape)
         self._normals = np.empty((self._block, noise.dim))
+        self._store = store
         # the filled block: first step, dt, and one increment per row
         self._start, self._dt, self._rows = 0, None, ()
 
@@ -249,32 +268,46 @@ class IncrementSampler:
         return self._rows[j].copy()
 
     def _fill(self, step: int, dt: float) -> int:
-        """Draw, apply and scale the block holding ``step``; its row there."""
+        """Scale the applied block holding ``step``, taken from the store or
+        drawn and applied; its row there."""
         if step >= self._n_steps:
             raise ConfigurationError(
                 f"step {step} is past the sampler's last step {self._n_steps - 1}")
         start = step - step % self._block
-        normals = self._normals[:min(self._block, self._n_steps - start)]
-        for row, block_step in zip(normals, range(start, start + len(normals))):
-            self._counter[1] = block_step
-            self._bitgen.state = self._state
-            self._gen.standard_normal(out=row)
-        applied = self.noise.apply(normals.T).T
+        store = self._store
+        applied = None if store is None else store.get(start)
+        if applied is None:
+            normals = self._normals[:min(self._block, self._n_steps - start)]
+            for row, block_step in zip(normals, range(start, start + len(normals))):
+                self._counter[1] = block_step
+                self._bitgen.state = self._state
+                self._gen.standard_normal(out=row)
+            applied = self.noise.apply(normals.T).T
+            # every kept block but the last is whole: count each as whole
+            whole = 8 * self._block * self.noise.factor.shape[0]
+            if store is not None and (len(store) + 1) * whole <= LADDER_STORE_BYTES:
+                store[start] = applied
         self._start, self._dt = start, dt
         self._rows = np.multiply(math.sqrt(dt), applied, order="C")
         return step - start
 
 
 def coupled_sampler(noise: NoiseModel, trajectory_id: int, ratio: int,
-                    n_steps: int = 1 << 64):
+                    n_steps: int = 1 << 64, store: dict | None = None):
     """Sampler for a coarsened grid of ``n_steps`` steps: sums ``ratio``
     fine-step increments.
 
     Used by strong-convergence ladders so that every level sees the same
-    underlying noise as the reference discretization.
+    underlying noise as the reference discretization.  Its fine stream is an
+    ``IncrementSampler`` of ``ratio * n_steps`` steps reading ``store``; at
+    ratio 1 that sampler is returned itself.  With one store per trajectory,
+    a ladder draws and applies the fine stream once, up to the store's
+    budget ``LADDER_STORE_BYTES``.
     """
     ratio = int(ratio)
-    fine = IncrementSampler(noise, trajectory_id, ratio * int(n_steps))
+    fine = IncrementSampler(noise, trajectory_id, ratio * int(n_steps), store)
+    if ratio == 1:
+        return fine
 
     def sample(step_id: int, dt: float) -> np.ndarray:
         fine_dt = dt / ratio

@@ -16,7 +16,7 @@ from netsde.analysis import (
     holder_exponent_from_paths,
     vertex_residual,
 )
-from netsde.assembly import assemble_form, noise_covariance_factor
+from netsde.assembly import assemble_form
 from netsde.fields import allen_cahn_system, build_diffusion, build_edge_fields
 from netsde.graph import VertexMatrix, build_graph
 from netsde.mesh import build_mesh, interpolate

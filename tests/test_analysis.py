@@ -288,12 +288,28 @@ class TestBoundaryCounts:
 
 
 class TestStrongOrder:
-    @pytest.mark.parametrize("scheme", ["semi_implicit_tamed", "semi_implicit_plain"])
-    def test_values_match_reference_loop(self, scheme):
+    LADDER = 0.0625 / np.array([256.0, 32.0, 16.0, 8.0])
+
+    # the last two ladders' coarse dt/ratio is not the finest dt in floating
+    # point (3e-4/3 == 9.999999999999999e-05); in the last, sqrt(9.1e-3/7)
+    # is not sqrt(1.3e-3) either, so each level must scale by its own dt
+    @pytest.mark.parametrize("scheme, kind, t_end, ladder", [
+        pytest.param("semi_implicit_tamed", "white", 0.0625, LADDER, id="semi_implicit_tamed"),
+        pytest.param("semi_implicit_plain", "white", 0.0625, LADDER, id="semi_implicit_plain"),
+        pytest.param("semi_implicit_tamed", "colored", 0.0625, LADDER, id="colored"),
+        pytest.param("semi_implicit_tamed", "white", 0.0288,
+                     np.array([1e-4, 3e-4, 6e-4, 1.2e-3]), id="coarse_dt_off_the_finest"),
+        pytest.param("semi_implicit_tamed", "white", 0.0728,
+                     np.array([1.3e-3, 2.6e-3, 5.2e-3, 9.1e-3]),
+                     id="coarse_sqrt_dt_off_the_finest"),
+    ])
+    def test_values_match_reference_loop(self, scheme, kind, t_end, ladder):
         drift = polynomial_drift(1, [0.0, 1.0, 0.0, 1.0], n_edges=1)
-        problem = heat_noise_problem(n_int=6, t_end=0.0625, seed=4, drift=drift)
+        problem = heat_noise_problem(n_int=6, t_end=t_end, seed=4, drift=drift)
         problem = problem.with_config(scheme=scheme)
-        ladder = 0.0625 / np.array([256.0, 32.0, 16.0, 8.0])
+        if kind == "colored":
+            noise = colored_noise_operator(problem.system, decay=1.5, seed=4, n_modes=5)
+            problem = dataclasses.replace(problem, noise=noise)
         est = estimate_strong_order(problem, ladder, n_trajectories=3)
         expected = reference_strong_order_errors(problem, ladder, 3, problem.system.e2_norm)
         assert np.array_equal(est.values, expected)

@@ -13,7 +13,6 @@ from netsde.errors import (
     VertexIdOutOfRange,
 )
 from netsde.graph import (
-    MetricGraph,
     VertexMatrix,
     build_graph,
     edge_indices_at_vertex,

@@ -4,7 +4,6 @@ import pytest
 from _oracles import random_multigraph_mesh, reference_interpolate
 from netsde.errors import ConfigurationError, MeshTooCoarse, VertexMismatch
 from netsde.expressions import parse_expression
-from netsde.fields import build_edge_fields
 from netsde.graph import build_graph
 from netsde.mesh import build_mesh, interpolate
 

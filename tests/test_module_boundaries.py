@@ -6,7 +6,9 @@ imports SciPy's private ``_sparsetools``, through ``assembly.bind_matvec``.
 Every relative import is a module-level statement, and the graph of
 ``from .module import ...`` edges has no cycle.  Every name the package
 exports has a reader: a module reads it outside its own definition, the
-README names it, or an acceptance test reads it.
+README names it, or an acceptance test reads it.  Every name a module other
+than ``__init__.py`` (whose imports are the exports) binds by an import is
+read in that module.
 """
 
 import ast
@@ -105,6 +107,19 @@ def _unread_exports(init: Path, modules, readme: str, acceptance: Path):
                   and not re.search(rf"\b{re.escape(name)}\b", readme))
 
 
+def _unread_imports(path: Path):
+    """The names the file's imports bind and the file never reads as a bare
+    name, in import order; ``import a.b`` binds ``a``, and a ``__future__``
+    import binds nothing."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    bound = [alias.asname or alias.name.split(".")[0]
+             for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+             and getattr(node, "module", None) != "__future__" for alias in node.names]
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [name for name in bound if name not in read]
+
+
 def _is_netsde(module: str) -> bool:
     return module.startswith(".") or module == "netsde" or module.startswith("netsde.")
 
@@ -183,3 +198,20 @@ def test_the_export_rule_catches_a_planted_orphan(tmp_path):
                              tmp_path / "test_acceptance.py")
     # an import alone is no read, and neither is a call inside the definition
     assert unread == ["orphan", "recursive"]
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "__init__.py"],
+                         ids=lambda p: p.name)
+def test_every_import_is_read(path):
+    unread = _unread_imports(path)
+    assert not unread, f"{path.name} imports names it never reads: {unread}"
+
+
+def test_the_import_rule_catches_a_planted_unread_import(tmp_path):
+    planted = tmp_path / "planted.py"
+    planted.write_text("from __future__ import annotations\n\nimport os\nimport numpy as np\n"
+                       "import scipy.sparse\nfrom .a import f, g as h, k\n\n"
+                       "os = None\nnp.zeros(1)\nscipy.sparse.eye(2)\n\n\n"
+                       "def f2(x):\n    return h(x.k)\n")
+    # a name that is only assigned to is no read, and neither is an attribute
+    assert _unread_imports(planted) == ["os", "f", "k"]

@@ -205,7 +205,8 @@ class TestBlockedSampler:
 
 class TestDrawsStopAtTheLastStep:
     """A march draws every step of its trajectory once, each from its own
-    Philox reset, and no step past its last."""
+    Philox reset, and no step past its last; a strong-order ladder draws each
+    trajectory's fine stream once for all its levels."""
 
     @pytest.fixture
     def resets(self, monkeypatch):
@@ -240,12 +241,28 @@ class TestDrawsStopAtTheLastStep:
         Stepper(problem).march(trajectory_id=3)
         assert resets == list(range(problem.config.n_steps))
 
+    @staticmethod
+    def ladder(problem):
+        n_fine = problem.config.n_steps
+        return problem.config.t_end / np.array([n_fine, n_fine / 2, n_fine / 4, n_fine / 8])
+
     def test_strong_order_ladder(self, resets):
         problem = self.problem(2, 8)
-        n_fine = problem.config.n_steps
-        ladder = problem.config.t_end / np.array([n_fine, n_fine / 2, n_fine / 4, n_fine / 8])
-        estimate_strong_order(problem, ladder, n_trajectories=2)
-        assert resets == 2 * 4 * list(range(n_fine))
+        estimate_strong_order(problem, self.ladder(problem), n_trajectories=2)
+        assert resets == 2 * list(range(problem.config.n_steps))
+
+    def test_strong_order_ladder_past_the_store_budget(self, resets, monkeypatch):
+        problem = self.problem(2, 8)
+        unpatched = estimate_strong_order(problem, self.ladder(problem), n_trajectories=2)
+        resets.clear()
+        n_block = block_steps(problem.noise.factor.shape)
+        monkeypatch.setattr("netsde.noise.LADDER_STORE_BYTES",
+                            8 * n_block * problem.system.ndof)
+        capped = estimate_strong_order(problem, self.ladder(problem), n_trajectories=2)
+        assert np.array_equal(capped.values, unpatched.values)
+        # the store keeps the first block; each of the 3 coarse levels redraws the rest
+        fine = list(range(problem.config.n_steps))
+        assert resets == 2 * (fine + 3 * fine[n_block:])
 
     def test_a_step_past_the_last_is_refused(self):
         sampler = IncrementSampler(star_noise("white"), trajectory_id=0, n_steps=10)
