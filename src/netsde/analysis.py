@@ -4,6 +4,11 @@ Everything here is deterministic given (configuration, base seed): each
 trajectory derives its noise stream from counter-based keys, trajectories
 run serially in id order through ``Stepper.march``, and every reduction
 follows that order.
+
+The Hölder estimator and the strong-order ladder hold one trajectory at a
+time: the Hölder fit consumes a generator of marched paths, and the ladder
+keeps only final states.  ``run_trajectories`` and ``monte_carlo`` return or
+stack every trajectory's snapshots.
 """
 
 from __future__ import annotations
@@ -124,36 +129,43 @@ def holder_exponent_from_paths(times, paths, lags, norm_fn=None,
                                burn_fraction: float = 0.25) -> ExponentEstimate:
     """Regress log mean increment norms against log lag over sampled paths.
 
-    ``paths`` is a nonempty sequence of (n_snap, d) arrays sharing the
+    ``paths`` is any nonempty iterable of (n_snap, d) arrays sharing the
     uniform ``times``, with d taken from the first path; any other shape
-    raises DimensionMismatch.  Every lag must be a whole multiple of the
-    snapshot spacing.  Increment norms are averaged over interior start
-    times (after a burn-in prefix) and over paths, then fitted by ordinary
-    least squares.
+    raises DimensionMismatch when that path arrives.  It is consumed once,
+    one path at a time, and each path is dropped before the next is asked
+    for, so a generator that marches trajectories on demand holds one at a
+    time.  Every lag must be a whole multiple of the snapshot spacing.
+    Increment norms are averaged over interior start times (after a burn-in
+    prefix) and over paths, then fitted by ordinary least squares.
     """
     lags, steps, start = _lag_grid(times, lags, burn_fraction)
-    if len(paths) == 0:
-        raise ConfigurationError(f"need at least one path, got {len(paths)}")
     n_snap = len(times)
-    paths = [np.asarray(path, dtype=float) for path in paths]
-    # a first path that is not 2-D fixes no d, and its shape cannot match
-    d = paths[0].shape[1] if paths[0].ndim == 2 else "d"
-    for i, path in enumerate(paths):
-        if path.shape != (n_snap, d):
-            raise DimensionMismatch(f"path {i} has shape {path.shape}, expected ({n_snap}, {d})")
     if norm_fn is None:
         norm_fn = lambda diffs: np.linalg.norm(diffs, axis=1)
 
     sums = np.zeros(lags.size)
     counts = np.zeros(lags.size)
-    # one buffer for every increment array; the smallest lag has the most rows
-    buffer = np.empty((n_snap - start - steps[0], d))
+    n_paths, d, buffer = 0, None, None
     for path in paths:
+        path = np.asarray(path, dtype=float)
+        if d is None:
+            # a first path that is not 2-D fixes no d, and its shape cannot match
+            d = path.shape[1] if path.ndim == 2 else "d"
+        if path.shape != (n_snap, d):
+            raise DimensionMismatch(
+                f"path {n_paths} has shape {path.shape}, expected ({n_snap}, {d})")
+        if buffer is None:
+            # one buffer for every increment array; the smallest lag has the most rows
+            buffer = np.empty((n_snap - start - steps[0], d))
         for i, k in enumerate(steps):
             diffs = np.subtract(path[start + k:], path[start:-k],
                                 out=buffer[:n_snap - start - k])
             sums[i] += float(norm_fn(diffs).sum())
             counts[i] += diffs.shape[0]
+        n_paths += 1
+        del path  # before the next path is made
+    if n_paths == 0:
+        raise ConfigurationError("need at least one path, got 0")
     means = sums / counts
     slope, half_width, r2, residuals = _ols_loglog(lags, means)
     return ExponentEstimate(slope, half_width, r2, lags, means, residuals)
@@ -207,10 +219,12 @@ def estimate_holder_exponent(problem: Problem, lags, n_trajectories: int,
             f"the snapshot stride of {stride} steps (the gcd of the lags' steps) does not "
             f"divide the {cfg.n_steps} steps to t_end; make t_end a multiple of {stride} steps")
     run_problem = problem.with_config(snapshot_stride=stride)
-    _lag_grid(run_problem.config.snapshot_steps * float(cfg.dt), lags, burn_fraction)
-    trajs = run_trajectories(run_problem, range(n_trajectories))
-    return holder_exponent_from_paths(trajs[0].times, [t.states for t in trajs],
-                                      lags, norm_fn, burn_fraction)
+    times = run_problem.config.snapshot_steps * float(cfg.dt)
+    # the fit checks its snapshot grid before it asks for the first path, and
+    # each trajectory is marched only when the fit asks for it
+    stepper = Stepper(run_problem)
+    paths = (stepper.march(i).states for i in range(n_trajectories))
+    return holder_exponent_from_paths(times, paths, lags, norm_fn, burn_fraction)
 
 
 # ---------------------------------------------------------------------------

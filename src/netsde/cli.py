@@ -14,6 +14,7 @@ import argparse
 import json
 import sys
 import warnings
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -51,8 +52,19 @@ def _fmt(value) -> str:
     return str(value)
 
 
+# lines per write, so that no file is held whole: 4096 of simulate's
+# snapshot lines are about 230 KB of text
+_WRITE_LINES = 4096
+
+
 def _write_lines(path: Path, header, lines):
-    path.write_text("\n".join([",".join(header), *lines]) + "\n", encoding="utf-8")
+    """Write the header and then ``lines``, each ended by a newline, in
+    pieces of ``_WRITE_LINES`` lines."""
+    lines = iter(lines)
+    with path.open("w", encoding="utf-8") as handle:
+        handle.write(",".join(header) + "\n")
+        while piece := list(islice(lines, _WRITE_LINES)):
+            handle.write("\n".join(piece) + "\n")
 
 
 def _write_csv(path: Path, header, rows):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -131,6 +132,50 @@ class TestHolderCalibration:
         for field in dataclasses.fields(ref):
             assert np.array_equal(getattr(est, field.name), getattr(ref, field.name)), field.name
 
+    def test_generator_fits_like_a_list(self):
+        times, paths = self.brownian_paths(n_paths=20)
+        lags = np.array([2, 4, 8, 16]) * 1e-3
+        ref = holder_exponent_from_paths(times, paths, lags)
+        est = holder_exponent_from_paths(times, (path for path in paths), lags)
+        for field in dataclasses.fields(ref):
+            assert np.array_equal(getattr(est, field.name), getattr(ref, field.name)), field.name
+        with pytest.raises(ConfigurationError, match="need at least one path"):
+            holder_exponent_from_paths(times, (path for path in []), lags)
+
+    @pytest.mark.parametrize("norm", ["E2", "Einf"])
+    @pytest.mark.parametrize("kind", ["white", "colored"])
+    def test_estimator_matches_fit_of_stacked_trajectories(self, kind, norm):
+        problem = heat_noise_problem(dt=1e-3, t_end=0.2, seed=6)
+        if kind == "colored":
+            noise = colored_noise_operator(problem.system, decay=1.5, seed=6, n_modes=5)
+            problem = dataclasses.replace(problem, noise=noise)
+        lags = np.array([4, 8, 16, 32]) * 1e-3
+        est = estimate_holder_exponent(problem, lags, n_trajectories=3, norm=norm)
+        # the lags' gcd is 4 steps, the estimator's snapshot stride
+        trajs = run_trajectories(problem.with_config(snapshot_stride=4), range(3))
+        norm_fn = e2_norm_rows(problem.system) if norm == "E2" else einf_norm_rows
+        ref = holder_exponent_from_paths(trajs[0].times, [t.states for t in trajs], lags,
+                                         norm_fn)
+        for field in dataclasses.fields(ref):
+            assert np.array_equal(getattr(est, field.name), getattr(ref, field.name)), field.name
+
+    def test_estimator_holds_one_trajectory_at_a_time(self, monkeypatch):
+        states, held = [], []
+        original = Stepper.march
+
+        def march(stepper, trajectory_id=0, sampler=None):
+            held.append([j for j, ref in enumerate(states) if ref() is not None])
+            trajectory = original(stepper, trajectory_id, sampler)
+            states.append(weakref.ref(trajectory.states))
+            return trajectory
+
+        monkeypatch.setattr(Stepper, "march", march)
+        problem = heat_noise_problem(dt=1e-3, t_end=0.2, seed=5)
+        estimate_holder_exponent(problem, np.array([4, 8, 16, 32]) * 1e-3, n_trajectories=4)
+        assert len(held) == 4
+        for i, alive in enumerate(held):
+            assert all(j >= i - 1 for j in alive), (i, alive)
+
     def test_driver_rejects_coarse_dt(self):
         problem = heat_noise_problem(dt=1e-3)
         with pytest.raises(InsufficientResolution):
@@ -140,7 +185,7 @@ class TestHolderCalibration:
         def march(*args, **kwargs):
             raise AssertionError("trajectories marched before the norm was checked")
 
-        monkeypatch.setattr(analysis, "run_trajectories", march)
+        monkeypatch.setattr(Stepper, "march", march)
         problem = heat_noise_problem(dt=1e-3, t_end=0.2)
         with pytest.raises(ConfigurationError, match="unknown norm"):
             estimate_holder_exponent(problem, np.array([4, 8, 16, 32]) * 1e-3,
@@ -150,7 +195,7 @@ class TestHolderCalibration:
         def march(*args, **kwargs):
             raise AssertionError("trajectories marched before their count was checked")
 
-        monkeypatch.setattr(analysis, "run_trajectories", march)
+        monkeypatch.setattr(Stepper, "march", march)
         problem = heat_noise_problem(dt=1e-3, t_end=0.2)
         with pytest.raises(ConfigurationError, match="at least one trajectory"):
             estimate_holder_exponent(problem, np.array([4, 8, 16, 32]) * 1e-3,
@@ -279,7 +324,9 @@ class TestBoundaryCounts:
         assert calls == {"step": 50, "draw": 50}
 
     def test_strong_order_regenerates_fine_stream_per_level(self, calls):
-        # per trajectory: len(ladder) * n_fine draws and sum(n_l) steps
+        # pins calls, not regenerations: the fine stream is drawn once per
+        # trajectory, yet every level calls the sampler once per fine step, so
+        # per trajectory len(ladder) * n_fine calls and sum(n_l) steps
         problem = heat_noise_problem(n_int=4, t_end=0.0625, seed=4)
         n_steps = [128, 32, 16, 8]
         estimate_strong_order(problem, 0.0625 / np.array(n_steps, dtype=float), n_trajectories=2)
@@ -400,7 +447,7 @@ class TestTimeGrid:
         if site == "t_end/dt":
             return SolverConfig(1e-3, 0.2 * stretch).n_steps
         if site == "lags/dt":
-            monkeypatch.setattr(analysis, "run_trajectories", _refuse_march)
+            monkeypatch.setattr(Stepper, "march", _refuse_march)
             return estimate_holder_exponent(heat_noise_problem(t_end=0.2),
                                             [4e-3 * stretch, 8e-3, 16e-3, 32e-3], 1)
         if site == "lags/spacing":

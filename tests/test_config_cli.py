@@ -263,22 +263,32 @@ class TestCli:
         assert len(lines) == 1 + n_snap * 1 * 6
 
     def test_snapshot_csv_bytes_match_reference_writer(self, tmp_path):
-        # nodal initial values that format unusually: -0.0, a subnormal and
-        # integers held as floats
-        cfg = minimal_config(initial=[1.0, -0.0, 5e-324, 2.0, 0.25, 3.0],
-                             experiment={"name": "simulate", "trajectories": 2})
-        path = write_config(tmp_path, cfg)
-        out = tmp_path / "out"
-        assert run_command(["simulate", "--config", str(path), "--output-dir", str(out)]) == 0
-        problem = build_model(parse_config(path))
-        for traj in cli.run_trajectories(problem, range(2)):
-            name = f"trajectory_{traj.trajectory_id:04d}.csv"
-            reference_write_csv(tmp_path / name, ["t", "edge", "x", "value"],
-                                reference_snapshot_rows(problem.system.mesh, traj))
-            assert (out / name).read_bytes() == (tmp_path / name).read_bytes()
-        first = (out / "trajectory_0000.csv").read_text().splitlines()[1:7]
+        experiment = {"name": "simulate", "trajectories": 2}
+        cases = {
+            # nodal initial values that format unusually: -0.0, a subnormal and
+            # integers held as floats
+            "odd": minimal_config(initial=[1.0, -0.0, 5e-324, 2.0, 0.25, 3.0],
+                                  experiment=experiment),
+            # 201 snapshots of 42 nodes: two whole write pieces and a partial one
+            "long": minimal_config(mesh={"interior_nodes": 40},
+                                   solver={"dt": 1e-3, "t_end": 0.2}, experiment=experiment),
+        }
+        for case, cfg in cases.items():
+            path = write_config(tmp_path, cfg, f"{case}.json")
+            out = tmp_path / case
+            assert run_command(["simulate", "--config", str(path), "--output-dir", str(out)]) == 0
+            problem = build_model(parse_config(path))
+            for traj in cli.run_trajectories(problem, range(2)):
+                name = f"trajectory_{traj.trajectory_id:04d}.csv"
+                reference = tmp_path / f"{case}_{name}"
+                reference_write_csv(reference, ["t", "edge", "x", "value"],
+                                    reference_snapshot_rows(problem.system.mesh, traj))
+                assert (out / name).read_bytes() == reference.read_bytes(), (case, name)
+        first = (tmp_path / "odd" / "trajectory_0000.csv").read_text().splitlines()[1:7]
         assert [line.rsplit(",", 1)[1] for line in first] == \
             ["1.0", "-0.0", "5e-324", "2.0", "0.25", "3.0"]
+        n_long = len((tmp_path / "long" / "trajectory_0000.csv").read_text().splitlines()) - 1
+        assert n_long == 201 * 42 and n_long > 2 * cli._WRITE_LINES
 
     def test_manifest_records_stream_version(self, tmp_path):
         path = write_config(tmp_path, minimal_config())
