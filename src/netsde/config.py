@@ -106,6 +106,18 @@ def _integer(minimum):
     return check
 
 
+def _seed(value, path, errors, section=None):
+    """An integer in [0, 2^64): the streams key on the seed's low 64 bits,
+    so seeds outside that range would share another seed's streams."""
+    if not _is_int(value):
+        errors.add(path, "expected an integer")
+    elif not 0 <= value < 1 << 64:
+        errors.add(path, f"must be in [0, 2**64), got {value}")
+    else:
+        return value
+    return None
+
+
 def _numbers(minimum, strict=False):
     """A number or a list of numbers, each checked by ``_number``."""
     number = _number(minimum, strict)
@@ -338,7 +350,7 @@ SCHEMA = {
                 "norm": ("E2", _norm),
             },
         }, unknown_key="unknown key for experiment {tag!r}", sort_unknown=True)),
-    "seed": (0, _accept(_is_int, "expected an integer")),
+    "seed": (0, _seed),
     "output_dir": (_OPTIONAL, _accept(lambda value: isinstance(value, str), "expected a string")),
 }
 
@@ -422,10 +434,21 @@ def parse_config(path) -> RunConfig:
     if not path.exists():
         raise FileNotFoundError(f"configuration file {path} does not exist")
     try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
+        raw = json.loads(path.read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as err:
         raise SchemaViolation([("", f"not valid JSON: {err}")]) from None
     return normalize_config(raw)
+
+
+def _unique_keys(pairs) -> dict:
+    """A JSON object's dict; a key given twice is an error, not a silent
+    override by its last value."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise SchemaViolation([("", f"duplicate key {key!r}")])
+        out[key] = value
+    return out
 
 
 def normalize_config(raw: dict) -> RunConfig:

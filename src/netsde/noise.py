@@ -12,11 +12,12 @@ coefficients to their loads against the nodal basis and is never stored
 (``SineFactor``).  Every edge carries the same uniform mesh, nodes
 ``x_a = a*h`` with ``h = 1/(N+1)``, and the exact load of the interior hat at
 ``x_a`` is ``c_k sin(k pi a h)`` with ``c_k = (2 - 2cos(k pi h))/((k pi)^2 h)``:
-the interior rows of ``factor @ z`` are a discrete sine transform, computed
-for all edges by one real FFT of length 2(N+1).  The sine is 2(N+1)-periodic
-in k, so modes beyond N+1 fold onto that grid instead of being cut or
-rejected, and every mode count runs the same code.  The two end half-hats
-have closed-form loads, an O(K) dot product per edge end.
+the interior rows of ``factor @ z`` are a discrete sine transform (DST-I),
+computed for every edge and step by one sparse fold and one real FFT of
+length N+1.  The sine is 2(N+1)-periodic in k, so modes beyond N+1 fold onto
+the N interior nodes instead of being cut or rejected, and every mode count
+runs the same code.  The two end half-hats have closed-form loads, an O(K)
+dot product per edge end.
 
 Streams are deterministic functions of (base seed, trajectory, step): the
 Philox key packs ``(seed << 64) | trajectory`` and the 256-bit block counter
@@ -25,12 +26,11 @@ step's block range.  Increments are drawn per step but applied per block: a
 sampler draws the normals of an aligned block of steps, each from its own
 counter, and applies the factor once to the (dim, B) block.  B depends only
 on the factor's shape (``block_steps``), and the block's columns equal the
-per-step products bit for bit, so no increment changed a byte with the
-blocks: the stream version stayed 4.  A strong-order ladder draws each
-trajectory's fine stream once: its levels share one store of unscaled
-applied blocks, and each level scales them by its own ``sqrt(dt)``.  The
-store keeps at most ``LADDER_STORE_BYTES`` (64 MiB) of blocks; each level
-draws the blocks past that budget again.
+per-step products bit for bit, so blocking changes no byte.  A strong-order
+ladder draws each trajectory's fine stream once: its levels share one store
+of unscaled applied blocks, and each level scales them by its own
+``sqrt(dt)``.  The store keeps at most ``LADDER_STORE_BYTES`` (64 MiB) of
+blocks; each level draws the blocks past that budget again.
 
 ``STREAM_VERSION``, recorded in every manifest, names the whole mapping from
 (config, seed) to artifact bytes, noise and arithmetic alike, and changes
@@ -62,7 +62,9 @@ _MASK64 = (1 << 64) - 1
 # implicit schemes share, G (u + dt F) + Gamma dW, so its states differ at
 # rounding level; every other scheme's bytes are unchanged.  Exponential
 # Euler has since been removed; no remaining scheme's bytes moved.
-STREAM_VERSION = 4
+# 5: the colored sine transform runs through a real FFT of length N+1 instead
+# of 2(N+1), so colored increments differ at rounding level; white ones do not.
+STREAM_VERSION = 5
 
 
 @dataclass(frozen=True)
@@ -100,51 +102,86 @@ class SineFactor:
     that weight times the exact loads of sin(k pi x) against the nodal basis
     of edge j: ``c_k sin(k pi a h)`` at interior node a and the half-hat
     loads at the two ends.
+
+    The interior rows are a DST-I of length N, ``S_a = sum_r x_r sin(pi a r
+    / n)`` with ``n = N+1``, where ``x_r`` sums the weighted coefficients of
+    the modes that land on node r, each times its ``c_k`` and the sign of
+    its wrap-around.  It runs through one real FFT of length n (Cooley,
+    Lewis & Welch, J. Sound Vib. 12, 1970): one sparse n x K matrix, shared
+    by every edge, folds the coefficients into the FFT input
+    ``w_j = (s_j + 1/2) x_j + (s_j - 1/2) x_{n-j}`` with ``s_j = sin(j pi / n)``,
+    and ``Y = rfft(w)`` gives ``S_2k = -Im Y_k`` and the running sum
+    ``S_2k+1 = S_2k-1 + Re Y_k`` from ``S_1 = Re Y_0 / 2``.  No path depends
+    on N or on BLAS.
     """
 
     def __init__(self, mesh: Mesh, weights: np.ndarray):
         m, n_modes = weights.shape
-        n = mesh.n_interior
+        n = mesh.n_interior + 1
         k = np.arange(1, n_modes + 1)
         omega = k * np.pi
         theta = omega * mesh.h
         # (2 - 2cos(theta)) / (omega^2 h), with 2 - 2cos written as 4 sin^2
         # to avoid cancellation at small theta
-        self._interior_load = 4.0 * np.sin(0.5 * theta) ** 2 / (omega ** 2 * mesh.h)
+        interior_load = 4.0 * np.sin(0.5 * theta) ** 2 / (omega ** 2 * mesh.h)
         # int_0^h (1 - x/h) sin(omega x) dx at the first node; the last node's
         # half-hat is its mirror image, (-1)^(k+1) times as much
         left = _one_minus_sinc(theta) / omega
         self._end_loads = np.stack([left, np.where(k % 2 == 1, left, -left)], axis=1)
         self._weights = weights
         self.shape = (mesh.ndof, m * n_modes)
-        # sin(k pi a h) is 2(N+1)-periodic in k, so mode k lands on grid point
-        # k mod 2(N+1) of its edge's row; modes past N+1 fold onto the grid
-        self._grid_shape = (m, 2 * (n + 1))
-        self._grid_index = (2 * (n + 1) * np.arange(m)[:, None] + k % (2 * (n + 1))).ravel()
+        self._fold = _sine_fold(n, interior_load)
+        self._fold_matvec = bind_matvec(self._fold)
         self._interior_dofs = mesh.edge_dofs[:, 1:-1]
         self._end_dofs = mesh.edge_dofs[:, [0, -1]].ravel()
 
     def __matmul__(self, z: np.ndarray) -> np.ndarray:
         """The factor times ``z``: one vector, or each column of a (dim, B)
         block.  Every column goes through the same per-step arithmetic (a
-        stacked matmul, bincounts and FFT rows), so a block's columns equal
-        the products of its columns alone bit for bit."""
-        coeff = z.T.reshape(-1, *self._weights.shape) * self._weights   # (B, m, K)
+        stacked matmul, CSR row sums, FFT rows and running sums), so a
+        block's columns equal the products of its columns alone bit for
+        bit."""
+        m, n_modes = self._weights.shape
+        coeff = z.T.reshape(-1, m, n_modes) * self._weights   # (B, m, K)
         n_block, n_rows = coeff.shape[0], self.shape[0]
         block = np.arange(n_block)[:, None]
         out = np.bincount((self._end_dofs + n_rows * block).ravel(),
                           weights=(coeff @ self._end_loads).ravel(),
                           minlength=n_block * n_rows).reshape(n_block, n_rows)
-        grid_size = self._grid_shape[0] * self._grid_shape[1]
-        grid = np.bincount((self._grid_index + grid_size * block).ravel(),
-                           weights=(coeff * self._interior_load).ravel(),
-                           minlength=n_block * grid_size)
-        # -imag(rfft(v))[a] = sum_r v_r sin(2 pi a r / (2(N+1))), one real FFT
-        # for every edge and step
-        spectrum = np.fft.rfft(grid.reshape(-1, self._grid_shape[1]), axis=1)
-        out[:, self._interior_dofs] = -spectrum.imag[:, 1:-1].reshape(
-            n_block, *self._interior_dofs.shape)
+        # one FFT input column per (step, edge), one transform per column
+        spectrum = np.fft.rfft(self._fold_matvec(coeff.reshape(-1, n_modes).T), axis=0)
+        n_interior = self._interior_dofs.shape[1]
+        interior = np.empty((n_interior, n_block * m))
+        interior[1::2] = -spectrum.imag[1:n_interior // 2 + 1]
+        odd = spectrum.real[:(n_interior + 1) // 2]
+        odd[0] *= 0.5
+        np.cumsum(odd, axis=0, out=interior[0::2])
+        out[:, self._interior_dofs] = interior.T.reshape(n_block, m, n_interior)
         return out.T if z.ndim == 2 else out[0]
+
+
+def _sine_fold(n: int, loads: np.ndarray) -> sp.csc_matrix:
+    """The n x K matrix taking mode coefficients to the FFT input of a
+    length-(n-1) DST-I, ``w_j = (s_j + 1/2) x_j + (s_j - 1/2) x_{n-j}``.
+
+    sin(k pi r / n) is 2n-periodic in k and odd, so with w = k mod 2n, mode k
+    loads ``x_r`` with ``+loads[k-1]`` at r = w when w < n, with
+    ``-loads[k-1]`` at r = 2n - w when w > n, and not at all when w is 0 or
+    n.  Its column holds two entries, in rows r and n-r (one row twice when
+    r = n/2, which the CSR form sums); row 0 is empty."""
+    wrapped = np.arange(1, len(loads) + 1) % (2 * n)
+    cols = np.flatnonzero(wrapped % n)
+    offset = n - wrapped[cols]      # +-(n - r), negative for a mode that wraps
+    value = np.copysign(loads[cols], offset)
+    far = np.abs(offset)
+    near = n - far
+    # the smaller angle keeps s_r and s_{n-r} equal and accurate
+    s = np.sin(np.pi * np.minimum(near, far) / n)
+    data = np.stack([value * (s + 0.5), value * (s - 0.5)], axis=1)
+    indptr = np.zeros(len(loads) + 1, dtype=np.int64)
+    indptr[cols + 1] = 2
+    return sp.csc_matrix((data.ravel(), np.stack([near, far], axis=1).ravel(), np.cumsum(indptr)),
+                         shape=(n, len(loads)))
 
 
 def _one_minus_sinc(theta: np.ndarray) -> np.ndarray:

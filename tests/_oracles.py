@@ -713,6 +713,8 @@ def reference_normalize_config(raw):
     seed = raw.get("seed", _DEFAULTS["seed"])
     if isinstance(seed, bool) or not isinstance(seed, int):
         errors.add("seed", "expected an integer")
+    elif seed < 0 or seed >= 2 ** 64:
+        errors.add("seed", f"must be in [0, 2**64), got {seed}")
     else:
         data["seed"] = seed
 

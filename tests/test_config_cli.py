@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import netsde
 from netsde import cli
 from netsde.cli import run_command
 from netsde.config import build_model, config_hash, normalize_config, parse_config
@@ -106,6 +110,32 @@ class TestParseConfig:
     def test_seed_override(self, tmp_path):
         config = parse_config(write_config(tmp_path, minimal_config()))
         assert config.with_overrides(seed=42).seed == 42
+
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64, 2 ** 64 + 1])
+    def test_seed_outside_64_bits_rejected(self, tmp_path, seed):
+        # the streams key on the low 64 bits: 2**64 + 1 would replay seed 1
+        with pytest.raises(SchemaViolation) as err:
+            parse_config(write_config(tmp_path, minimal_config(seed=seed)))
+        assert err.value.errors == [("seed", f"must be in [0, 2**64), got {seed}")]
+        config = parse_config(write_config(tmp_path, minimal_config()))
+        with pytest.raises(SchemaViolation, match=r"seed: must be in \[0, 2\*\*64\)"):
+            config.with_overrides(seed=seed)
+
+    @pytest.mark.parametrize("seed", [0, 2 ** 64 - 1])
+    def test_seed_range_ends_accepted(self, tmp_path, seed):
+        assert parse_config(write_config(tmp_path, minimal_config(seed=seed))).seed == seed
+
+    @pytest.mark.parametrize("text, key", [
+        ('{"seed": 20250810, "seed": 999}', "seed"),
+        ('{"solver": {"dt": 0.001, "t_end": 0.01, "dt": 0.002}}', "dt"),
+    ], ids=["top level", "nested"])
+    def test_duplicate_keys_rejected(self, tmp_path, text, key):
+        cfg = minimal_config()
+        del cfg["seed"], cfg["solver"]
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(cfg)[:-1] + ", " + text[1:])
+        with pytest.raises(ConfigurationError, match=f"duplicate key '{key}'"):
+            parse_config(path)
 
     def test_trajectory_override_needs_a_trajectory_count(self):
         config = parse_config(Path(__file__).parent / "golden" / "configs" / "validate.json")
@@ -230,6 +260,22 @@ class TestCli:
         errors = [line for line in lines if line.startswith("netsde: error:")]
         assert len(errors) == 1 and message in errors[0]
 
+    def test_out_of_range_seed_flag_exit_code(self, tmp_path, capsys):
+        path = write_config(tmp_path, minimal_config())
+        assert run_command(["simulate", "--config", str(path), "--seed", str(2 ** 64 + 1),
+                            "--output-dir", str(tmp_path / "o")]) == 1
+        assert "seed: must be in [0, 2**64)" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_module_entry_point_prints_version(self):
+        src = Path(netsde.__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]))
+        result = subprocess.run([sys.executable, "-m", "netsde.cli", "--version"], env=env,
+                                capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0
+        assert result.stdout == f"netsde {netsde.__version__}\n"
+
     def test_missing_config_exit_code(self, tmp_path, capsys):
         assert run_command(["simulate", "--config", str(tmp_path / "none.json"),
                             "--output-dir", str(tmp_path / "o")]) == 2
@@ -294,7 +340,7 @@ class TestCli:
         path = write_config(tmp_path, minimal_config())
         out = tmp_path / "out"
         assert run_command(["simulate", "--config", str(path), "--output-dir", str(out)]) == 0
-        assert json.loads((out / "manifest.json").read_text())["stream_version"] == 4
+        assert json.loads((out / "manifest.json").read_text())["stream_version"] == 5
 
     def test_spectrum_csv(self, tmp_path):
         cfg = minimal_config(experiment={"name": "spectrum", "count": 3})

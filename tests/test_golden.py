@@ -6,8 +6,9 @@ manifest itself.  ``golden/hashes.json`` holds the expected SHA-256 values
 together with the ``noise.STREAM_VERSION`` and the platform they were made
 on: the numpy and scipy versions, either of which may move floating-point
 results in the last bits.  The processor count and the OpenBLAS thread count
-are not part of it: every case gives the same bytes with one BLAS thread and
-with two.
+are not part of it: the cases give the same bytes with one BLAS thread and
+with two, which ``test_bytes_do_not_depend_on_blas_threads`` checks for both
+colored cases and one white case.
 
 On another platform the cases are skipped with the fields that differ; an
 older stream version fails.  Regenerate the hashes with
@@ -17,12 +18,16 @@ bump or a declared change of artifact format.
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy
 
+import netsde
 from netsde.cli import run_command
 from netsde.noise import STREAM_VERSION
 
@@ -91,3 +96,28 @@ def test_artifact_bytes_match_golden(golden, name, tmp_path):
     assert not differ and not missing, (
         f"{name} artifacts differ from the golden hashes: " + "; ".join(differ)
         + (f"; not written: {', '.join(missing)}" if missing else ""))
+
+
+def hashes_with_blas_threads(threads: int, names, out_dir: Path) -> dict:
+    """``run_case`` of each named case in a fresh interpreter whose OpenBLAS
+    runs ``threads`` threads (the thread count is read once, at start-up)."""
+    paths = [Path(netsde.__file__).resolve().parent.parent, Path(__file__).resolve().parent]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
+               PYTHONPATH=os.pathsep.join(map(str, paths)))
+    script = ("import json, sys\n"
+              "from pathlib import Path\n"
+              "from test_golden import run_case\n"
+              "out = Path(sys.argv[1])\n"
+              "hashes = {name: run_case(name, out / name) for name in sys.argv[2:]}\n"
+              "(out / 'hashes.json').write_text(json.dumps(hashes))\n")
+    result = subprocess.run([sys.executable, "-c", script, str(out_dir), *names], env=env,
+                            capture_output=True, text=True, timeout=600)
+    assert result.returncode == 0, result.stderr
+    return json.loads((out_dir / "hashes.json").read_text(encoding="utf-8"))
+
+
+def test_bytes_do_not_depend_on_blas_threads(tmp_path):
+    names = ["colored_weighted", "simulate_colored", "simulate_white_fine"]
+    one, two = (hashes_with_blas_threads(n, names, tmp_path / f"threads{n}") for n in (1, 2))
+    assert sorted(one) == names
+    assert one == two

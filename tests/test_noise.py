@@ -370,6 +370,15 @@ class TestColoredNoise:
             error = np.abs(model.apply(z) - factor @ z)
             assert np.all(error <= 1e-12 * (np.abs(factor) @ np.abs(z)))
 
+    # K below, at and above N+1 = 6 and 7; for even N+1, a mode that lands
+    # on node (N+1)/2 puts both its entries in one row
+    @pytest.mark.parametrize("n_int, n_modes", [(5, 4), (5, 6), (5, 40), (6, 7), (6, 50)])
+    def test_fold_has_at_most_two_entries_per_mode(self, n_int, n_modes):
+        factor = colored_noise_operator(small_system(n_int=n_int, n_edges=3), decay=2.0,
+                                        n_modes=n_modes).factor
+        assert factor._fold.shape == (n_int + 1, n_modes)
+        assert factor._fold.nnz <= 2 * n_modes
+
     def test_no_dense_factor_is_stored(self):
         model = colored_noise_operator(small_system(n_int=400, n_edges=3), decay=2.0)
         stored = [v for v in vars(model.factor).values() if isinstance(v, np.ndarray)]
