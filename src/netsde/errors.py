@@ -125,3 +125,7 @@ class ExpressionParseError(ConfigurationError):
     def __init__(self, message, position):
         super().__init__(f"{message} (at position {position})")
         self.position = position
+
+
+class ExpressionEvaluationError(ConfigurationError):
+    """A constant expression divides by zero, overflows or is complex."""

@@ -1,30 +1,31 @@
 """A small closed-form expression language for coefficient functions.
 
 Run configurations describe coefficients as strings like ``"1 + x/2"`` or
-``"0.5*sin(2*t) * exp(-u^2)"``.  The grammar supports the operators
-``+ - * / ^`` (with ``^`` binding tightest and associating right), unary
-minus, parentheses, the functions ``sin cos exp tanh abs``, the constant
-``pi``, and a caller-chosen set of variables.  Parsed expressions evaluate
-elementwise on numpy arrays.
+``"0.5*sin(2*t) * exp(-u^2)"``: Python arithmetic with ``^`` for ``**``
+(binding tightest and associating right), unary ``- +``, parentheses,
+decimal literals, the functions ``sin cos exp tanh abs``, the constant
+``pi`` and a caller-chosen set of variables.  ``ast`` parses the text and
+only those nodes compile, to closures that evaluate elementwise on numpy
+arrays; Python never evaluates the text.
 """
 
 from __future__ import annotations
 
+import ast
 import math
+import operator
 
 import numpy as np
 
-from .errors import ExpressionParseError
+from .errors import ExpressionEvaluationError, ExpressionParseError
 
-FUNCTIONS = {
-    "sin": np.sin,
-    "cos": np.cos,
-    "exp": np.exp,
-    "tanh": np.tanh,
-    "abs": np.abs,
-}
+FUNCTIONS = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "tanh": np.tanh, "abs": np.abs}
 
 CONSTANTS = {"pi": math.pi}
+
+_BINARY = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+           ast.Div: operator.truediv, ast.Pow: operator.pow}
+_DECIMAL = frozenset("0123456789.eE+-")
 
 
 class Expression:
@@ -44,9 +45,19 @@ class Expression:
         return not self.used_variables
 
     def constant_value(self) -> float:
+        """The value of a constant expression; ExpressionEvaluationError if
+        it divides by zero, overflows or is complex."""
         if not self.is_constant:
             raise ValueError(f"expression {self.text!r} depends on {sorted(self.used_variables)}")
-        return float(self._fn({}))
+        try:
+            value = self._fn({})
+        except ZeroDivisionError:
+            raise ExpressionEvaluationError(f"expression {self.text!r} divides by zero") from None
+        except OverflowError:
+            raise ExpressionEvaluationError(f"expression {self.text!r} overflows") from None
+        if isinstance(value, complex):
+            raise ExpressionEvaluationError(f"expression {self.text!r} is complex")
+        return float(value)
 
     def __repr__(self):
         return f"Expression({self.text!r})"
@@ -54,153 +65,62 @@ class Expression:
 
 def parse_expression(text: str, variables=("t", "x")) -> Expression:
     """Parse ``text`` into an Expression over the given variable names."""
-    tokens = _tokenize(text)
-    parser = _Parser(text, tokens, set(variables))
-    fn, used = parser.parse()
-    return Expression(text, variables, fn, used)
+    compiler = _Compiler(text, set(variables))
+    try:
+        tree = ast.parse(compiler.source, mode="eval")
+    except SyntaxError as err:
+        column = min((err.offset or 1) - 1, len(compiler.offsets) - 1)
+        raise ExpressionParseError(err.msg, compiler.offsets[column]) from None
+    return Expression(text, variables, compiler.compile(tree.body), compiler.used)
 
 
-_OPERATORS = set("+-*/^()")
+class _Compiler:
+    """Rewrites the text as one line of Python source, keeping each source
+    column's offset in the text, and compiles its syntax tree to closures."""
 
+    def __init__(self, text, variables):
+        self.text, self.variables, self.used = text, variables, set()
+        if "**" in text:  # not in the grammar, and indistinguishable from ^ once rewritten
+            raise ExpressionParseError("unexpected token '*'", text.index("**") + 1)
+        for i, ch in enumerate(text):
+            if not (ch.isspace() or ch in "+-*/^()._" or ch.isascii() and ch.isalnum()):
+                raise ExpressionParseError(f"unexpected character {ch!r}", i)
+        line = "".join(" " if ch.isspace() else ch for ch in text)
+        start = len(line) - len(line.lstrip())  # Python rejects leading indentation
+        self.source = line[start:].replace("^", "**")
+        self.offsets = [i for i in range(start, len(text)) for _ in range(1 + (text[i] == "^"))]
+        self.offsets.append(len(text))
 
-def _tokenize(text):
-    tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in _OPERATORS:
-            tokens.append((ch, ch, i))
-            i += 1
-            continue
-        if ch.isdigit() or ch == ".":
-            j = i
-            while j < n and (text[j].isdigit() or text[j] == "."):
-                j += 1
-            if j < n and text[j] in "eE":
-                k = j + 1
-                if k < n and text[k] in "+-":
-                    k += 1
-                if k < n and text[k].isdigit():
-                    j = k
-                    while j < n and text[j].isdigit():
-                        j += 1
-            try:
-                value = float(text[i:j])
-            except ValueError:
-                raise ExpressionParseError(f"bad numeric literal {text[i:j]!r}", i) from None
-            tokens.append(("num", value, i))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(("name", text[i:j], i))
-            i = j
-            continue
-        raise ExpressionParseError(f"unexpected character {ch!r}", i)
-    tokens.append(("end", None, n))
-    return tokens
+    def error(self, message, node):
+        return ExpressionParseError(message, self.offsets[node.col_offset])
 
-
-class _Parser:
-    """Recursive descent over the token list; produces a closure tree."""
-
-    def __init__(self, text, tokens, variables):
-        self.text = text
-        self.tokens = tokens
-        self.variables = variables
-        self.pos = 0
-        self.used = set()
-
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def advance(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, kind):
-        tok = self.advance()
-        if tok[0] != kind:
-            raise ExpressionParseError(f"expected {kind!r}, found {tok[1]!r}", tok[2])
-        return tok
-
-    def parse(self):
-        fn = self._sum()
-        tok = self.peek()
-        if tok[0] != "end":
-            raise ExpressionParseError(f"unexpected trailing token {tok[1]!r}", tok[2])
-        return fn, self.used
-
-    def _sum(self):
-        left = self._term()
-        while self.peek()[0] in ("+", "-"):
-            op = self.advance()[0]
-            right = self._term()
-            if op == "+":
-                left = (lambda a, b: lambda env: a(env) + b(env))(left, right)
-            else:
-                left = (lambda a, b: lambda env: a(env) - b(env))(left, right)
-        return left
-
-    def _term(self):
-        left = self._unary()
-        while self.peek()[0] in ("*", "/"):
-            op = self.advance()[0]
-            right = self._unary()
-            if op == "*":
-                left = (lambda a, b: lambda env: a(env) * b(env))(left, right)
-            else:
-                left = (lambda a, b: lambda env: a(env) / b(env))(left, right)
-        return left
-
-    def _unary(self):
-        tok = self.peek()
-        if tok[0] == "-":
-            self.advance()
-            inner = self._unary()
-            return lambda env: -inner(env)
-        if tok[0] == "+":
-            self.advance()
-            return self._unary()
-        return self._power()
-
-    def _power(self):
-        base = self._atom()
-        if self.peek()[0] == "^":
-            self.advance()
-            # right associative; exponent may itself be a signed power
-            exponent = self._unary()
-            return lambda env: base(env) ** exponent(env)
-        return base
-
-    def _atom(self):
-        kind, value, pos = self.advance()
-        if kind == "num":
-            return lambda env, v=value: v
-        if kind == "(":
-            inner = self._sum()
-            self.expect(")")
-            return inner
-        if kind == "name":
-            if self.peek()[0] == "(":
-                if value not in FUNCTIONS:
-                    raise ExpressionParseError(f"unknown function {value!r}", pos)
-                self.advance()
-                arg = self._sum()
-                self.expect(")")
-                func = FUNCTIONS[value]
-                return lambda env: func(arg(env))
-            if value in CONSTANTS:
-                return lambda env, v=CONSTANTS[value]: v
-            if value in self.variables:
-                self.used.add(value)
-                return lambda env, name=value: env[name]
-            raise ExpressionParseError(
-                f"unknown identifier {value!r} (variables here: {sorted(self.variables)})", pos)
-        raise ExpressionParseError(f"unexpected token {value!r}", pos)
+    def compile(self, node):
+        if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
+            op = _BINARY[type(node.op)]
+            left, right = self.compile(node.left), self.compile(node.right)
+            return lambda env: op(left(env), right(env))
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
+            inner = self.compile(node.operand)
+            return inner if isinstance(node.op, ast.UAdd) else lambda env: -inner(env)
+        if isinstance(node, ast.Constant):
+            literal = self.source[node.col_offset:node.end_col_offset]
+            if not isinstance(node.value, (int, float)) or not set(literal) <= _DECIMAL:
+                raise self.error(f"bad numeric literal {literal!r}", node)
+            return lambda env, v=float(literal): v
+        if isinstance(node, ast.Name):
+            if node.id in CONSTANTS:
+                return lambda env, v=CONSTANTS[node.id]: v
+            if node.id not in self.variables:
+                raise self.error(f"unknown identifier {node.id!r} "
+                                 f"(variables here: {sorted(self.variables)})", node)
+            self.used.add(node.id)
+            return operator.itemgetter(node.id)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            if node.func.id not in FUNCTIONS:
+                raise self.error(f"unknown function {node.func.id!r}", node)
+            if len(node.args) != 1 or node.keywords:
+                raise self.error(f"{node.func.id} takes one argument", node)
+            func, arg = FUNCTIONS[node.func.id], self.compile(node.args[0])
+            return lambda env: func(arg(env))
+        part = self.text[self.offsets[node.col_offset]:self.offsets[node.end_col_offset]]
+        raise self.error(f"unsupported syntax {part!r}", node)

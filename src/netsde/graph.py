@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from .errors import (
     ConfigurationError,
@@ -60,28 +62,13 @@ def build_graph(n_vertices: int, edge_list) -> MetricGraph:
             raise VertexIdOutOfRange(f"edge {k} = ({a},{b}) has a vertex id outside 1..{n}")
         if a == b:
             raise LoopEdge(f"edge {k} is a loop at vertex {a}; loops are not supported")
-    graph = MetricGraph(n_vertices=n, edges=tuple(edges))
-    if not _connected(graph):
+    # one entry per edge, in the row of its first vertex; sorted pairs are in CSR row order
+    first, second = (np.array(ids) - 1 for ids in zip(*sorted(edges)))
+    indptr = np.searchsorted(first, np.arange(n + 1))
+    adjacency = sp.csr_matrix((np.ones(len(edges)), second, indptr), shape=(n, n))
+    if connected_components(adjacency, directed=False, return_labels=False) != 1:
         raise DisconnectedGraph("graph is not connected (orientation ignored)")
-    return graph
-
-
-def _connected(graph: MetricGraph) -> bool:
-    n = graph.n_vertices
-    adj = [[] for _ in range(n)]
-    for a, b in graph.edge_array():
-        adj[a].append(b)
-        adj[b].append(a)
-    seen = np.zeros(n, dtype=bool)
-    stack = [0]
-    seen[0] = True
-    while stack:
-        v = stack.pop()
-        for w in adj[v]:
-            if not seen[w]:
-                seen[w] = True
-                stack.append(w)
-    return bool(seen.all())
+    return MetricGraph(n_vertices=n, edges=tuple(edges))
 
 
 def incidence_matrices(graph: MetricGraph):

@@ -323,7 +323,7 @@ class TestBoundaryCounts:
         simulate_path(problem, 3)
         assert calls == {"step": 50, "draw": 50}
 
-    def test_strong_order_regenerates_fine_stream_per_level(self, calls):
+    def test_strong_order_calls_sampler_per_fine_step_per_level(self, calls):
         # pins calls, not regenerations: the fine stream is drawn once per
         # trajectory, yet every level calls the sampler once per fine step, so
         # per trajectory len(ladder) * n_fine calls and sum(n_l) steps

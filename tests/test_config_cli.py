@@ -260,6 +260,26 @@ class TestCli:
         errors = [line for line in lines if line.startswith("netsde: error:")]
         assert len(errors) == 1 and message in errors[0]
 
+    @pytest.mark.parametrize("potential, message", [
+        ("10^400", "overflows"), ("1/0", "divides by zero"), ("0^-1", "divides by zero"),
+        ("(-8)^0.5", "is complex"),
+    ])
+    def test_constant_without_a_real_value_exit_code(self, tmp_path, potential, message):
+        cfg = json.loads((GOLDEN_CONFIGS / "validate.json").read_text(encoding="utf-8"))
+        cfg["fields"]["potential"] = potential
+        path = write_config(tmp_path, cfg)
+        src = Path(netsde.__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]))
+        result = subprocess.run([sys.executable, "-m", "netsde.cli", "validate", "--config",
+                                 str(path), "--output-dir", str(tmp_path / "o")], env=env,
+                                capture_output=True, text=True, timeout=120)
+        assert result.returncode == 1
+        assert "Traceback" not in result.stderr
+        lines = result.stderr.splitlines()
+        assert all(line.startswith("netsde:") for line in lines)
+        assert f"netsde: error: expression {potential!r} {message}" in lines
+
     def test_out_of_range_seed_flag_exit_code(self, tmp_path, capsys):
         path = write_config(tmp_path, minimal_config())
         assert run_command(["simulate", "--config", str(path), "--seed", str(2 ** 64 + 1),

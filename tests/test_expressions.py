@@ -1,9 +1,12 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from netsde.errors import ExpressionParseError
+from netsde import expressions
+from netsde.errors import ConfigurationError, ExpressionEvaluationError, ExpressionParseError
 from netsde.expressions import parse_expression
 
 
@@ -78,3 +81,61 @@ def test_scientific_literals():
 def test_nested_calls_and_unary():
     e = parse_expression("cos(-x) - cos(x)", variables=("x",))
     np.testing.assert_allclose(e(x=np.array([0.3, 1.2])), 0.0, atol=1e-15)
+
+
+X = np.array([-1.5, 0.0, 0.5, 2.0])
+
+
+# each expected value is the same float operations in the same order
+@pytest.mark.parametrize("text, expected", [
+    (" 1+x", 1.0 + X),
+    ("1 +\n 2", 3.0),
+    ("\t2*x ", 2.0 * X),
+    ("2^-x^2", 2.0 ** -(X ** 2.0)),
+    ("-2^2", -4.0),
+    ("2^3^2", 512.0),
+    ("1.e5", 1e5),
+    (".5", 0.5),
+    ("--x", X),
+    ("+x", X),
+    ("2.5E+1", 25.0),
+])
+def test_accepted_forms(text, expected):
+    value = parse_expression(text, ("x",))(x=X)
+    np.testing.assert_array_equal(np.broadcast_to(value, X.shape), expected)
+
+
+@pytest.mark.parametrize("text", [
+    "x**2", "1_0", "0x1f", "1j", "True", "x.real", "x[0]", "abs(x, 1)", "abs(x=1)",
+    "x if x else 1", "not x", "x < 1", "(1, 2)", "2(3)", "sin(x)(2)", "lambda: 1", "",
+])
+def test_rejected_forms(text):
+    with pytest.raises(ExpressionParseError) as err:
+        parse_expression(text, ("x",))
+    assert 0 <= err.value.position <= max(len(text) - 1, 0)
+
+
+def test_positions_are_offsets_into_the_text():
+    # leading whitespace is dropped and each ^ becomes ** before Python parses
+    for text, position in (("  y", 2), ("x^2 + y", 6), ("\n2^x^2 ^^", 8), ("x ** 2", 3)):
+        with pytest.raises(ExpressionParseError) as err:
+            parse_expression(text, ("x",))
+        assert err.value.position == position, text
+
+
+def test_variables_keep_their_order():
+    assert parse_expression("u + t", ("x", "u", "t")).variables == ("x", "u", "t")
+
+
+@pytest.mark.parametrize("text", ["10^400", "1/0", "0^-1", "(-8)^0.5"])
+def test_constant_without_a_real_value(text):
+    with pytest.raises(ExpressionEvaluationError, match="expression") as err:
+        parse_expression(text, ()).constant_value()
+    assert isinstance(err.value, ConfigurationError)
+
+
+def test_text_is_never_evaluated_by_python():
+    tree = ast.parse(Path(expressions.__file__).read_text(encoding="utf-8"))
+    called = {node.func.id for node in ast.walk(tree)
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+    assert not called & {"eval", "exec", "compile", "__import__"}

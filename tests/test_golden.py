@@ -8,7 +8,8 @@ on: the numpy and scipy versions, either of which may move floating-point
 results in the last bits.  The processor count and the OpenBLAS thread count
 are not part of it: the cases give the same bytes with one BLAS thread and
 with two, which ``test_bytes_do_not_depend_on_blas_threads`` checks for both
-colored cases and one white case.
+colored cases and one white case, and for ``simulate_colored`` at 400
+interior nodes, a size at which OpenBLAS splits a GEMM over two threads.
 
 On another platform the cases are skipped with the fields that differ; an
 older stream version fails.  Regenerate the hashes with
@@ -50,10 +51,11 @@ def platform_fingerprint() -> dict:
     return {"numpy": np.__version__, "scipy": scipy.__version__}
 
 
-def run_case(name: str, out_dir: Path) -> dict:
-    """Run one case into ``out_dir``; its exit code and artifact hashes."""
+def run_case(name: str, out_dir: Path, configs: Path = GOLDEN / "configs") -> dict:
+    """Run one case on its config under ``configs`` into ``out_dir``; its exit
+    code and artifact hashes."""
     command, config, extra = CASES[name]
-    code = run_command([command, "--config", str(GOLDEN / "configs" / config),
+    code = run_command([command, "--config", str(configs / config),
                         "--output-dir", str(out_dir), *extra])
     manifest = json.loads((out_dir / "manifest.json").read_text(encoding="utf-8"))
     hashes = {}
@@ -98,20 +100,22 @@ def test_artifact_bytes_match_golden(golden, name, tmp_path):
         + (f"; not written: {', '.join(missing)}" if missing else ""))
 
 
-def hashes_with_blas_threads(threads: int, names, out_dir: Path) -> dict:
-    """``run_case`` of each named case in a fresh interpreter whose OpenBLAS
-    runs ``threads`` threads (the thread count is read once, at start-up)."""
+def hashes_with_blas_threads(threads: int, names, out_dir: Path,
+                             configs: Path = GOLDEN / "configs") -> dict:
+    """``run_case`` of each named case, on its config under ``configs``, in a
+    fresh interpreter whose OpenBLAS runs ``threads`` threads (the thread
+    count is read once, at start-up)."""
     paths = [Path(netsde.__file__).resolve().parent.parent, Path(__file__).resolve().parent]
     env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
                PYTHONPATH=os.pathsep.join(map(str, paths)))
     script = ("import json, sys\n"
               "from pathlib import Path\n"
               "from test_golden import run_case\n"
-              "out = Path(sys.argv[1])\n"
-              "hashes = {name: run_case(name, out / name) for name in sys.argv[2:]}\n"
+              "out, configs = Path(sys.argv[1]), Path(sys.argv[2])\n"
+              "hashes = {name: run_case(name, out / name, configs) for name in sys.argv[3:]}\n"
               "(out / 'hashes.json').write_text(json.dumps(hashes))\n")
-    result = subprocess.run([sys.executable, "-c", script, str(out_dir), *names], env=env,
-                            capture_output=True, text=True, timeout=600)
+    result = subprocess.run([sys.executable, "-c", script, str(out_dir), str(configs), *names],
+                            env=env, capture_output=True, text=True, timeout=600)
     assert result.returncode == 0, result.stderr
     return json.loads((out_dir / "hashes.json").read_text(encoding="utf-8"))
 
@@ -120,4 +124,12 @@ def test_bytes_do_not_depend_on_blas_threads(tmp_path):
     names = ["colored_weighted", "simulate_colored", "simulate_white_fine"]
     one, two = (hashes_with_blas_threads(n, names, tmp_path / f"threads{n}") for n in (1, 2))
     assert sorted(one) == names
+    assert one == two
+    # at N = 40 OpenBLAS runs every GEMM on one thread; at N = 400 it may use two
+    config = json.loads((GOLDEN / "configs" / "simulate_colored.json").read_text(encoding="utf-8"))
+    config["mesh"]["interior_nodes"] = 400
+    (tmp_path / "large").mkdir()
+    (tmp_path / "large" / "simulate_colored.json").write_text(json.dumps(config))
+    one, two = (hashes_with_blas_threads(n, ["simulate_colored"], tmp_path / f"large{n}",
+                                         tmp_path / "large") for n in (1, 2))
     assert one == two
