@@ -251,9 +251,8 @@ def estimate_strong_order(problem: Problem, dt_ladder, n_trajectories: int,
     if ladder.size < 4:
         raise LadderTooShort(
             f"need at least 4 ladder entries (reference plus 3 levels), got {ladder.size}")
-    dt_ref = float(ladder[0])
     # anything but whole multiples (>= 2) would decouple the noise between levels
-    ratios = whole_steps(ladder[1:], dt_ref, "ladder step / finest step")
+    ratios = whole_steps(ladder[1:], float(ladder[0]), "ladder step / finest step")
     if np.any(ratios < 2):
         raise ConfigurationError(
             f"every ladder step must be at least twice the finest step, got {ladder.tolist()}")
@@ -268,11 +267,10 @@ def estimate_strong_order(problem: Problem, dt_ladder, n_trajectories: int,
     else:
         raise ConfigurationError(f"unknown norm {norm!r}; choose E2 or Einf")
 
-    # one set-up per system: the levels differ only in their dt-dependent part,
-    # and each keeps only its initial and final states
-    base = Stepper(problem.with_config(dt=dt_ref, snapshot_stride=n_steps[0]))
-    levels = [base] + [base.with_config(dt=float(dt), snapshot_stride=n)
-                       for dt, n in zip(ladder[1:], n_steps[1:])]
+    # one stepper per level, built once every level's grid has passed; each
+    # keeps only its initial and final states
+    levels = [Stepper(problem.with_config(dt=float(dt), snapshot_stride=n))
+              for dt, n in zip(ladder, n_steps)]
 
     all_errs = []
     for traj_id in range(n_trajectories):

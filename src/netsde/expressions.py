@@ -46,9 +46,10 @@ class Expression:
 
     def constant_value(self) -> float:
         """The value of a constant expression; ExpressionEvaluationError if
-        it divides by zero, overflows or is complex."""
+        it uses a variable, divides by zero, overflows or is complex."""
         if not self.is_constant:
-            raise ValueError(f"expression {self.text!r} depends on {sorted(self.used_variables)}")
+            raise ExpressionEvaluationError(
+                f"expression {self.text!r} is not constant: it uses {sorted(self.used_variables)}")
         try:
             value = self._fn({})
         except ZeroDivisionError:

@@ -19,7 +19,6 @@ and owns its state, so its path does not depend on which others run.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass, replace
 
@@ -181,32 +180,16 @@ class Stepper:
 
     def __init__(self, problem: Problem):
         problem.config.n_steps  # an off-grid t_end raises before any set-up
-        self.problem = problem
+        self.problem, system = problem, problem.system
         self.dt = float(problem.config.dt)
         self.scheme = problem.config.scheme
-        self.drift = nodal_drift_evaluator(problem.drift, problem.system.mesh)
-        self.diffusion = nodal_diffusion_evaluator(problem.diffusion, problem.system.mesh)
-        self._mass_matvec = bind_matvec(problem.system.mass)
-        self._set_up_dt()
-
-    def _set_up_dt(self):
-        """Factorize ``G - dt*A_form``, the only dt-dependent part."""
-        system = self.problem.system
+        self.drift = nodal_drift_evaluator(problem.drift, system.mesh)
+        self.diffusion = nodal_diffusion_evaluator(problem.diffusion, system.mesh)
+        self._mass_matvec = bind_matvec(system.mass)
         try:
             self._resolve = spla.splu((system.mass - self.dt * system.form_matrix).tocsc()).solve
         except RuntimeError as err:
             raise LinearSolveFailure(str(err)) from err
-
-    def with_config(self, **changes) -> "Stepper":
-        """The stepper of ``problem.with_config(**changes)``: it shares every
-        dt-independent part and factorizes again only for a new dt."""
-        other = copy.copy(self)
-        other.problem = self.problem.with_config(**changes)
-        other.dt = float(other.problem.config.dt)
-        other.scheme = other.problem.config.scheme
-        if other.dt != self.dt:
-            other._set_up_dt()
-        return other
 
     def step(self, state: np.ndarray, t: float, increment: np.ndarray | None) -> np.ndarray:
         dt = self.dt
@@ -246,7 +229,9 @@ class Stepper:
         sup = float(np.abs(u).max())
         guard = float(cfg.blowup_guard)
         for step in range(schedule[-1]):
-            t = step * cfg.dt
+            # numpy scalar arithmetic gives inf or NaN where a coefficient has
+            # no value at t (say 1/t at t = 0); the finiteness check below reports it
+            t = np.float64(step * cfg.dt)
             dW = sampler(step, cfg.dt) if sampler is not None else None
             u = self.step(u, t, dW)
             level = float(np.abs(u).max())

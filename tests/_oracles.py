@@ -9,7 +9,9 @@ The backward-Euler march keeps the loop the package used before every
 scheme shared one step map, and the stochastic march keeps the snapshot
 loop that preceded ``SolverConfig.snapshot_steps``.  The moments of the
 drift-free linear-implicit march with unit noise coefficient and any
-increment covariance come in closed form from the pencil's eigenpairs.
+increment covariance come in closed form from the pencil's eigenpairs;
+with a noise coefficient affine in the state they follow a recursion on the
+first and second moments.
 Noise increments come from a Philox generator constructed afresh for every
 draw, with the factor applied through ``@``.  Run configs are checked
 against the section-by-section normalizer that preceded the schema table.
@@ -273,6 +275,30 @@ def linear_implicit_moments(system, initial, dt, n_steps, covariance=None):
     rr = np.outer(r, r)
     sigma = dt * (V.T @ Q @ V) * rr * (1.0 - rr ** n_steps) / (1.0 - rr)
     return V @ mode_mean, np.einsum("ij,jk,ik->i", V, sigma, V)
+
+
+def linear_multiplicative_moments(system, initial, dt, n_steps, a, b, covariance=None):
+    """Exact mean and variance at every dof after ``n_steps`` steps of
+    ``(G - dt*A_form) u+ = G u + g(u) * dW`` with the nodal noise coefficient
+    ``g = a + b*u`` evaluated at the left endpoint and ``dW ~ N(0, dt*Q)``.
+    ``a`` and ``b`` are nodal vectors; ``covariance`` is Q, dense, and
+    defaults to G.
+
+    The increment is independent of the state it multiplies, so with
+    ``R = (G - dt*A_form)^-1`` the mean m and the second moment
+    ``M = E[u u^T]`` follow ``m+ = R G m`` and
+    ``M+ = R [G M G + dt*Q o (a a^T + a (b m)^T + (b m) a^T + (b b^T) o M)] R^T``."""
+    G = system.mass.toarray()
+    Q = G if covariance is None else np.asarray(covariance, dtype=float)
+    R = np.linalg.inv(G - dt * system.form_matrix.toarray())
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    m = np.asarray(initial, dtype=float)
+    M = np.outer(m, m)
+    for _ in range(n_steps):
+        bm = b * m
+        g2 = np.outer(a, a) + np.outer(a, bm) + np.outer(bm, a) + np.outer(b, b) * M
+        m, M = R @ G @ m, R @ (G @ M @ G + dt * Q * g2) @ R.T
+    return m, np.diag(M) - m * m
 
 
 def reference_assemble_form(mesh, fields, matrix):

@@ -39,6 +39,8 @@ from netsde.sde import Problem, SolverConfig, Stepper, TrajectorySet, simulate_p
 from _oracles import (
     colored_factor,
     linear_implicit_moments,
+    linear_multiplicative_moments,
+    reference_dof_map,
     robin_eigenfunction,
     robin_eigenvalues,
 )
@@ -252,6 +254,43 @@ class TestMonteCarlo:
         # Gaussian standard errors of the sample mean and the unbiased variance
         z_mean = (stats.mean[-1] - mean) / np.sqrt(variance / n)
         z_var = (stats.variance[-1] * n / (n - 1) - variance) / (variance * np.sqrt(2 / (n - 1)))
+        assert np.abs(z_mean).max() < 4.0
+        assert np.abs(z_var).max() < 4.0
+
+    @pytest.mark.parametrize("kind", ["white", "lumped", "colored"])
+    def test_moments_match_multiplicative_closed_form(self, kind):
+        # no drift and g = a(x) + b(x)*u per edge; at vertex 1, where the
+        # three edges start, their a and b disagree and edge 1's values hold
+        graph = build_graph(4, [(1, 2), (1, 3), (1, 4)])
+        system = assemble_form(build_mesh(graph, 10), build_edge_fields(3),
+                               VertexMatrix(-np.eye(4)))
+        u0 = interpolate(system.mesh, lambda x: 1.0 + np.sin(np.pi * x))
+        dt, n_steps, n = 2e-3, 50, 800
+        a0, a1, b0, b1 = [0.5, 1.0, 0.25], [0.5, -0.5, 1.0], [0.25, 0.5, 0.125], [0.25, -0.25, 0.5]
+        diffusion = build_diffusion(3, [f"{a0[j]} + {a1[j]}*x + ({b0[j]} + {b1[j]}*x)*u"
+                                        for j in range(3)])
+        edge, x = reference_dof_map(system.mesh)
+        a = np.take(a0, edge) + np.take(a1, edge) * x
+        b = np.take(b0, edge) + np.take(b1, edge) * x
+        if kind == "colored":
+            noise = colored_noise_operator(system, 1.0, seed=2026, n_modes=8)
+            factor = colored_factor(system, 1.0, n_modes=8)
+            covariance = factor @ factor.T
+        else:
+            noise = white_noise_model(system, seed=2026, lumped=kind == "lumped")
+            G = system.mass.toarray()
+            covariance = np.diag(G.sum(axis=1)) if kind == "lumped" else G
+        config = SolverConfig(dt=dt, t_end=n_steps * dt, snapshot_stride=n_steps)
+        problem = Problem(system, config, u0, None, diffusion, noise)
+        finals = np.array([t.final_state() for t in run_trajectories(problem, range(n))])
+        mean, variance = linear_multiplicative_moments(system, u0, dt, n_steps, a, b, covariance)
+        assert system.ndof == 34
+        # standard errors from the run itself; the variance's from the sample
+        # fourth moment, since the multiplicative noise makes the state heavy-tailed
+        deviations = finals - finals.mean(axis=0)
+        m2, m4 = (deviations ** 2).mean(axis=0), (deviations ** 4).mean(axis=0)
+        z_mean = (finals.mean(axis=0) - mean) / np.sqrt(m2 / n)
+        z_var = (finals.var(axis=0, ddof=1) - variance) / np.sqrt((m4 - m2 ** 2) / n)
         assert np.abs(z_mean).max() < 4.0
         assert np.abs(z_var).max() < 4.0
 

@@ -280,6 +280,31 @@ class TestCli:
         assert all(line.startswith("netsde:") for line in lines)
         assert f"netsde: error: expression {potential!r} {message}" in lines
 
+    @pytest.mark.parametrize("part, text", [
+        ("diffusion", "1/t"), ("diffusion", "t/t"), ("diffusion", "t^-1"),
+        ("diffusion", "(t-1)^0.5"), ("drift", "1/t"),
+    ])
+    def test_coefficient_without_a_value_at_a_marched_time_exit_code(self, tmp_path, part,
+                                                                      text):
+        # each has no finite real value at t = 0, the first marched time
+        cfg = json.loads((GOLDEN_CONFIGS / "simulate_colored.json").read_text(encoding="utf-8"))
+        if part == "diffusion":
+            cfg["diffusion"]["expression"] = text
+        else:
+            cfg["drift"] = {"type": "polynomial", "degree": 1, "coefficients": [0, text, 0, 1]}
+        path = write_config(tmp_path, cfg)
+        src = Path(netsde.__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]))
+        result = subprocess.run([sys.executable, "-m", "netsde.cli", "simulate", "--config",
+                                 str(path), "--output-dir", str(tmp_path / "o")], env=env,
+                                capture_output=True, text=True, timeout=120)
+        assert result.returncode == 2
+        assert "Traceback" not in result.stderr
+        lines = result.stderr.splitlines()
+        assert all(line.startswith("netsde:") for line in lines)
+        assert "netsde: error: trajectory 0 produced non-finite values at step 1" in lines
+
     def test_out_of_range_seed_flag_exit_code(self, tmp_path, capsys):
         path = write_config(tmp_path, minimal_config())
         assert run_command(["simulate", "--config", str(path), "--seed", str(2 ** 64 + 1),

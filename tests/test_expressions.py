@@ -134,6 +134,12 @@ def test_constant_without_a_real_value(text):
     assert isinstance(err.value, ConfigurationError)
 
 
+def test_constant_value_of_a_non_constant_expression_names_its_variables():
+    with pytest.raises(ExpressionEvaluationError, match=r"uses \['t', 'x'\]") as err:
+        parse_expression("x*t + 1", ("t", "x", "u")).constant_value()
+    assert isinstance(err.value, ConfigurationError)
+
+
 def test_text_is_never_evaluated_by_python():
     tree = ast.parse(Path(expressions.__file__).read_text(encoding="utf-8"))
     called = {node.func.id for node in ast.walk(tree)

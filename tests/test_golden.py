@@ -4,10 +4,15 @@ Each case runs one ``netsde`` command in-process on a config under
 ``golden/configs/`` and hashes every file the manifest lists, and the
 manifest itself.  ``golden/hashes.json`` holds the expected SHA-256 values
 together with the ``noise.STREAM_VERSION`` and the platform they were made
-on: the numpy and scipy versions, either of which may move floating-point
-results in the last bits.  The processor count and the OpenBLAS thread count
-are not part of it: the cases give the same bytes with one BLAS thread and
-with two, which ``test_bytes_do_not_depend_on_blas_threads`` checks for both
+on: the numpy and scipy versions and the OpenBLAS core (the kernel set that
+OpenBLAS picks for the processor at load time, or that ``OPENBLAS_CORETYPE``
+forces) of the library each bundles, any of which may move floating-point
+results in the last bits; the sparse solve of every march calls BLAS.
+Artifacts therefore reproduce per (numpy, scipy, OpenBLAS core), and
+``OPENBLAS_CORETYPE=Haswell`` (what an AVX2 processor without AVX-512 gets)
+makes the cases skip.  The processor count and the OpenBLAS thread count are
+not part of it: the cases give the same bytes with one BLAS thread and with
+two, which ``test_bytes_do_not_depend_on_blas_threads`` checks for both
 colored cases and one white case, and for ``simulate_colored`` at 400
 interior nodes, a size at which OpenBLAS splits a GEMM over two threads.
 
@@ -17,6 +22,7 @@ older stream version fails.  Regenerate the hashes with
 bump or a declared change of artifact format.
 """
 
+import ctypes
 import hashlib
 import json
 import os
@@ -47,8 +53,22 @@ CASES = {
 }
 
 
+def openblas_core(package, library: str, symbol: str) -> str:
+    """The core name that the OpenBLAS bundled in ``package``'s ``.libs``
+    directory (the one ``library`` matches) reports through ``symbol``."""
+    libs = Path(package.__file__).resolve().parent.parent / f"{package.__name__}.libs"
+    (path,) = libs.glob(library)
+    corename = getattr(ctypes.CDLL(str(path)), symbol)
+    corename.argtypes, corename.restype = [], ctypes.c_char_p
+    return corename().decode()
+
+
 def platform_fingerprint() -> dict:
-    return {"numpy": np.__version__, "scipy": scipy.__version__}
+    return {"numpy": np.__version__, "scipy": scipy.__version__,
+            "numpy_openblas_core": openblas_core(np, "libscipy_openblas64_*.so",
+                                                 "scipy_openblas_get_corename64_"),
+            "scipy_openblas_core": openblas_core(scipy, "libscipy_openblas-*.so",
+                                                 "scipy_openblas_get_corename")}
 
 
 def run_case(name: str, out_dir: Path, configs: Path = GOLDEN / "configs") -> dict:
@@ -133,3 +153,21 @@ def test_bytes_do_not_depend_on_blas_threads(tmp_path):
     one, two = (hashes_with_blas_threads(n, ["simulate_colored"], tmp_path / f"large{n}",
                                          tmp_path / "large") for n in (1, 2))
     assert one == two
+
+
+def test_cases_skip_and_name_the_kernel_under_another_openblas_core():
+    # the hashes were recorded under another core
+    recorded = json.loads(HASHES.read_text(encoding="utf-8"))["platform"]
+    assert "Haswell" not in (recorded["numpy_openblas_core"], recorded["scipy_openblas_core"])
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, OPENBLAS_CORETYPE="Haswell", PYTHONPATH=os.pathsep.join(
+        [str(Path(netsde.__file__).resolve().parent.parent),
+         *filter(None, [os.environ.get("PYTHONPATH")])]))
+    result = subprocess.run([sys.executable, "-m", "pytest", "-q", "-rs", "-p", "no:cacheprovider",
+                             f"{Path(__file__).resolve()}::test_artifact_bytes_match_golden"],
+                            cwd=root, env=env, capture_output=True, text=True, timeout=600)
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert f"{len(CASES)} skipped" in result.stdout
+    assert f"SKIPPED [{len(CASES)}]" in result.stdout, result.stdout
+    for key in ("numpy_openblas_core", "scipy_openblas_core"):
+        assert f"{key}: recorded {recorded[key]!r}, here 'Haswell'" in result.stdout, key

@@ -7,6 +7,7 @@ from netsde.errors import ConfigurationError
 from netsde.fields import build_edge_fields
 from netsde.graph import VertexMatrix, build_graph
 from netsde.mesh import build_mesh, interpolate
+from netsde.noise import colored_noise_operator, white_noise_model
 from netsde.sde import solve_heat
 from netsde.semigroup import (
     check_contraction,
@@ -16,7 +17,13 @@ from netsde.semigroup import (
     semigroup_apply,
 )
 
-from _oracles import backward_euler_heat, dense_expm_propagator, ols_slope, robin_eigenvalues
+from _oracles import (
+    backward_euler_heat,
+    dense_expm_propagator,
+    ols_slope,
+    random_multigraph_mesh,
+    robin_eigenvalues,
+)
 
 
 def robin_system(n_int):
@@ -288,3 +295,83 @@ class TestSolveHeat:
         sys = robin_system(3)
         with pytest.raises(ConfigurationError):
             solver(sys, np.zeros(sys.ndof), horizon=horizon, dt=dt)
+
+
+def spectral_invariants(n_vertices, edges, n_interior, edge_data, matrix):
+    """The pencil's eigenvalues (descending) and the modal noise variances
+    ``diag(V^T Q V)`` for white, lumped and colored Q, of the network whose
+    edge j runs along ``edges[j]`` with ``edge_data[j] = (c0, c1, p0, p1,
+    weight, amplitude, reversed)``: conductance ``c0 + c1*s`` and potential
+    ``p0 + p1*s^2`` in s = x, or s = 1 - x on a reversed edge."""
+    conductance, potential = [], []
+    for c0, c1, p0, p1, _, _, flip in edge_data:
+        s = "(1-x)" if flip else "x"
+        conductance.append(f"{c0!r} + {c1!r}*{s}")
+        potential.append(f"{p0!r} + {p1!r}*{s}*{s}")
+    m = len(edges)
+    fields = build_edge_fields(m, conductance, potential, [d[4] for d in edge_data])
+    system = assemble_form(build_mesh(build_graph(n_vertices, edges), n_interior), fields,
+                           VertexMatrix(matrix))
+    spectral = generalized_eigs(system)
+    noises = {"white": white_noise_model(system),
+              "lumped": white_noise_model(system, lumped=True),
+              "colored": colored_noise_operator(system, 1.5,
+                                                amplitudes=[d[5] for d in edge_data])}
+    variances = {}
+    for kind, noise in noises.items():
+        projected = spectral.eigenvectors.T @ noise.apply(np.eye(noise.dim))
+        variances[kind] = np.einsum("kr,kr->k", projected, projected)
+    return spectral.eigenvalues, variances
+
+
+def relabel_vertices(rng, n, edges, edge_data, matrix):
+    new_id = rng.permutation(n)  # vertex v becomes new_id[v-1] + 1
+    old_id = np.argsort(new_id)
+    edges = [(int(new_id[a - 1]) + 1, int(new_id[b - 1]) + 1) for a, b in edges]
+    return edges, edge_data, matrix[np.ix_(old_id, old_id)]
+
+
+def reverse_edges(rng, n, edges, edge_data, matrix):
+    flipped = [(*d[:6], not d[6]) for d in edge_data]
+    return [(b, a) for a, b in edges], flipped, matrix
+
+
+def reorder_edges(rng, n, edges, edge_data, matrix):
+    order = rng.permutation(len(edges))
+    return [edges[i] for i in order], [edge_data[i] for i in order], matrix
+
+
+@pytest.mark.parametrize("transform", [relabel_vertices, reverse_edges, reorder_edges],
+                         ids=["relabel_vertices", "reverse_edges", "reorder_edges"])
+def test_spectrum_and_modal_noise_variances_are_metamorphic_invariants(transform):
+    """Relabelling vertices, running edges backwards (x -> 1 - x) and listing
+    edges in another order describe the same network, so the spectrum and
+    the noise variance per eigenspace stay unchanged to rounding.  Where
+    eigenvalues coincide (symmetric graphs) the eigenvectors are not unique,
+    and each cluster's summed variance is compared instead."""
+    rng = np.random.default_rng(20261019)
+    for _ in range(20):
+        mesh = random_multigraph_mesh(rng)
+        n, edges = mesh.graph.n_vertices, list(mesh.graph.edges)
+        low, high = [0.5, 0.0, 0.0, 0.0, 0.5, 0.5], [1.5, 1.0, 1.0, 1.0, 2.0, 2.0]
+        if rng.random() < 0.5:
+            # every edge alike, with constant coefficients: parallel edges and
+            # graph automorphisms make eigenvalues coincide
+            c0, p0, weight, amplitude = (float(v) for v in rng.uniform(0.5, 1.5, 4))
+            edge_data = [(c0, 0.0, p0, 0.0, weight, amplitude, False)] * len(edges)
+            matrix = -np.eye(n)
+        else:
+            edge_data = [(*(float(v) for v in rng.uniform(low, high)), False) for _ in edges]
+            B = rng.standard_normal((n, n))
+            matrix = -(B @ B.T) - 0.1 * np.eye(n)
+        values, variances = spectral_invariants(n, edges, mesh.n_interior, edge_data, matrix)
+        new_edges, new_data, new_matrix = transform(rng, n, edges, edge_data, matrix)
+        new_values, new_variances = spectral_invariants(n, new_edges, mesh.n_interior,
+                                                        new_data, new_matrix)
+        scale = np.abs(values).max()
+        np.testing.assert_allclose(new_values, values, rtol=0.0, atol=1e-11 * scale)
+        starts = np.flatnonzero(np.r_[True, np.diff(values) < -1e-6 * scale])
+        for kind, variance in variances.items():
+            np.testing.assert_allclose(np.add.reduceat(new_variances[kind], starts),
+                                       np.add.reduceat(variance, starts),
+                                       rtol=1e-9, atol=1e-12 * variance.sum(), err_msg=kind)
