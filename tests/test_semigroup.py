@@ -308,8 +308,7 @@ def spectral_invariants(n_vertices, edges, n_interior, edge_data, matrix):
         s = "(1-x)" if flip else "x"
         conductance.append(f"{c0!r} + {c1!r}*{s}")
         potential.append(f"{p0!r} + {p1!r}*{s}*{s}")
-    m = len(edges)
-    fields = build_edge_fields(m, conductance, potential, [d[4] for d in edge_data])
+    fields = build_edge_fields(len(edges), conductance, potential, [d[4] for d in edge_data])
     system = assemble_form(build_mesh(build_graph(n_vertices, edges), n_interior), fields,
                            VertexMatrix(matrix))
     spectral = generalized_eigs(system)
@@ -353,7 +352,6 @@ def test_spectrum_and_modal_noise_variances_are_metamorphic_invariants(transform
     for _ in range(20):
         mesh = random_multigraph_mesh(rng)
         n, edges = mesh.graph.n_vertices, list(mesh.graph.edges)
-        low, high = [0.5, 0.0, 0.0, 0.0, 0.5, 0.5], [1.5, 1.0, 1.0, 1.0, 2.0, 2.0]
         if rng.random() < 0.5:
             # every edge alike, with constant coefficients: parallel edges and
             # graph automorphisms make eigenvalues coincide
@@ -361,6 +359,7 @@ def test_spectrum_and_modal_noise_variances_are_metamorphic_invariants(transform
             edge_data = [(c0, 0.0, p0, 0.0, weight, amplitude, False)] * len(edges)
             matrix = -np.eye(n)
         else:
+            low, high = [0.5, 0.0, 0.0, 0.0, 0.5, 0.5], [1.5, 1.0, 1.0, 1.0, 2.0, 2.0]
             edge_data = [(*(float(v) for v in rng.uniform(low, high)), False) for _ in edges]
             B = rng.standard_normal((n, n))
             matrix = -(B @ B.T) - 0.1 * np.eye(n)
