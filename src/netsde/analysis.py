@@ -64,6 +64,11 @@ def monte_carlo(problem: Problem, n_trajectories: int, q: float = 4.0,
     """Ensemble statistics: pointwise mean/variance and path sup-norm moments."""
     if n_trajectories < 2:
         raise ConfigurationError("need at least two trajectories for ensemble statistics")
+    if not 0.0 < q < math.inf:  # also false for NaN
+        raise ConfigurationError(f"the sup-norm moment q must be finite and positive, got {q}")
+    bad = [p for p in quantiles if not 0.0 <= p <= 1.0]
+    if bad:
+        raise ConfigurationError(f"sup-norm quantiles must lie in [0, 1], got {bad}")
     trajs = run_trajectories(problem, range(n_trajectories))
     stack = np.stack([t.states for t in trajs])
     sups = np.array([t.sup_norm for t in trajs])
@@ -100,9 +105,9 @@ def _ols_loglog(x, y):
     return float(coef[0]), 1.96 * se, r2, residuals
 
 
-def _lag_grid(times, lags, burn_fraction: float):
-    """Check at least 4 increasing lags, whole multiples of the uniform spacing
-    of ``times``, against the burn-in; return lags, lag snapshots and start."""
+def _lag_grid(n_snap: int, spacing: float, lags, burn_fraction: float):
+    """Check at least 4 increasing lags, whole multiples of ``spacing``, against
+    the burn-in of ``n_snap`` snapshots; return lags, lag snapshots and start."""
     lags = np.asarray(lags, dtype=float)
     if lags.size < 4:
         raise LadderTooShort(f"need at least 4 lags, got {lags.size}")
@@ -110,18 +115,12 @@ def _lag_grid(times, lags, burn_fraction: float):
         raise ConfigurationError("lags must be strictly increasing")
     if not 0.0 <= burn_fraction < 1.0:
         raise ConfigurationError(f"burn_fraction must lie in [0, 1), got {burn_fraction}")
-    times = np.asarray(times, dtype=float)
-    if times.size < 2:
-        raise InsufficientResolution(f"need at least 2 snapshots, got {times.size}")
-    spacing = float(times[1] - times[0])
-    if np.max(np.abs(np.diff(times) - spacing)) > 1e-9 * max(spacing, 1.0):
-        raise ConfigurationError("snapshot times must be uniformly spaced")
     steps = whole_steps(lags, spacing, "lag / snapshot spacing", InsufficientResolution)
-    start = int(math.ceil(burn_fraction * (times.size - 1)))
-    if start + steps[-1] >= times.size:
+    start = int(math.ceil(burn_fraction * (n_snap - 1)))
+    if start + steps[-1] >= n_snap:
         raise InsufficientResolution(
             f"burn-in {start} plus the largest lag ({steps[-1]} snapshots) "
-            f"exceeds the {times.size} available snapshots")
+            f"exceeds the {n_snap} available snapshots")
     return lags, steps, start
 
 
@@ -138,8 +137,14 @@ def holder_exponent_from_paths(times, paths, lags, norm_fn=None,
     Increment norms are averaged over interior start times (after a burn-in
     prefix) and over paths, then fitted by ordinary least squares.
     """
-    lags, steps, start = _lag_grid(times, lags, burn_fraction)
-    n_snap = len(times)
+    times = np.asarray(times, dtype=float)
+    n_snap = times.size
+    if n_snap < 2:
+        raise InsufficientResolution(f"need at least 2 snapshots, got {n_snap}")
+    spacing = float(times[1] - times[0])
+    if not np.all(np.abs(np.diff(times) - spacing) <= 1e-9 * max(spacing, 1.0)):  # NaN fails
+        raise ConfigurationError("snapshot times must be uniformly spaced")
+    lags, steps, start = _lag_grid(n_snap, spacing, lags, burn_fraction)
     if norm_fn is None:
         norm_fn = lambda diffs: np.linalg.norm(diffs, axis=1)
 
@@ -209,7 +214,7 @@ def estimate_holder_exponent(problem: Problem, lags, n_trajectories: int,
         raise ConfigurationError(f"unknown norm {norm!r}; choose E2 or Einf")
     cfg = problem.config
     # the lags' lengths in time steps pick the snapshot stride
-    _, steps, _ = _lag_grid(cfg.dt * np.arange(cfg.n_steps + 1), lags, burn_fraction)
+    _, steps, _ = _lag_grid(cfg.n_steps + 1, float(cfg.dt), lags, burn_fraction)
     if steps[0] < 4:
         raise InsufficientResolution(
             f"smallest lag {lags[0]:g} must be at least 4x the time step {cfg.dt:g}")
@@ -277,7 +282,7 @@ def estimate_strong_order(problem: Problem, dt_ladder, n_trajectories: int,
         finals, store = [], {}
         for level, ratio, steps in zip(levels, [1, *ratios], n_steps):
             # at ratio 1 the reference level marches the fine sampler itself
-            sampler = (coupled_sampler(problem.noise, traj_id, ratio, steps, store)
+            sampler = (coupled_sampler(problem.noise, traj_id, ratio, steps, level.dt, store)
                        if problem.noise is not None else None)
             finals.append(level.march(traj_id, sampler).final_state())
         all_errs.append([norm_fn(u - finals[0]) for u in finals[1:]])

@@ -22,13 +22,14 @@ dot product per edge end.
 Streams are deterministic functions of (base seed, trajectory, step): the
 Philox key packs ``(seed << 64) | trajectory`` and the 256-bit block counter
 starts at ``step << 64``, so draws within a step can never run into the next
-step's block range.  Increments are drawn per step but applied per block: a
-sampler draws the normals of an aligned block of steps, each from its own
-counter, and applies the factor once to the (dim, B) block.  B depends only
-on the factor's shape (``block_steps``), and the block's columns equal the
-per-step products bit for bit, so blocking changes no byte.  A strong-order
-ladder draws each trajectory's fine stream once: its levels share one store
-of unscaled applied blocks, and each level scales them by its own
+step's block range.  A sampler serves one time grid, its dt fixed when it
+is built.  Increments are drawn per step but applied per block: a sampler
+draws the normals of an aligned block of steps, each from its own counter,
+and applies the factor once to the (dim, B) block.  B depends only on the
+factor's shape (``block_steps``), and the block's columns equal the per-step
+products bit for bit, so blocking changes no byte.  A strong-order ladder
+draws each trajectory's fine stream once: its levels share one store of
+unscaled applied blocks, and each level scales them by its own
 ``sqrt(dt)``.  The store keeps at most ``LADDER_STORE_BYTES`` (64 MiB) of
 blocks; each level draws the blocks past that budget again.
 
@@ -210,7 +211,8 @@ def colored_noise_operator(system: DiscreteSystem, decay: float, seed: int = 0,
     m = mesh.n_edges
     if n_modes is None:
         n_modes = mesh.n_interior + 1
-    n_modes = int(n_modes)
+    if isinstance(n_modes, bool) or not isinstance(n_modes, (int, np.integer)):
+        raise ConfigurationError(f"the noise mode count must be an integer, got {n_modes!r}")
     if n_modes < 1:
         raise ConfigurationError(f"need at least one noise mode per edge, got {n_modes}")
     amp = per_edge_numbers(1.0 if amplitudes is None else amplitudes, m, "noise amplitude")
@@ -245,8 +247,7 @@ def _philox_state(seed: int, trajectory_id: int) -> dict:
 def block_steps(shape) -> int:
     """The steps one sampler block serves for a factor of this (rows, cols)
     shape: a power of two, at most 64, whose normals and products fit in
-    512 KiB.  Powers of two divide 2^64, so no block straddles the wrap of
-    the step ids."""
+    512 KiB."""
     fit = max(1, (1 << 19) // (8 * (shape[0] + shape[1])))
     return min(64, 1 << (fit.bit_length() - 1))
 
@@ -259,21 +260,22 @@ LADDER_STORE_BYTES = 64 << 20
 class IncrementSampler:
     """Per-trajectory sampler: normals drawn per step, factor applied per block.
 
-    Step ids (reduced mod 2^64) fall into aligned blocks of
-    ``block_steps(factor.shape)`` steps.  The first draw of a step outside the
-    current block fills that step's block: for each of its steps, counter
-    word 1 of the one Philox state dict is rewritten to the step and the dict
-    is assigned to the bit generator again (which also empties its buffer),
-    and that step's normals fill one row; then one ``NoiseModel.apply``
-    serves the whole block, scaled by ``sqrt(dt)`` (a draw with another dt
-    fills its block again).  Each increment is thus still the same pure
-    function of (seed, trajectory, step, dt), whatever order the steps are
-    drawn in.  No block reaches past ``n_steps`` and a step there raises
-    ConfigurationError, so a march that passes its step count draws nothing
-    beyond its last step.
+    ``sampler(step)`` is the increment of step ``step`` in ``[0, n_steps)``,
+    the factor times that step's normals scaled by ``sqrt(dt)``; ``dt``, which
+    must be finite and nonnegative, is fixed when the sampler is built.  Steps
+    fall into aligned blocks of ``block_steps(factor.shape)`` steps.  The
+    first draw of a step outside the current block fills that step's block:
+    for each of its steps, counter word 1 of the one Philox state dict is
+    rewritten to the step and the dict is assigned to the bit generator again
+    (which also empties its buffer), and that step's normals fill one row;
+    then one ``NoiseModel.apply`` serves the whole block.  Each increment is
+    thus the same pure function of (seed, trajectory, step, dt), whatever
+    order the steps are drawn in.  No block reaches past ``n_steps``, and a
+    step outside the grid raises ConfigurationError, so a march draws
+    nothing beyond its last step.
 
     ``store``, a dict shared by the samplers of one trajectory with the same
-    noise model and ``n_steps`` (a strong-order ladder's levels), maps a
+    noise model and fine step count (a strong-order ladder's levels), maps a
     block's first step to its unscaled applied block.  A fill takes the block
     from there, resetting Philox, drawing and applying only on a miss, and
     keeps a missed block while the store stays within ``LADDER_STORE_BYTES``;
@@ -281,10 +283,13 @@ class IncrementSampler:
     depend on which sampler drew the block.
     """
 
-    def __init__(self, noise: NoiseModel, trajectory_id: int, n_steps: int = 1 << 64,
+    def __init__(self, noise: NoiseModel, trajectory_id: int, dt: float, n_steps: int,
                  store: dict | None = None):
+        if not 0.0 <= dt < math.inf:  # also false for NaN
+            raise ConfigurationError(f"a sampler's dt must be finite and nonnegative, got {dt}")
         self.noise = noise
         self.trajectory_id = int(trajectory_id)
+        self._scale = math.sqrt(dt)
         self._n_steps = int(n_steps)
         self._state = _philox_state(noise.seed, self.trajectory_id)
         self._counter = self._state["state"]["counter"]
@@ -293,23 +298,22 @@ class IncrementSampler:
         self._block = block_steps(noise.factor.shape)
         self._normals = np.empty((self._block, noise.dim))
         self._store = store
-        # the filled block: first step, dt, and one increment per row
-        self._start, self._dt, self._rows = 0, None, ()
+        # the filled block: its first step and one increment per row
+        self._start, self._rows = 0, ()
 
-    def __call__(self, step_id: int, dt: float) -> np.ndarray:
-        step = int(step_id) & _MASK64
+    def __call__(self, step: int) -> np.ndarray:
         j = step - self._start
-        if not (0 <= j < len(self._rows) and dt == self._dt):
-            j = self._fill(step, dt)
+        if not 0 <= j < len(self._rows):
+            j = self._fill(step)
         # a fresh array: callers add into what they get
         return self._rows[j].copy()
 
-    def _fill(self, step: int, dt: float) -> int:
+    def _fill(self, step: int) -> int:
         """Scale the applied block holding ``step``, taken from the store or
         drawn and applied; its row there."""
-        if step >= self._n_steps:
-            raise ConfigurationError(
-                f"step {step} is past the sampler's last step {self._n_steps - 1}")
+        if not 0 <= step < self._n_steps:
+            raise ConfigurationError(f"step {step} is negative or past the sampler's "
+                                     f"last step {self._n_steps - 1}")
         start = step - step % self._block
         store = self._store
         applied = None if store is None else store.get(start)
@@ -324,33 +328,34 @@ class IncrementSampler:
             whole = 8 * self._block * self.noise.factor.shape[0]
             if store is not None and (len(store) + 1) * whole <= LADDER_STORE_BYTES:
                 store[start] = applied
-        self._start, self._dt = start, dt
-        self._rows = np.multiply(math.sqrt(dt), applied, order="C")
+        self._start = start
+        self._rows = np.multiply(self._scale, applied, order="C")
         return step - start
 
 
-def coupled_sampler(noise: NoiseModel, trajectory_id: int, ratio: int,
-                    n_steps: int = 1 << 64, store: dict | None = None):
-    """Sampler for a coarsened grid of ``n_steps`` steps: sums ``ratio``
-    fine-step increments.
+def coupled_sampler(noise: NoiseModel, trajectory_id: int, ratio: int, n_steps: int,
+                    dt: float, store: dict | None = None):
+    """Sampler for a coarse grid of ``n_steps`` steps of ``dt``: sums
+    ``ratio`` fine-step increments.
 
     Used by strong-convergence ladders so that every level sees the same
     underlying noise as the reference discretization.  Its fine stream is an
-    ``IncrementSampler`` of ``ratio * n_steps`` steps reading ``store``; at
-    ratio 1 that sampler is returned itself.  With one store per trajectory,
-    a ladder draws and applies the fine stream once, up to the store's
-    budget ``LADDER_STORE_BYTES``.
+    ``IncrementSampler`` of ``ratio * n_steps`` steps of ``dt / ratio``
+    reading ``store``; at ratio 1 that sampler is returned itself.  With one
+    store per trajectory, a ladder draws and applies the fine stream once, up
+    to the store's budget ``LADDER_STORE_BYTES``.
     """
     ratio = int(ratio)
-    fine = IncrementSampler(noise, trajectory_id, ratio * int(n_steps), store)
+    if ratio < 1:
+        raise ConfigurationError(f"a coupled sampler's ratio must be at least 1, got {ratio}")
+    fine = IncrementSampler(noise, trajectory_id, dt / ratio, ratio * n_steps, store)
     if ratio == 1:
         return fine
 
-    def sample(step_id: int, dt: float) -> np.ndarray:
-        fine_dt = dt / ratio
-        total = fine(ratio * step_id, fine_dt)
+    def sample(step: int) -> np.ndarray:
+        total = fine(ratio * step)
         for i in range(1, ratio):
-            total += fine(ratio * step_id + i, fine_dt)
+            total += fine(ratio * step + i)
         return total
 
     return sample

@@ -207,13 +207,13 @@ class Stepper:
     def march(self, trajectory_id: int = 0, sampler=None) -> TrajectorySet:
         """March one full trajectory of the problem and collect snapshots.
 
-        ``sampler(step, dt)`` supplies the noise increments; it defaults to the
-        trajectory's own stream ``IncrementSampler(problem.noise, trajectory_id,
-        n_steps)``, which draws no step past the last, and is ignored without a
-        noise model.  Raises LinearSolveFailure when a step produces non-finite
-        values, and BlowupDetected (tagged with the trajectory id) when the
-        nodal sup norm exceeds the configured guard, which signals scheme
-        instability and should not occur with taming.
+        ``sampler(step)`` supplies each step's noise increment; it defaults to
+        the trajectory's own stream ``IncrementSampler(problem.noise,
+        trajectory_id, dt, n_steps)``, which draws no step past the last, and
+        is ignored without a noise model.  Raises LinearSolveFailure when a step
+        produces non-finite values, and BlowupDetected (tagged with the
+        trajectory id) when the nodal sup norm exceeds the configured guard,
+        which signals scheme instability and should not occur with taming.
         """
         problem, cfg = self.problem, self.problem.config
         snapshots = cfg.snapshot_steps
@@ -221,7 +221,7 @@ class Stepper:
         if problem.noise is None:
             sampler = None
         elif sampler is None:
-            sampler = IncrementSampler(problem.noise, trajectory_id, schedule[-1])
+            sampler = IncrementSampler(problem.noise, trajectory_id, self.dt, schedule[-1])
 
         u = np.asarray(problem.initial, dtype=float)
         states = np.empty((snapshots.size,) + u.shape)
@@ -232,7 +232,7 @@ class Stepper:
             # numpy scalar arithmetic gives inf or NaN where a coefficient has
             # no value at t (say 1/t at t = 0); the finiteness check below reports it
             t = np.float64(step * cfg.dt)
-            dW = sampler(step, cfg.dt) if sampler is not None else None
+            dW = sampler(step) if sampler is not None else None
             u = self.step(u, t, dW)
             level = float(np.abs(u).max())
             sup = max(sup, level)

@@ -174,13 +174,14 @@ def reference_simulate_path(problem, trajectory_id=0):
     cfg = problem.config
     n_steps = int(round(cfg.t_end / cfg.dt))
     stepper = Stepper(problem)
-    sampler = None if problem.noise is None else IncrementSampler(problem.noise, trajectory_id)
+    sampler = (None if problem.noise is None
+               else IncrementSampler(problem.noise, trajectory_id, cfg.dt, n_steps))
     u = np.asarray(problem.initial, dtype=float).copy()
     times = [0.0]
     states = [u.copy()]
     sup = float(np.abs(u).max())
     for step in range(n_steps):
-        dW = sampler(step, cfg.dt) if sampler is not None else None
+        dW = sampler(step) if sampler is not None else None
         u = stepper.step(u, step * cfg.dt, dW)
         sup = max(sup, float(np.abs(u).max()))
         if (step + 1) % cfg.snapshot_stride == 0 or step + 1 == n_steps:

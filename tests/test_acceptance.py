@@ -194,10 +194,10 @@ def test_criterion_6_noise_covariance():
     dt = 0.05
     n_draw = 100000
     noise = white_noise_model(sys, seed=8)
-    sampler = IncrementSampler(noise, 0)
+    sampler = IncrementSampler(noise, 0, dt, n_draw)
     acc = np.zeros((sys.ndof, sys.ndof))
     for step in range(n_draw):
-        w = sampler(step, dt)
+        w = sampler(step)
         acc += np.outer(w, w)
     emp = acc / n_draw
     G = sys.mass.toarray()

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -306,6 +307,21 @@ class TestMonteCarlo:
         with pytest.raises(ConfigurationError):
             monte_carlo(heat_noise_problem(), n_trajectories=1)
 
+    @pytest.mark.parametrize("q, quantiles, match", [
+        (float("nan"), (0.5,), "got nan"),
+        (0.0, (0.5,), "got 0.0"),
+        (-2.0, (0.5,), "got -2.0"),
+        (float("inf"), (0.5,), "got inf"),
+        (4.0, (1.5,), r"\[1.5\]"),
+        (4.0, (0.5, -0.1, 1.0), r"\[-0.1\]"),
+        (4.0, (float("nan"),), r"\[nan\]"),
+    ])
+    def test_moment_and_quantiles_checked_before_marching(self, q, quantiles, match,
+                                                          monkeypatch):
+        monkeypatch.setattr(Stepper, "march", _refuse_march)
+        with pytest.raises(ConfigurationError, match=match):
+            monte_carlo(heat_noise_problem(), n_trajectories=2, q=q, quantiles=quantiles)
+
     def test_trajectories_follow_requested_ids(self):
         problem = heat_noise_problem(t_end=0.05, seed=13)
         trajs = run_trajectories(problem, [5, 0, 3])
@@ -327,15 +343,17 @@ def reference_strong_order_errors(problem, ladder, n_trajectories, norm_fn):
         u = np.asarray(problem.initial, dtype=float).copy()
         stepper = steppers[float(dt)]
         for step in range(int(round(t_end / dt))):
-            u = stepper.step(u, step * dt, sampler(step, dt))
+            u = stepper.step(u, step * dt, sampler(step))
         return u
 
     all_errs = []
     for traj_id in range(n_trajectories):
-        reference = final_state(dt_ref, IncrementSampler(problem.noise, traj_id))
+        reference = final_state(dt_ref, IncrementSampler(problem.noise, traj_id, dt_ref,
+                                                         int(round(t_end / dt_ref))))
         errs = np.empty(ratios.size)
         for i, (dt, ratio) in enumerate(zip(ladder[1:], ratios)):
-            sampler = coupled_sampler(problem.noise, traj_id, int(ratio))
+            sampler = coupled_sampler(problem.noise, traj_id, int(ratio),
+                                      int(round(t_end / dt)), float(dt))
             errs[i] = norm_fn(final_state(float(dt), sampler) - reference)
         all_errs.append(errs)
     return np.mean(np.stack(all_errs), axis=0)
@@ -545,9 +563,29 @@ class TestTimeGrid:
             estimate_strong_order(problem, np.array(ladder) * 1e-3, n_trajectories=2)
         assert steps == []
 
+    def test_holder_grid_check_builds_no_array_over_every_step(self, steps):
+        # 2e7 steps: one float per step would take 160 MB
+        problem = heat_noise_problem(dt=1e-7, t_end=2.0)
+        tracemalloc.start()
+        try:
+            with pytest.raises(InsufficientResolution, match="burn-in"):
+                estimate_holder_exponent(problem, [0.25, 0.5, 1.0, 1.9], n_trajectories=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+        assert steps == []
+
     def test_paths_need_two_snapshots(self):
         with pytest.raises(InsufficientResolution, match="got 1"):
             holder_exponent_from_paths([0.0], [np.zeros((1, 3))], [1e-3, 2e-3, 4e-3, 8e-3])
+
+    @pytest.mark.parametrize("bad", [0, 5, 100])
+    def test_nan_snapshot_time_is_not_uniform_spacing(self, bad):
+        times = 1e-3 * np.arange(101)
+        times[bad] = np.nan
+        with pytest.raises(ConfigurationError, match="uniformly spaced"):
+            holder_exponent_from_paths(times, [np.ones((101, 2))], [1e-3, 2e-3, 4e-3, 8e-3])
 
     def test_paths_need_one_path(self):
         with pytest.raises(ConfigurationError, match="got 0"):

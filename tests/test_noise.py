@@ -33,31 +33,31 @@ def small_system(n_int=3, n_edges=1, weights=1.0):
 class TestWhiteNoise:
     def test_bitwise_determinism(self):
         noise = white_noise_model(small_system(), seed=7)
-        a = IncrementSampler(noise, 3)(11, 0.01)
-        b = IncrementSampler(noise, 3)(11, 0.01)
+        a = IncrementSampler(noise, 3, 0.01, 12)(11)
+        b = IncrementSampler(noise, 3, 0.01, 12)(11)
         assert np.array_equal(a, b)
 
     def test_streams_differ_across_ids(self):
         noise = white_noise_model(small_system(), seed=7)
-        base = IncrementSampler(noise, 3)(11, 0.01)
-        assert not np.array_equal(base, IncrementSampler(noise, 4)(11, 0.01))
-        assert not np.array_equal(base, IncrementSampler(noise, 3)(12, 0.01))
-        assert not np.array_equal(base, IncrementSampler(replace(noise, seed=8), 3)(11, 0.01))
+        base = IncrementSampler(noise, 3, 0.01, 13)(11)
+        assert not np.array_equal(base, IncrementSampler(noise, 4, 0.01, 13)(11))
+        assert not np.array_equal(base, IncrementSampler(noise, 3, 0.01, 13)(12))
+        assert not np.array_equal(base, IncrementSampler(replace(noise, seed=8), 3, 0.01, 13)(11))
 
     def test_fast_sampler_is_bitwise_identical(self):
         noise = white_noise_model(small_system(), seed=5)
-        sampler = IncrementSampler(noise, trajectory_id=2)
+        sampler = IncrementSampler(noise, trajectory_id=2, dt=0.25, n_steps=1001)
         for step in (0, 1, 5, 1000):
-            assert np.array_equal(sampler(step, 0.25), philox_increment(noise, 2, step, 0.25))
+            assert np.array_equal(sampler(step), philox_increment(noise, 2, step, 0.25))
 
     def test_zero_dt_gives_zero_vector(self):
         noise = white_noise_model(small_system(), seed=1)
-        assert np.all(IncrementSampler(noise, 0)(0, 0.0) == 0.0)
+        assert np.all(IncrementSampler(noise, 0, 0.0, 1)(0) == 0.0)
 
     def test_scaling_with_dt(self):
         noise = white_noise_model(small_system(), seed=1)
-        a = IncrementSampler(noise, 0)(0, 0.01)
-        b = IncrementSampler(noise, 0)(0, 0.04)
+        a = IncrementSampler(noise, 0, 0.01, 1)(0)
+        b = IncrementSampler(noise, 0, 0.04, 1)(0)
         np.testing.assert_allclose(b, 2.0 * a, atol=1e-15)
 
     def test_covariance_matches_mass(self):
@@ -65,8 +65,8 @@ class TestWhiteNoise:
         noise = white_noise_model(sys, seed=3)
         dt = 0.2
         n_draw = 30000
-        sampler = IncrementSampler(noise, 0)
-        incs = np.array([sampler(s, dt) for s in range(n_draw)])
+        sampler = IncrementSampler(noise, 0, dt, n_draw)
+        incs = np.array([sampler(s) for s in range(n_draw)])
         emp = incs.T @ incs / n_draw
         target = dt * sys.mass.toarray()
         se = dt * np.sqrt((np.outer(np.diag(sys.mass.toarray()), np.diag(sys.mass.toarray()))
@@ -75,11 +75,11 @@ class TestWhiteNoise:
 
     def test_coupled_sampler_sums_fine_increments(self):
         noise = white_noise_model(small_system(), seed=9)
-        fine = IncrementSampler(noise, trajectory_id=1)
-        coarse = coupled_sampler(noise, trajectory_id=1, ratio=4)
         dt_fine = 0.01
-        expected = sum(fine(8 + i, dt_fine) for i in range(4))
-        np.testing.assert_allclose(coarse(2, 4 * dt_fine), expected, atol=1e-15)
+        fine = IncrementSampler(noise, trajectory_id=1, dt=dt_fine, n_steps=12)
+        coarse = coupled_sampler(noise, trajectory_id=1, ratio=4, n_steps=3, dt=4 * dt_fine)
+        expected = sum(fine(8 + i) for i in range(4))
+        np.testing.assert_allclose(coarse(2), expected, atol=1e-15)
 
 
 def star_noise(kind, seed=5):
@@ -97,32 +97,31 @@ class TestSamplerMatchesOracle:
 
     def test_steps_out_of_order(self, kind):
         noise = star_noise(kind)
-        sampler = IncrementSampler(noise, trajectory_id=2)
+        sampler = IncrementSampler(noise, trajectory_id=2, dt=0.25, n_steps=1001)
         for step in (7, 0, 1000, 1, 7, 3):
-            assert np.array_equal(sampler(step, 0.25), philox_increment(noise, 2, step, 0.25))
+            assert np.array_equal(sampler(step), philox_increment(noise, 2, step, 0.25))
 
     def test_interleaved_samplers(self, kind):
         noise = star_noise(kind)
-        first, second = IncrementSampler(noise, 0), IncrementSampler(noise, 1)
+        first, second = IncrementSampler(noise, 0, 0.01, 4), IncrementSampler(noise, 1, 0.01, 4)
         for step in range(4):
-            assert np.array_equal(first(step, 0.01), philox_increment(noise, 0, step, 0.01))
-            assert np.array_equal(second(step, 0.01), philox_increment(noise, 1, step, 0.01))
+            assert np.array_equal(first(step), philox_increment(noise, 0, step, 0.01))
+            assert np.array_equal(second(step), philox_increment(noise, 1, step, 0.01))
 
     def test_ids_are_masked_to_64_bits(self, kind):
         noise = star_noise(kind, seed=(1 << 64) + 5)
-        big_step = (1 << 64) + 9
-        draw = IncrementSampler(noise, trajectory_id=-1)(big_step, 0.5)
-        assert np.array_equal(draw, philox_increment(noise, -1, big_step, 0.5))
-        masked = IncrementSampler(replace(noise, seed=5), (1 << 64) - 1)
-        assert np.array_equal(draw, masked(9, 0.5))
+        draw = IncrementSampler(noise, trajectory_id=-1, dt=0.5, n_steps=10)(9)
+        assert np.array_equal(draw, philox_increment(noise, -1, 9, 0.5))
+        masked = IncrementSampler(replace(noise, seed=5), (1 << 64) - 1, 0.5, 10)
+        assert np.array_equal(draw, masked(9))
 
     def test_coupled_sampler_sums_oracle_draws(self, kind):
         noise = star_noise(kind)
-        coarse = coupled_sampler(noise, trajectory_id=3, ratio=4)
+        coarse = coupled_sampler(noise, trajectory_id=3, ratio=4, n_steps=3, dt=0.04)
         expected = philox_increment(noise, 3, 8, 0.01)
         for i in range(1, 4):
             expected += philox_increment(noise, 3, 8 + i, 0.01)
-        assert np.array_equal(coarse(2, 0.04), expected)
+        assert np.array_equal(coarse(2), expected)
 
 
 # N+1 = 6 on every edge: K below, at and above N+1 (folded modes)
@@ -158,49 +157,38 @@ class TestBlockedSampler:
     def test_steps_across_blocks_in_and_out_of_order(self, kind):
         noise = star_noise(kind)
         n_block = block_steps(noise.factor.shape)
-        sampler = IncrementSampler(noise, trajectory_id=2)
+        sampler = IncrementSampler(noise, trajectory_id=2, dt=0.25, n_steps=5 * n_block + 1)
         in_order = list(range(3 * n_block + 2))
         out_of_order = [2 * n_block + 1, 0, n_block - 1, 5 * n_block, n_block, 1, 2 * n_block + 1]
         for step in in_order + out_of_order:
-            assert np.array_equal(sampler(step, 0.25), philox_increment(noise, 2, step, 0.25))
+            assert np.array_equal(sampler(step), philox_increment(noise, 2, step, 0.25))
 
     def test_interleaved_samplers_of_one_model(self, kind):
         noise = star_noise(kind)
-        first, second = IncrementSampler(noise, 0), IncrementSampler(noise, 1)
-        for step in range(3 * block_steps(noise.factor.shape) + 1):
-            assert np.array_equal(first(step, 0.01), philox_increment(noise, 0, step, 0.01))
-            assert np.array_equal(second(step, 0.01), philox_increment(noise, 1, step, 0.01))
-
-    def test_steps_around_the_64_bit_wrap(self, kind):
-        noise = star_noise(kind)
-        n_block = block_steps(noise.factor.shape)
-        sampler = IncrementSampler(noise, trajectory_id=4)
-        for step in ((1 << 64) - 1, 1 << 64, (1 << 64) + n_block + 1, (1 << 64) - n_block, 3):
-            assert np.array_equal(sampler(step, 0.5), philox_increment(noise, 4, step, 0.5))
+        n_steps = 3 * block_steps(noise.factor.shape) + 1
+        first = IncrementSampler(noise, 0, 0.01, n_steps)
+        second = IncrementSampler(noise, 1, 0.01, n_steps)
+        for step in range(n_steps):
+            assert np.array_equal(first(step), philox_increment(noise, 0, step, 0.01))
+            assert np.array_equal(second(step), philox_increment(noise, 1, step, 0.01))
 
     def test_coupled_sums_across_blocks(self, kind):
         noise = star_noise(kind)
         n_coarse = 3 * block_steps(noise.factor.shape) // 4 + 2
-        coarse = coupled_sampler(noise, trajectory_id=3, ratio=4, n_steps=n_coarse)
+        coarse = coupled_sampler(noise, trajectory_id=3, ratio=4, n_steps=n_coarse, dt=0.04)
         for step in [*range(n_coarse), 1, 0]:
             expected = philox_increment(noise, 3, 4 * step, 0.01)
             for i in range(1, 4):
                 expected += philox_increment(noise, 3, 4 * step + i, 0.01)
-            assert np.array_equal(coarse(step, 0.04), expected)
-
-    def test_another_dt_within_a_block(self, kind):
-        noise = star_noise(kind)
-        sampler = IncrementSampler(noise, trajectory_id=6)
-        for step, dt in ((5, 0.25), (6, 0.01), (5, 0.25), (7, 0.25), (5, 0.0)):
-            assert np.array_equal(sampler(step, dt), philox_increment(noise, 6, step, dt))
+            assert np.array_equal(coarse(step), expected)
 
     def test_mutating_a_draw_leaves_the_stream_unchanged(self, kind):
         noise = star_noise(kind)
-        sampler = IncrementSampler(noise, trajectory_id=1)
-        draw = sampler(5, 0.25)
+        sampler = IncrementSampler(noise, trajectory_id=1, dt=0.25, n_steps=6)
+        draw = sampler(5)
         draw += 1.0
         draw[0] = np.nan
-        assert np.array_equal(sampler(5, 0.25), philox_increment(noise, 1, 5, 0.25))
+        assert np.array_equal(sampler(5), philox_increment(noise, 1, 5, 0.25))
 
 
 class TestDrawsStopAtTheLastStep:
@@ -265,16 +253,42 @@ class TestDrawsStopAtTheLastStep:
         assert resets == 2 * (fine + 3 * fine[n_block:])
 
     def test_a_step_past_the_last_is_refused(self):
-        sampler = IncrementSampler(star_noise("white"), trajectory_id=0, n_steps=10)
-        sampler(9, 0.1)
+        sampler = IncrementSampler(star_noise("white"), trajectory_id=0, dt=0.1, n_steps=10)
+        sampler(9)
         with pytest.raises(ConfigurationError, match="past the sampler's last step 9"):
-            sampler(10, 0.1)
+            sampler(10)
+
+
+class TestSamplerArguments:
+    @pytest.mark.parametrize("dt", [-0.01, np.nan, np.inf])
+    def test_dt_must_be_finite_and_nonnegative(self, dt):
+        with pytest.raises(ConfigurationError, match=f"finite and nonnegative, got {dt}"):
+            IncrementSampler(star_noise("white"), 0, dt, 10)
+
+    def test_a_negative_step_is_named_as_given(self):
+        sampler = IncrementSampler(star_noise("white"), 0, 0.1, 10)
+        sampler(0)
+        with pytest.raises(ConfigurationError, match="step -1 is negative"):
+            sampler(-1)
+
+    @pytest.mark.parametrize("ratio", [0, -2])
+    def test_coupled_ratio_must_be_at_least_one(self, ratio):
+        with pytest.raises(ConfigurationError, match=f"ratio must be at least 1, got {ratio}"):
+            coupled_sampler(star_noise("white"), 0, ratio, 10, 0.1)
 
 
 class TestColoredNoise:
     def test_zero_modes_rejected(self):
         with pytest.raises(ConfigurationError, match="at least one noise mode"):
             colored_noise_operator(small_system(), decay=1.5, n_modes=0)
+
+    @pytest.mark.parametrize("n_modes", [2.7, 3.0, True, "3"])
+    def test_mode_count_must_be_an_integer(self, n_modes):
+        with pytest.raises(ConfigurationError, match="mode count must be an integer"):
+            colored_noise_operator(small_system(), decay=1.5, n_modes=n_modes)
+
+    def test_numpy_integer_mode_count_accepted(self):
+        assert colored_noise_operator(small_system(), decay=1.5, n_modes=np.int64(3)).dim == 3
 
     def test_slow_decay_rejected(self):
         with pytest.raises(DecayTooSlow):
@@ -301,8 +315,8 @@ class TestColoredNoise:
     def test_single_mode_gives_rank_one_noise_per_edge(self):
         sys = small_system(n_int=6)
         model = colored_noise_operator(sys, decay=3.0, n_modes=1)
-        sampler = IncrementSampler(model, 0)
-        draws = np.array([sampler(s, 1.0) for s in range(40)])
+        sampler = IncrementSampler(model, 0, 1.0, 40)
+        draws = np.array([sampler(s) for s in range(40)])
         rank = np.linalg.matrix_rank(draws, tol=1e-10)
         assert rank == 1
 

@@ -111,7 +111,7 @@ class TestEmStep:
         n_rep = 20000
         outs = np.empty((n_rep, sys.ndof))
         for rep in range(n_rep):
-            dW = IncrementSampler(noise, rep)(0, dt)
+            dW = IncrementSampler(noise, rep, dt, 1)(0)
             outs[rep] = stepper.step(u0, 0.0, dW)
         emp_mean = outs.mean(axis=0)
         emp_cov = np.cov(outs.T)
