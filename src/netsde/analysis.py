@@ -87,7 +87,11 @@ def monte_carlo(problem: Problem, n_trajectories: int, q: float = 4.0,
 # temporal Hölder exponent
 # ---------------------------------------------------------------------------
 
-def _ols_loglog(x, y):
+def _ols_loglog(x, y, what: str):
+    if not np.all(y > 0.0):  # NaN is not positive either
+        k = int(np.argmin(y > 0.0))
+        raise ConfigurationError(f"the mean at {what} {float(x[k])!r} is {float(y[k])!r}; "
+                                 "a log-log fit needs positive means")
     lx, ly = np.log(x), np.log(y)
     n = lx.size
     A = np.vstack([lx, np.ones(n)]).T
@@ -172,7 +176,7 @@ def holder_exponent_from_paths(times, paths, lags, norm_fn=None,
     if n_paths == 0:
         raise ConfigurationError("need at least one path, got 0")
     means = sums / counts
-    slope, half_width, r2, residuals = _ols_loglog(lags, means)
+    slope, half_width, r2, residuals = _ols_loglog(lags, means, "lag")
     return ExponentEstimate(slope, half_width, r2, lags, means, residuals)
 
 
@@ -287,7 +291,7 @@ def estimate_strong_order(problem: Problem, dt_ladder, n_trajectories: int,
             finals.append(level.march(traj_id, sampler).final_state())
         all_errs.append([norm_fn(u - finals[0]) for u in finals[1:]])
     means = np.mean(np.array(all_errs), axis=0)
-    slope, half_width, r2, residuals = _ols_loglog(ladder[1:], means)
+    slope, half_width, r2, residuals = _ols_loglog(ladder[1:], means, "dt")
     return ExponentEstimate(slope, half_width, r2, ladder[1:], means, residuals)
 
 

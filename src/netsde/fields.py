@@ -5,8 +5,7 @@ Every per-edge coefficient is an ``EdgeFunction``, built by
 ``as_edge_function`` from a number, an expression string, a compiled
 Expression, nodal samples on a uniform grid over [0,1] (linearly
 interpolated) or a python callable; it knows whether it is constant.  All
-evaluation helpers are vectorized over numpy arrays and pure, so a frozen
-spec is safe to share between concurrent trajectories.
+evaluation helpers are vectorized over numpy arrays and pure.
 """
 
 from __future__ import annotations
@@ -33,18 +32,15 @@ class EdgeFunction:
     """A per-edge coefficient: called with its variables' values, elementwise.
 
     ``constant`` is the float value of a coefficient that uses none of its
-    variables, else None; a constant returns its value broadcast to its
-    arguments' shape (the bare float for scalar arguments) and has no ``fn``.
+    variables, else None; a constant has no ``fn`` and returns that float
+    whatever its arguments, for the caller to broadcast (``float_samples``).
     """
 
     fn: object = None
     constant: float | None = None
 
     def __call__(self, *args):
-        if self.constant is None:
-            return self.fn(*args)
-        shape = np.broadcast(*args).shape
-        return np.full(shape, self.constant) if shape else self.constant
+        return self.fn(*args) if self.constant is None else self.constant
 
 
 def float_samples(fn, *args) -> np.ndarray:
@@ -240,9 +236,9 @@ def polynomial_drift(degree: int, coefficients, n_edges: int,
 def eval_drift(spec: DriftSpec, t, x, edge: int, value):
     """Evaluate the reaction polynomial on an edge (1-based index).
 
-    Constant coefficients enter as floats (so ``x`` may be None when the
-    whole row is constant) and lower-order terms with the constant
-    coefficient zero are skipped; the leading term is always evaluated.
+    Constant coefficients enter as floats and lower-order terms with the
+    constant coefficient zero are skipped; the leading term is always
+    evaluated.
     """
     row = spec.coefficients[edge - 1]
     consts = [fn.constant for fn in row]

@@ -10,6 +10,9 @@ Global dof layout: interior dofs come first, edge by edge, and the n vertex
 dofs sit at the end.  This arrowhead ordering keeps the fill-in of the
 sparse mass-matrix Cholesky factor (``assembly.noise_covariance_factor``)
 confined to the trailing vertex rows.
+
+Where per-edge values meet, a dof takes its owner edge's value (``Mesh.owner_edge``,
+``Mesh.owner_node``); a vertex dof is owned by its lowest-index incident edge.
 """
 
 from __future__ import annotations
@@ -31,6 +34,8 @@ class Mesh:
     ndof: int
     edge_dofs: np.ndarray    # (m, n_interior+2) global dof of each local node
     vertex_dofs: np.ndarray  # (n,) global dof of vertex i at index i-1
+    owner_edge: np.ndarray   # (ndof,) 0-based edge that owns each dof
+    owner_node: np.ndarray   # (ndof,) local node index of each dof on its owner
 
     @property
     def n_edges(self) -> int:
@@ -44,32 +49,17 @@ def build_mesh(graph: MetricGraph, n_interior: int) -> Mesh:
         raise MeshTooCoarse(f"need at least one interior node per edge, got {n_int}")
     n, m = graph.n_vertices, graph.n_edges
     vertex_dofs = m * n_int + np.arange(n)
-
-    edge_dofs = np.empty((m, n_int + 2), dtype=int)
-    for j, (a, b) in enumerate(graph.edge_array()):
-        edge_dofs[j, 0] = vertex_dofs[a]
-        edge_dofs[j, 1:-1] = j * n_int + np.arange(n_int)
-        edge_dofs[j, -1] = vertex_dofs[b]
-    return Mesh(graph, n_int, 1.0 / (n_int + 1), m * n_int + n, edge_dofs, vertex_dofs)
+    ends = vertex_dofs[graph.edge_array()]
+    edge_dofs = np.column_stack([ends[:, 0], np.arange(m * n_int).reshape(m, n_int), ends[:, 1]])
+    # a dof first occurs on its lowest-index edge (every vertex of a connected graph has one)
+    owner_edge, owner_node = np.divmod(np.unique(edge_dofs, return_index=True)[1], n_int + 2)
+    return Mesh(graph, n_int, 1.0 / (n_int + 1), m * n_int + n, edge_dofs, vertex_dofs,
+                owner_edge, owner_node)
 
 
 def node_coordinates(mesh: Mesh) -> np.ndarray:
     """Local coordinates of the n_interior+2 nodes along one edge."""
     return np.linspace(0.0, 1.0, mesh.n_interior + 2)
-
-
-def write_edge_values(mesh: Mesh, edge_values, out: np.ndarray) -> np.ndarray:
-    """Fill the dof vector ``out`` edge by edge and return it.
-
-    ``edge_values(j, dofs)`` gives edge j's values at ``node_coordinates(mesh)``
-    on its dofs ``mesh.edge_dofs[j]``.  The edges are written in reverse
-    order, so a vertex dof shared by several edges keeps the value of its
-    lowest-index incident edge.
-    """
-    for j in range(mesh.n_edges - 1, -1, -1):
-        dofs = mesh.edge_dofs[j]
-        out[dofs] = edge_values(j, dofs)
-    return out
 
 
 # largest difference allowed between two edges' values at a shared vertex
@@ -82,18 +72,17 @@ def interpolate(mesh: Mesh, functions) -> np.ndarray:
     ``functions`` is a shared value or a per-edge list of anything
     ``fields.as_edge_function`` takes.  The nodal values must be
     finite, and the supplied functions must agree at shared vertices to
-    within ``VERTEX_TOL``.
+    within ``VERTEX_TOL``.  Each dof takes its owner edge's value.
     """
     xs = node_coordinates(mesh)
-    values = []
+    values = np.empty((mesh.n_edges, xs.size))
     for j, fn in enumerate(edge_functions(functions, mesh.n_edges)):
-        v = float_samples(fn, xs)
+        v = values[j] = float_samples(fn, xs)
         if not np.isfinite(v).all():
             k = int(np.argmin(np.isfinite(v)))
             raise ConfigurationError(
                 f"edge {j + 1} supplies the non-finite value {float(v[k])} at x={float(xs[k])}")
-        values.append(v)
-    state = write_edge_values(mesh, lambda j, dofs: values[j], np.empty(mesh.ndof))
+    state = values[mesh.owner_edge, mesh.owner_node]
     for j, (v, dofs) in enumerate(zip(values, mesh.edge_dofs)):
         bad = np.flatnonzero(np.abs(state[dofs] - v) > VERTEX_TOL)
         if bad.size:

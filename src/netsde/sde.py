@@ -28,7 +28,7 @@ import scipy.sparse.linalg as spla
 from .assembly import DiscreteSystem, bind_matvec
 from .errors import BlowupDetected, ConfigurationError, DimensionMismatch, LinearSolveFailure
 from .fields import DiffusionSpec, DriftSpec, eval_drift
-from .mesh import Mesh, node_coordinates, write_edge_values
+from .mesh import Mesh, node_coordinates
 from .noise import IncrementSampler, NoiseModel
 
 SCHEMES = ("semi_implicit_tamed", "semi_implicit_plain")
@@ -135,25 +135,33 @@ class TrajectorySet:
         return self.states[-1]
 
 
-def _nodal_evaluator(mesh: Mesh, rows, whole, on_edge):
+def _nodal_evaluator(mesh: Mesh, rows, evaluate):
     """Nodal evaluator over dofs from per-edge rows of EdgeFunctions.
 
-    When every edge's row is constant with the same values, ``whole(t, u)``
-    serves the whole vector; else ``on_edge(t, x, j, u_j)`` runs on the
-    nodes of each 0-based edge j.  A vertex dof takes the value of its
-    lowest-index incident edge; under vertex compatibility every incident
-    edge gives the same value there.
+    Edges whose rows hold the same objects, or constants with the same bits
+    (0.0 and -0.0 differ), form a group.  Each step runs ``evaluate(t, x, j,
+    u)`` once per group on the dofs it owns, at their coordinates x on their
+    owner edges, with j its lowest 0-based edge; a group that owns every dof
+    returns its value as it comes.
     """
-    consts = [tuple(fn.constant for fn in row) for row in rows]
-    if None not in consts[0] and all(row == consts[0] for row in consts):
-        return whole
-    xs = node_coordinates(mesh)
+    firsts = {}
+    edge_group = [firsts.setdefault(tuple(id(fn) if fn.constant is None
+                                          else float(fn.constant).hex() for fn in row), j)
+                  for j, row in enumerate(rows)]
+    x = node_coordinates(mesh)[mesh.owner_node]
+    if len(firsts) == 1:
+        return lambda t, u: evaluate(t, x, 0, u)
+    dof_group = np.array(edge_group)[mesh.owner_edge]
+    owned = {j: np.flatnonzero(dof_group == j) for j in firsts.values()}
+    groups = [(j, idx, x[idx]) for j, idx in owned.items()]
 
-    def evaluate(t, u):
-        return write_edge_values(mesh, lambda j, dofs: on_edge(t, xs, j, u[dofs]),
-                                 np.empty_like(u))
+    def evaluate_groups(t, u):
+        out = np.empty_like(u)
+        for j, idx, x_j in groups:
+            out[idx] = evaluate(t, x_j, j, u[idx])
+        return out
 
-    return evaluate
+    return evaluate_groups
 
 
 def nodal_drift_evaluator(spec: DriftSpec | None, mesh: Mesh):
@@ -161,7 +169,6 @@ def nodal_drift_evaluator(spec: DriftSpec | None, mesh: Mesh):
     if spec is None:
         return None
     return _nodal_evaluator(mesh, spec.coefficients,
-                            lambda t, u: eval_drift(spec, t, None, 1, u),
                             lambda t, x, j, u: eval_drift(spec, t, x, j + 1, u))
 
 
@@ -170,8 +177,7 @@ def nodal_diffusion_evaluator(spec: DiffusionSpec | None, mesh: Mesh):
     by all edges is returned as that float (same product bits as an array)."""
     if spec is None:
         return None
-    gamma = spec.functions[0].constant
-    return _nodal_evaluator(mesh, [(g,) for g in spec.functions], lambda t, u: gamma,
+    return _nodal_evaluator(mesh, [(g,) for g in spec.functions],
                             lambda t, x, j, u: spec.functions[j](t, x, u))
 
 

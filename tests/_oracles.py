@@ -16,7 +16,10 @@ Noise increments come from a Philox generator constructed afresh for every
 draw, with the factor applied through ``@``.  Run configs are checked
 against the section-by-section normalizer that preceded the schema table.
 The per-dof owner map and the node-by-node interpolation are the ones the
-mesh kept before ``Mesh.edge_dofs`` became its only dof map, and the
+mesh kept before ``Mesh.edge_dofs`` became its only dof map, and the nodal
+drift and diffusion references evaluate every coefficient edge by edge on
+the dofs that map gives each edge (the drift adds its zero terms unless
+every edge holds the same constants).  The
 edge-by-edge assembly is the one that preceded the one-pass assembly.  The
 weighted incidence matrices are filled entry by entry, as before they were
 built from the incidence matrices.
@@ -220,6 +223,70 @@ def reference_dof_map(mesh):
         dof_edge[mesh.vertex_dofs[b]] = j
         dof_x[mesh.vertex_dofs[b]] = 1.0
     return dof_edge, dof_x
+
+
+def power(v, l):
+    """v ** l as ((v * v) * v) * ..., the order eval_drift multiplies in."""
+    out = v
+    for _ in range(l - 1):
+        out = out * v
+    return out
+
+
+def reference_nodal_drift(spec, mesh):
+    """The nodal reaction evaluator as it stood before it dispatched to
+    ``eval_drift``, with powers by repeated multiplication as stream version
+    3 computes them (version 2 used ``u ** l``)."""
+    d = spec.top_power
+    consts = [[fn.constant for fn in row] for row in spec.coefficients]
+    if (all(v is not None for row in consts for v in row)
+            and all(consts[j] == consts[0] for j in range(1, spec.n_edges))):
+        coeff = np.asarray(consts[0], dtype=float)
+
+        def evaluate_const(t, u):
+            acc = -coeff[d] * power(u, d)
+            for l in range(1, d):
+                if coeff[l] != 0.0:
+                    acc = acc + coeff[l] * power(u, l)
+            if coeff[0] != 0.0:
+                acc = acc + coeff[0]
+            return acc
+
+        return evaluate_const
+
+    dof_edge, dof_x = reference_dof_map(mesh)
+    by_edge = [np.flatnonzero(dof_edge == j) for j in range(mesh.n_edges)]
+    xs = [dof_x[idx] for idx in by_edge]
+
+    def evaluate(t, u):
+        out = np.empty_like(u)
+        for j, idx in enumerate(by_edge):
+            coeffs = spec.coefficients[j]
+            x = xs[j]
+            v = u[idx]
+            acc = -np.broadcast_to(coeffs[d](t, x), x.shape) * power(v, d)
+            for l in range(1, d):
+                acc = acc + np.broadcast_to(coeffs[l](t, x), x.shape) * power(v, l)
+            out[idx] = acc + np.broadcast_to(coeffs[0](t, x), x.shape)
+        return out
+
+    return evaluate
+
+
+def reference_nodal_diffusion(spec, mesh):
+    """The nodal diffusion evaluator as it stood before it shared the drift's
+    dispatcher: one array filled edge by edge, also for a constant g."""
+    dof_edge, dof_x = reference_dof_map(mesh)
+    by_edge = [np.flatnonzero(dof_edge == j) for j in range(mesh.n_edges)]
+    xs = [dof_x[idx] for idx in by_edge]
+
+    def evaluate(t, u):
+        out = np.empty_like(u)
+        for j, idx in enumerate(by_edge):
+            out[idx] = np.broadcast_to(spec.functions[j](t, xs[j], u[idx]), idx.shape)
+        return out
+
+    return evaluate
 
 
 def random_multigraph_mesh(rng):

@@ -75,7 +75,7 @@ def reference_holder_fit(times, paths, lags, norm_fn=None, burn_fraction=0.25):
             sums[i] += float(norm_fn(np.atleast_2d(diffs)).sum())
             counts[i] += diffs.shape[0]
     means = sums / counts
-    slope, half_width, r2, residuals = analysis._ols_loglog(lags, means)
+    slope, half_width, r2, residuals = analysis._ols_loglog(lags, means, "lag")
     return analysis.ExponentEstimate(slope, half_width, r2, lags, means, residuals)
 
 
@@ -100,6 +100,17 @@ class TestHolderCalibration:
         lags = np.array([2, 4, 8, 16]) * 1e-3
         est = holder_exponent_from_paths(times, [path], lags)
         assert est.estimate == pytest.approx(1.0, abs=0.05)
+
+    @pytest.mark.parametrize("path, lag", [
+        (np.zeros((101, 2)), "0.001"),
+        (np.tile([[0.0], [1.0]], (51, 1))[:101], "0.002"),
+    ], ids=["constant", "period_two"])
+    def test_zero_mean_increment_names_the_first_such_lag(self, path, lag):
+        # a path of period two snapshots has zero increments from lag 2e-3 on;
+        # pytest.ini turns the RuntimeWarning of a log(0) into an error
+        times = 1e-3 * np.arange(101)
+        with pytest.raises(ConfigurationError, match=rf"the mean at lag {lag} is 0\.0; "):
+            holder_exponent_from_paths(times, [path], [1e-3, 2e-3, 4e-3, 8e-3])
 
     @pytest.mark.parametrize("shapes, match", [
         ([(401,)], r"path 0 has shape \(401,\), expected \(401, d\)"),

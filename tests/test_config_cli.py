@@ -466,6 +466,22 @@ class TestCli:
         assert lines[0] == "dt,error,fitted"
         assert len(lines) == 4
 
+    def test_convergence_without_any_error_exits_1(self, tmp_path, capsys):
+        # no noise and a zero start: every level's error is 0, and a log-log
+        # fit of zeros has no order (it used to write "order": NaN)
+        cfg = minimal_config(
+            solver={"dt": 1e-3, "t_end": 0.064}, diffusion={"expression": "0"}, initial=0,
+            experiment={"name": "convergence",
+                        "dt_ladder": [0.064 / 256, 0.064 / 16, 0.064 / 8, 0.064 / 4],
+                        "trajectories": 2, "norm": "E2"},
+        )
+        out = tmp_path / "out"
+        assert run_command(["convergence", "--config", str(write_config(tmp_path, cfg)),
+                            "--output-dir", str(out)]) == 1
+        assert ("netsde: error: the mean at dt 0.004 is 0.0; a log-log fit needs positive means"
+                in capsys.readouterr().err.splitlines())
+        assert not (out / "summary.json").exists()
+
     def test_holder_requires_matching_experiment(self, tmp_path, capsys, monkeypatch):
         def build(*args, **kwargs):
             raise AssertionError("model built before the experiment name was checked")

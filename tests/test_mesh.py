@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from _oracles import random_multigraph_mesh, reference_interpolate
+from _oracles import random_multigraph_mesh, reference_dof_map, reference_interpolate
 from netsde.errors import ConfigurationError, MeshTooCoarse, VertexMismatch
 from netsde.expressions import parse_expression
 from netsde.graph import build_graph
-from netsde.mesh import build_mesh, interpolate
+from netsde.mesh import build_mesh, interpolate, node_coordinates
 
 
 def path3_mesh(n_int=3):
@@ -33,6 +33,19 @@ class TestBuildMesh:
         mesh = path3_mesh(2)
         assert set(mesh.edge_dofs.ravel()) == set(range(mesh.ndof))
         assert list(mesh.vertex_dofs) == [4, 5, 6]
+
+    def test_owner_map_matches_reverse_loop_oracle(self):
+        # parallel edges in both orientations and shuffled edge order, so a
+        # vertex's lowest-index incident edge may start or end there
+        rng = np.random.default_rng(26)
+        for _ in range(100):
+            mesh = random_multigraph_mesh(rng)
+            dof_edge, dof_x = reference_dof_map(mesh)
+            assert mesh.owner_edge.tobytes() == dof_edge.tobytes()
+            assert node_coordinates(mesh)[mesh.owner_node].tobytes() == dof_x.tobytes()
+            # the owner's local node is the dof itself
+            assert np.array_equal(mesh.edge_dofs[mesh.owner_edge, mesh.owner_node],
+                                  np.arange(mesh.ndof))
 
 
 class TestInterpolate:

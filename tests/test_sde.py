@@ -37,6 +37,8 @@ from _oracles import (
     backward_euler_heat,
     random_multigraph_mesh,
     reference_dof_map,
+    reference_nodal_diffusion,
+    reference_nodal_drift,
     reference_simulate_path,
 )
 
@@ -280,54 +282,6 @@ class TestStepperWithConfig:
             Stepper(problem.with_config(scheme="exponential_euler"))
 
 
-def power(v, l):
-    """v ** l as ((v * v) * v) * ..., the order eval_drift multiplies in."""
-    out = v
-    for _ in range(l - 1):
-        out = out * v
-    return out
-
-
-def reference_nodal_drift(spec, mesh):
-    """The nodal reaction evaluator as it stood before it dispatched to
-    ``eval_drift``, with powers by repeated multiplication as stream version
-    3 computes them (version 2 used ``u ** l``)."""
-    d = spec.top_power
-    consts = [[fn.constant for fn in row] for row in spec.coefficients]
-    if (all(v is not None for row in consts for v in row)
-            and all(consts[j] == consts[0] for j in range(1, spec.n_edges))):
-        coeff = np.asarray(consts[0], dtype=float)
-
-        def evaluate_const(t, u):
-            acc = -coeff[d] * power(u, d)
-            for l in range(1, d):
-                if coeff[l] != 0.0:
-                    acc = acc + coeff[l] * power(u, l)
-            if coeff[0] != 0.0:
-                acc = acc + coeff[0]
-            return acc
-
-        return evaluate_const
-
-    dof_edge, dof_x = reference_dof_map(mesh)
-    by_edge = [np.flatnonzero(dof_edge == j) for j in range(mesh.n_edges)]
-    xs = [dof_x[idx] for idx in by_edge]
-
-    def evaluate(t, u):
-        out = np.empty_like(u)
-        for j, idx in enumerate(by_edge):
-            coeffs = spec.coefficients[j]
-            x = xs[j]
-            v = u[idx]
-            acc = -np.broadcast_to(coeffs[d](t, x), x.shape) * power(v, d)
-            for l in range(1, d):
-                acc = acc + np.broadcast_to(coeffs[l](t, x), x.shape) * power(v, l)
-            out[idx] = acc + np.broadcast_to(coeffs[0](t, x), x.shape)
-        return out
-
-    return evaluate
-
-
 class TestNodalDrift:
     @pytest.mark.parametrize("kind", ["allen_cahn", "per_edge_constants", "expressions",
                                       "degree_five"])
@@ -351,22 +305,6 @@ class TestNodalDrift:
             t = float(rng.uniform(0.0, 1.0))
             u = 2.0 * rng.standard_normal(mesh.ndof)
             assert new(t, u).tobytes() == old(t, u).tobytes()
-
-
-def reference_nodal_diffusion(spec, mesh):
-    """The nodal diffusion evaluator as it stood before it shared the drift's
-    dispatcher: one array filled edge by edge, also for a constant g."""
-    dof_edge, dof_x = reference_dof_map(mesh)
-    by_edge = [np.flatnonzero(dof_edge == j) for j in range(mesh.n_edges)]
-    xs = [dof_x[idx] for idx in by_edge]
-
-    def evaluate(t, u):
-        out = np.empty_like(u)
-        for j, idx in enumerate(by_edge):
-            out[idx] = np.broadcast_to(spec.functions[j](t, xs[j], u[idx]), idx.shape)
-        return out
-
-    return evaluate
 
 
 class TestNodalDiffusion:
@@ -406,25 +344,70 @@ class TestNodalDiffusion:
         assert gamma.tobytes() == np.full(mesh.ndof, 2.0).tobytes()
 
 
+def _multigraph_coefficient_cases(rng, m):
+    """(drift, diffusion) pairs on m edges: x-dependent coefficients that
+    differ between edges at shared vertices, so every vertex value shows
+    which incident edge evaluated it; rows shared by every edge; equal
+    constants given edge by edge; and constant rows with zero terms, and
+    g = 0 next to g = -0, on some edges only."""
+    drift_expr = lambda text: parse_expression(text, ("t", "x"))
+    diffusion_expr = lambda text: parse_expression(text, ("t", "x", "u"))
+    slopes = [float(a) for a in rng.uniform(-1.0, 1.0, m)]
+    a = slopes[0]
+    return [
+        (polynomial_drift(1, [[0.0, drift_expr(f"1 + ({b!r})*x"), 0.0, 1.0] for b in slopes],
+                          n_edges=m),
+         build_diffusion(m, [diffusion_expr(f"1 + ({b!r})*x*sin(u)") for b in slopes])),
+        (polynomial_drift(1, [0.25, drift_expr(f"1 + ({a!r})*x"), 0.0,
+                              drift_expr("1 + 0.5*sin(t)")], n_edges=m),
+         build_diffusion(m, diffusion_expr(f"1 + 0.1*u + ({a!r})*x"))),
+        (polynomial_drift(1, [[0.0, 1.0, 0.0, 1.0] for _ in range(m)], n_edges=m),
+         build_diffusion(m, [0.5 for _ in range(m)])),
+        (polynomial_drift(1, [[0.0, 1.0, 0.0, 1.0] if j % 2 else [0.5, 0.0, -0.25, 1.5]
+                              for j in range(m)], n_edges=m),
+         build_diffusion(m, [["0", "-0", "2"][j % 3] for j in range(m)])),
+    ]
+
+
 def test_per_edge_evaluators_match_reference_on_multigraphs():
-    # x-dependent coefficients that differ between edges at shared vertices,
-    # so every vertex value shows which incident edge evaluated it
     rng = np.random.default_rng(11)
     for _ in range(100):
         mesh = random_multigraph_mesh(rng)
-        m = mesh.n_edges
-        slopes = [float(a) for a in rng.uniform(-1.0, 1.0, m)]
-        drift = polynomial_drift(
-            1, [[0.0, parse_expression(f"1 + ({a!r})*x", ("t", "x")), 0.0, 1.0] for a in slopes],
-            n_edges=m)
-        diffusion = build_diffusion(
-            m, [parse_expression(f"1 + ({a!r})*x*sin(u)", ("t", "x", "u")) for a in slopes])
         t = float(rng.uniform(0.0, 1.0))
         u = rng.standard_normal(mesh.ndof)
-        assert (nodal_drift_evaluator(drift, mesh)(t, u).tobytes()
-                == reference_nodal_drift(drift, mesh)(t, u).tobytes())
-        assert (nodal_diffusion_evaluator(diffusion, mesh)(t, u).tobytes()
-                == reference_nodal_diffusion(diffusion, mesh)(t, u).tobytes())
+        increment = rng.standard_normal(mesh.ndof)
+        for drift, diffusion in _multigraph_coefficient_cases(rng, mesh.n_edges):
+            assert (nodal_drift_evaluator(drift, mesh)(t, u).tobytes()
+                    == reference_nodal_drift(drift, mesh)(t, u).tobytes())
+            gamma = nodal_diffusion_evaluator(diffusion, mesh)(t, u)
+            expected = reference_nodal_diffusion(diffusion, mesh)(t, u)
+            assert np.broadcast_to(gamma, u.shape).tobytes() == expected.tobytes()
+            assert (gamma * increment).tobytes() == (expected * increment).tobytes()
+
+
+def test_shared_coefficient_runs_once_per_step():
+    # a 30-edge star whose edges all share one drift row and one g
+    n_edges = 30
+    graph = build_graph(n_edges + 1, [(1, k) for k in range(2, n_edges + 2)])
+    system = assemble_form(build_mesh(graph, 9), build_edge_fields(n_edges),
+                           VertexMatrix(-np.eye(n_edges + 1)))
+    calls = {"drift": 0, "diffusion": 0}
+
+    def drift_coefficient(t, x):
+        calls["drift"] += 1
+        return 1.0 + x
+
+    def noise_coefficient(t, x, u):
+        calls["diffusion"] += 1
+        return 1.0 + 0.1 * u
+
+    problem = Problem(system, SolverConfig(1e-3, 1e-3), np.full(system.ndof, 0.5),
+                      polynomial_drift(1, [0.0, drift_coefficient, 0.0, 1.0], n_edges=n_edges),
+                      build_diffusion(n_edges, noise_coefficient),
+                      white_noise_model(system, seed=3))
+    stepper = Stepper(problem)
+    stepper.step(problem.initial, 0.0, IncrementSampler(problem.noise, 0, 1e-3, 1)(0))
+    assert calls == {"drift": 1, "diffusion": 1}
 
 
 class TestEnergyDecay:
