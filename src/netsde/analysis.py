@@ -92,21 +92,18 @@ def _ols_loglog(x, y, what: str):
         k = int(np.argmin(y > 0.0))
         raise ConfigurationError(f"the mean at {what} {float(x[k])!r} is {float(y[k])!r}; "
                                  "a log-log fit needs positive means")
+    # the closed-form two-parameter fit about the means, from numpy sums alone
     lx, ly = np.log(x), np.log(y)
     n = lx.size
-    A = np.vstack([lx, np.ones(n)]).T
-    coef, *_ = np.linalg.lstsq(A, ly, rcond=None)
-    fitted = A @ coef
-    residuals = ly - fitted
-    ss_res = float(residuals @ residuals)
-    ss_tot = float(np.sum((ly - ly.mean()) ** 2))
+    dx, dy = lx - lx.mean(), ly - ly.mean()
+    sxx = float(np.sum(dx * dx))
+    slope = float(np.sum(dx * dy)) / sxx
+    residuals = dy - slope * dx
+    ss_res = float(np.sum(residuals * residuals))
+    ss_tot = float(np.sum(dy * dy))
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    if n > 2:
-        sigma2 = ss_res / (n - 2)
-        se = math.sqrt(sigma2 / float(np.sum((lx - lx.mean()) ** 2)))
-    else:
-        se = float("nan")
-    return float(coef[0]), 1.96 * se, r2, residuals
+    se = math.sqrt(ss_res / (n - 2) / sxx) if n > 2 else float("nan")
+    return slope, 1.96 * se, r2, residuals
 
 
 def _lag_grid(n_snap: int, spacing: float, lags, burn_fraction: float):

@@ -34,10 +34,14 @@ class EdgeFunction:
     ``constant`` is the float value of a coefficient that uses none of its
     variables, else None; a constant has no ``fn`` and returns that float
     whatever its arguments, for the caller to broadcast (``float_samples``).
+    ``key``, for one compiled from an expression, is its text and the
+    variables it is called with: two EdgeFunctions with the same key compute
+    the same values.
     """
 
     fn: object = None
     constant: float | None = None
+    key: tuple | None = None
 
     def __call__(self, *args):
         return self.fn(*args) if self.constant is None else self.constant
@@ -65,7 +69,8 @@ def as_edge_function(value, variables=("x",)) -> EdgeFunction:
     if isinstance(value, Expression):
         if value.is_constant:
             return EdgeFunction(constant=value.constant_value())
-        return EdgeFunction(lambda *args: value(**dict(zip(variables, args))))
+        return EdgeFunction(lambda *args: value(**dict(zip(variables, args))),
+                            key=(value.text, tuple(variables)))
     if callable(value):
         return EdgeFunction(value)
     if isinstance(value, (list, tuple, np.ndarray)) and np.ndim(value) == 1:

@@ -7,9 +7,12 @@ automatically continuous across vertices and the vertex value is read
 directly from the shared dof.
 
 Global dof layout: interior dofs come first, edge by edge, and the n vertex
-dofs sit at the end.  This arrowhead ordering keeps the fill-in of the
-sparse mass-matrix Cholesky factor (``assembly.noise_covariance_factor``)
-confined to the trailing vertex rows.
+dofs sit at the end.  In this arrowhead ordering the interior block of every
+assembled matrix is tridiagonal with no couplings between edges, so the
+fill-in of the sparse mass-matrix Cholesky factor
+(``assembly.noise_covariance_factor``) stays in the trailing vertex rows,
+and a step solve (``assembly.arrowhead_solver``) is one tridiagonal solve
+plus an n x n vertex Schur complement.
 
 Where per-edge values meet, a dof takes its owner edge's value (``Mesh.owner_edge``,
 ``Mesh.owner_node``); a vertex dof is owned by its lowest-index incident edge.

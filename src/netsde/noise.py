@@ -16,8 +16,8 @@ the interior rows of ``factor @ z`` are a discrete sine transform (DST-I),
 computed for every edge and step by one sparse fold and one real FFT of
 length N+1.  The sine is 2(N+1)-periodic in k, so modes beyond N+1 fold onto
 the N interior nodes instead of being cut or rejected, and every mode count
-runs the same code.  The two end half-hats have closed-form loads, an O(K)
-dot product per edge end.
+runs the same code.  The two end half-hats have closed-form loads, two more
+rows of the same sparse fold.
 
 Streams are deterministic functions of (base seed, trajectory, step): the
 Philox key packs ``(seed << 64) | trajectory`` and the 256-bit block counter
@@ -65,7 +65,12 @@ _MASK64 = (1 << 64) - 1
 # Euler has since been removed; no remaining scheme's bytes moved.
 # 5: the colored sine transform runs through a real FFT of length N+1 instead
 # of 2(N+1), so colored increments differ at rounding level; white ones do not.
-STREAM_VERSION = 5
+# 6: a step solves by arrowhead block elimination (``assembly.arrowhead_solver``)
+# instead of SuperLU, the colored end loads are CSR row sums instead of a
+# matmul, and the log-log fit and the E2 norm are numpy sums instead of BLAS
+# calls, so states, colored increments and fitted exponents differ at rounding
+# level, and no artifact but the spectrum's depends on the OpenBLAS core.
+STREAM_VERSION = 6
 
 
 @dataclass(frozen=True)
@@ -128,29 +133,35 @@ class SineFactor:
         # int_0^h (1 - x/h) sin(omega x) dx at the first node; the last node's
         # half-hat is its mirror image, (-1)^(k+1) times as much
         left = _one_minus_sinc(theta) / omega
-        self._end_loads = np.stack([left, np.where(k % 2 == 1, left, -left)], axis=1)
         self._weights = weights
         self.shape = (mesh.ndof, m * n_modes)
         self._fold = _sine_fold(n, interior_load)
-        self._fold_matvec = bind_matvec(self._fold)
+        # the two end-load rows below the fold: one CSR matvec gives both
+        fold, modes = self._fold.tocsr(), np.arange(n_modes)
+        self._fold_matvec = bind_matvec(sp.csr_matrix(
+            (np.concatenate([fold.data, left, np.where(k % 2 == 1, left, -left)]),
+             np.concatenate([fold.indices, modes, modes]),
+             np.concatenate([fold.indptr, fold.nnz + n_modes * np.arange(1, 3)])),
+            shape=(n + 2, n_modes)))
         self._interior_dofs = mesh.edge_dofs[:, 1:-1]
         self._end_dofs = mesh.edge_dofs[:, [0, -1]].ravel()
 
     def __matmul__(self, z: np.ndarray) -> np.ndarray:
         """The factor times ``z``: one vector, or each column of a (dim, B)
-        block.  Every column goes through the same per-step arithmetic (a
-        stacked matmul, CSR row sums, FFT rows and running sums), so a
-        block's columns equal the products of its columns alone bit for
-        bit."""
+        block.  Every column goes through the same per-step arithmetic (CSR
+        row sums, FFT rows and running sums), so a block's columns equal the
+        products of its columns alone bit for bit."""
         m, n_modes = self._weights.shape
         coeff = z.T.reshape(-1, m, n_modes) * self._weights   # (B, m, K)
         n_block, n_rows = coeff.shape[0], self.shape[0]
+        # one column per (step, edge): the FFT input, then its two end loads
+        folded = self._fold_matvec(coeff.reshape(-1, n_modes).T)
         block = np.arange(n_block)[:, None]
         out = np.bincount((self._end_dofs + n_rows * block).ravel(),
-                          weights=(coeff @ self._end_loads).ravel(),
+                          weights=folded[-2:].T.ravel(),
                           minlength=n_block * n_rows).reshape(n_block, n_rows)
-        # one FFT input column per (step, edge), one transform per column
-        spectrum = np.fft.rfft(self._fold_matvec(coeff.reshape(-1, n_modes).T), axis=0)
+        # one transform per column
+        spectrum = np.fft.rfft(folded[:-2], axis=0)
         n_interior = self._interior_dofs.shape[1]
         interior = np.empty((n_interior, n_block * m))
         interior[1::2] = -spectrum.imag[1:n_interior // 2 + 1]

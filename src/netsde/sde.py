@@ -7,8 +7,10 @@ One step of the default linear-implicit scheme solves
 with the reaction term tamed by its sup norm, ``F_tamed = F / (1 +
 dt*max|F|)``, and the noise coefficient acting diagonally on nodal values
 (Ito convention: both are evaluated at the left endpoint).  The plain
-variant skips taming; both schemes share the sparse factorization of
-``G - dt*A_form``, so the scheme is not part of a stepper's set-up.
+variant skips taming; both schemes share the solver of ``G - dt*A_form``
+(``assembly.arrowhead_solver``: a tridiagonal solve of the edge interiors
+and a vertex Schur complement), so the scheme is not part of a stepper's
+set-up.
 
 Every march runs through ``Stepper(problem).march``; ``simulate_path`` is
 its one-trajectory form and ``solve_heat`` its deterministic backward Euler
@@ -23,9 +25,8 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
-from .assembly import DiscreteSystem, bind_matvec
+from .assembly import DiscreteSystem, arrowhead_solver, bind_matvec
 from .errors import BlowupDetected, ConfigurationError, DimensionMismatch, LinearSolveFailure
 from .fields import DiffusionSpec, DriftSpec, eval_drift
 from .mesh import Mesh, node_coordinates
@@ -138,16 +139,20 @@ class TrajectorySet:
 def _nodal_evaluator(mesh: Mesh, rows, evaluate):
     """Nodal evaluator over dofs from per-edge rows of EdgeFunctions.
 
-    Edges whose rows hold the same objects, or constants with the same bits
+    Edges whose rows hold the same objects, expressions with the same text
+    and variables (``EdgeFunction.key``), or constants with the same bits
     (0.0 and -0.0 differ), form a group.  Each step runs ``evaluate(t, x, j,
     u)`` once per group on the dofs it owns, at their coordinates x on their
     owner edges, with j its lowest 0-based edge; a group that owns every dof
     returns its value as it comes.
     """
+    def key(fn):
+        if fn.constant is not None:
+            return float(fn.constant).hex()
+        return id(fn) if fn.key is None else fn.key
+
     firsts = {}
-    edge_group = [firsts.setdefault(tuple(id(fn) if fn.constant is None
-                                          else float(fn.constant).hex() for fn in row), j)
-                  for j, row in enumerate(rows)]
+    edge_group = [firsts.setdefault(tuple(map(key, row)), j) for j, row in enumerate(rows)]
     x = node_coordinates(mesh)[mesh.owner_node]
     if len(firsts) == 1:
         return lambda t, u: evaluate(t, x, 0, u)
@@ -192,10 +197,7 @@ class Stepper:
         self.drift = nodal_drift_evaluator(problem.drift, system.mesh)
         self.diffusion = nodal_diffusion_evaluator(problem.diffusion, system.mesh)
         self._mass_matvec = bind_matvec(system.mass)
-        try:
-            self._resolve = spla.splu((system.mass - self.dt * system.form_matrix).tocsc()).solve
-        except RuntimeError as err:
-            raise LinearSolveFailure(str(err)) from err
+        self._solve = arrowhead_solver(system.mass - self.dt * system.form_matrix, system.mesh)
 
     def step(self, state: np.ndarray, t: float, increment: np.ndarray | None) -> np.ndarray:
         dt = self.dt
@@ -208,7 +210,7 @@ class Stepper:
         rhs = self._mass_matvec(u)
         if increment is not None:
             rhs += self.diffusion(t, state) * increment
-        return self._resolve(rhs)
+        return self._solve(rhs)
 
     def march(self, trajectory_id: int = 0, sampler=None) -> TrajectorySet:
         """March one full trajectory of the problem and collect snapshots.

@@ -6,7 +6,9 @@ characteristic equation, contraction/positivity cross-checks use dense
 matrix exponentials, Monte Carlo reference statistics use plain numpy, and
 the colored-noise factor is materialized from per-element antiderivatives.
 The backward-Euler march keeps the loop the package used before every
-scheme shared one step map, and the stochastic march keeps the snapshot
+scheme shared one step map, with the package's step solve
+(``assembly.arrowhead_solver``, checked against dense solves in
+``test_assembly``), and the stochastic march keeps the snapshot
 loop that preceded ``SolverConfig.snapshot_steps``.  The moments of the
 drift-free linear-implicit march with unit noise coefficient and any
 increment covariance come in closed form from the pencil's eigenpairs;
@@ -29,8 +31,8 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 from scipy.optimize import brentq
-from scipy.sparse.linalg import splu
 
+from netsde.assembly import arrowhead_solver
 from netsde.config import config_hash
 from netsde.errors import SchemaViolation, VertexMismatch
 from netsde.expressions import parse_expression
@@ -156,13 +158,13 @@ def backward_euler_heat(system, initial, horizon, dt, snapshot_stride=1):
     step taken.
     """
     n_steps = int(round(horizon / dt))
-    solve = splu((system.mass - dt * system.form_matrix).tocsc())
+    solve = arrowhead_solver(system.mass - dt * system.form_matrix, system.mesh)
     u = np.asarray(initial, dtype=float).copy()
     times = [0.0]
     states = [u.copy()]
     sup = float(np.abs(u).max())
     for step in range(1, n_steps + 1):
-        u = solve.solve(system.mass @ u)
+        u = solve(system.mass @ u)
         sup = max(sup, float(np.abs(u).max()))
         if step % snapshot_stride == 0 or step == n_steps:
             times.append(step * dt)

@@ -3,7 +3,10 @@
     PYTHONPATH=src python3 tests/golden/regen.py
 
 Run it only together with a stream-version bump or a declared change of
-artifact format, and record the regeneration as a test-data change.
+artifact format, and record the regeneration as a test-data change.  The
+recorded numpy and scipy versions key every case; the recorded OpenBLAS
+cores key only ``test_golden.CORE_KEYED``, whose bytes depend on the core,
+so a run under any core gives the other cases' hashes.
 """
 
 import json

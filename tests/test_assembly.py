@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -6,11 +7,19 @@ import scipy.sparse as sp
 from scipy.integrate import quad
 
 from _oracles import random_multigraph_mesh, reference_assemble_form
-from netsde.assembly import assemble_form, bind_matvec, dump_matrices, noise_covariance_factor
+from netsde import assembly
+from netsde.assembly import (
+    arrowhead_solver,
+    assemble_form,
+    bind_matvec,
+    dump_matrices,
+    noise_covariance_factor,
+)
 from netsde.errors import (
     ConfigurationError,
     DimensionMismatch,
     FactorizationFailure,
+    LinearSolveFailure,
     NegativePotential,
     ValidationFailure,
 )
@@ -21,9 +30,11 @@ from netsde.fields import (
     allen_cahn_system,
     as_edge_function,
     build_edge_fields,
+    polynomial_drift,
 )
 from netsde.graph import VertexMatrix, build_graph
 from netsde.mesh import build_mesh, interpolate
+from netsde.sde import SCHEMES, Problem, SolverConfig, Stepper
 
 
 def single_edge_system(n_int=1, conductance=1.0, potential=0.0, mu=1.0,
@@ -406,3 +417,104 @@ class TestOneCoefficientFiveSpellings:
             for v in self.SPELLINGS
         ]
         assert all(outcome == outcomes[0] for outcome in outcomes[1:])
+
+
+def random_step_system(rng):
+    """A system on a random multigraph mesh with random coefficients and a
+    random negative definite vertex matrix, and a random step size."""
+    mesh = random_multigraph_mesh(rng)
+    n, m = mesh.graph.n_vertices, mesh.n_edges
+    fields = build_edge_fields(m, _random_coefficients(rng, m, 0.1),
+                               _random_coefficients(rng, m, 0.0), rng.uniform(0.5, 2.0, m))
+    B = rng.standard_normal((n, n))
+    M = -(B @ B.T)
+    system = assemble_form(mesh, fields, VertexMatrix(0.5 * (M + M.T) - 0.1 * np.eye(n)))
+    return system, float(10.0 ** rng.uniform(-4.0, -1.0))
+
+
+class TestArrowheadSolver:
+    def test_matches_dense_solve_on_random_multigraphs(self):
+        rng = np.random.default_rng(20261020)
+        seen = set()
+        for k in range(200):
+            system, dt = random_step_system(rng)
+            mesh, n = system.mesh, system.mesh.graph.n_vertices
+            step = (system.mass - dt * system.form_matrix).tocsr()
+            if k % 2:
+                # a vertex block that is not symmetric: the solve reads C and R apart
+                vertex = mesh.vertex_dofs
+                block = np.zeros((system.ndof, system.ndof))
+                scale = np.abs(step.diagonal()[vertex]).min()
+                block[np.ix_(vertex, vertex)] = 0.2 * scale * rng.uniform(-1.0, 1.0, (n, n))
+                step = (step + sp.csr_matrix(block)).tocsr()
+            dense = step.toarray()
+            b = rng.standard_normal(system.ndof)
+            want = np.linalg.solve(dense, b)
+            got = arrowhead_solver(step, mesh)(b.copy())
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), k
+            seen.add(mesh.n_interior)
+            if k % 4 == 0:
+                # a Stepper of either scheme takes one step through the same solve
+                u = rng.uniform(-1.0, 1.0, system.ndof)
+                drift = polynomial_drift(1, [0.5, 1.0, 0.0, 1.0], n_edges=mesh.n_edges)
+                for scheme in SCHEMES:
+                    stepper = Stepper(Problem(system, SolverConfig(dt, dt, scheme), u, drift))
+                    forcing = stepper.drift(0.0, u)
+                    if scheme == "semi_implicit_tamed":
+                        forcing = forcing / (1.0 + dt * np.abs(forcing).max())
+                    want = np.linalg.solve(
+                        (system.mass - dt * system.form_matrix).toarray(),
+                        system.mass @ (u + dt * forcing))
+                    got = stepper.step(u, 0.0, None)
+                    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), (k, scheme)
+        assert seen == set(range(1, 9))
+
+    def test_block_columns_equal_single_solves(self):
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            system, dt = random_step_system(rng)
+            solve = arrowhead_solver(system.mass - dt * system.form_matrix, system.mesh)
+            block = rng.standard_normal((system.ndof, 64))
+            singles = np.column_stack([solve(column.copy()) for column in block.T])
+            assert np.array_equal(solve(block.copy()), singles)
+
+    def test_one_interior_node_on_one_edge(self):
+        # the interior block is 1 x 1: its off-diagonal is empty
+        system = single_edge_system(n_int=1)
+        step = (system.mass - 0.01 * system.form_matrix).tocsr()
+        b = np.array([1.0, -2.0, 0.5])
+        assert np.allclose(arrowhead_solver(step, system.mesh)(b.copy()),
+                           np.linalg.solve(step.toarray(), b), rtol=1e-14, atol=0.0)
+
+    def test_interior_not_positive_definite_raises(self):
+        system = random_system(np.random.default_rng(3))
+        step = (system.mass - 0.01 * system.form_matrix).tocsr()
+        with pytest.raises(LinearSolveFailure, match="not positive definite"):
+            arrowhead_solver(-step, system.mesh)
+
+    def test_singular_vertex_schur_complement_raises(self):
+        system = single_edge_system(n_int=3)
+        step = (system.mass - 0.01 * system.form_matrix).tolil()
+        # vertex dofs 3 and 4 lose their couplings and their block: S = D - R W is 0
+        step[3:, :] = 0.0
+        step[:, 3:] = 0.0
+        with pytest.raises(LinearSolveFailure, match="singular"):
+            arrowhead_solver(step.tocsr(), system.mesh)
+
+    def test_vertex_limit_raises_before_anything_n_by_n(self, monkeypatch):
+        n = 300
+        graph = build_graph(n, [(1, k) for k in range(2, n + 1)])
+        system = assemble_form(build_mesh(graph, 1), build_edge_fields(n - 1),
+                               VertexMatrix(-np.eye(n)))
+        step = (system.mass - 0.01 * system.form_matrix).tocsr()
+        monkeypatch.setattr(assembly, "VERTEX_LIMIT", n - 1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigurationError, match=f"VERTEX_LIMIT = {n - 1} vertices"):
+                arrowhead_solver(step, system.mesh)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n * n // 4
+        monkeypatch.setattr(assembly, "VERTEX_LIMIT", n)
+        arrowhead_solver(step, system.mesh)

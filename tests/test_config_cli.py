@@ -385,7 +385,7 @@ class TestCli:
         path = write_config(tmp_path, minimal_config())
         out = tmp_path / "out"
         assert run_command(["simulate", "--config", str(path), "--output-dir", str(out)]) == 0
-        assert json.loads((out / "manifest.json").read_text())["stream_version"] == 5
+        assert json.loads((out / "manifest.json").read_text())["stream_version"] == 6
 
     def test_spectrum_csv(self, tmp_path):
         cfg = minimal_config(experiment={"name": "spectrum", "count": 3})

@@ -271,7 +271,7 @@ class TestStepperWithConfig:
         def no_set_up(*args, **kwargs):
             raise AssertionError("set up before the time grid was checked")
 
-        monkeypatch.setattr(sde.spla, "splu", no_set_up)
+        monkeypatch.setattr(sde, "arrowhead_solver", no_set_up)
         problem, _ = allen_cahn_problem(t_end=0.0105)
         with pytest.raises(ConfigurationError, match="t_end / dt"):
             Stepper(problem)
@@ -408,6 +408,28 @@ def test_shared_coefficient_runs_once_per_step():
     stepper = Stepper(problem)
     stepper.step(problem.initial, 0.0, IncrementSampler(problem.noise, 0, 1e-3, 1)(0))
     assert calls == {"drift": 1, "diffusion": 1}
+
+
+def test_repeated_expression_text_runs_once_per_step(monkeypatch):
+    # every edge lists its own copy of one text: one group, not one per edge
+    from netsde import expressions
+
+    calls = []
+
+    def counting_abs(values):
+        calls.append(1)
+        return np.abs(values)
+
+    monkeypatch.setitem(expressions.FUNCTIONS, "abs", counting_abs)
+    mesh = build_mesh(build_graph(4, [(1, 2), (1, 3), (1, 4)]), 5)
+    diffusion = nodal_diffusion_evaluator(build_diffusion(3, ["1 + 0.1*abs(u)"] * 3), mesh)
+    drift = nodal_drift_evaluator(
+        polynomial_drift(1, [["abs(x)", "0", "0", "1"] for _ in range(3)], n_edges=3), mesh)
+    u = np.linspace(-1.0, 1.0, mesh.ndof)
+    diffusion(0.0, u)
+    assert len(calls) == 1
+    drift(0.0, u)
+    assert len(calls) == 2
 
 
 class TestEnergyDecay:
