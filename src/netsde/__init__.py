@@ -41,10 +41,7 @@ from .graph import (
     MetricGraph,
     VertexMatrix,
     build_graph,
-    edge_indices_at_vertex,
-    incidence_matrices,
     validate_vertex_matrix,
-    weighted_incidence,
 )
 from .mesh import Mesh, build_mesh, interpolate
 from .noise import NoiseModel, colored_noise_operator, white_noise_model

@@ -20,7 +20,6 @@ import numpy as np
 
 from .assembly import DiscreteSystem, bind_matvec
 from .errors import ConfigurationError, DimensionMismatch, InsufficientResolution, LadderTooShort
-from .graph import weighted_incidence
 from .fields import well_density
 from .mesh import edge_integral
 from .noise import coupled_sampler
@@ -59,11 +58,21 @@ def run_trajectories(problem: Problem, trajectory_ids) -> list[TrajectorySet]:
     return [stepper.march(i) for i in trajectory_ids]
 
 
+def _check_trajectory_count(n_trajectories, least: int) -> None:
+    """Raise ConfigurationError naming the count unless it is an integer, a
+    numpy one included and a bool not, of at least ``least`` (1 or 2)."""
+    if isinstance(n_trajectories, bool) or not isinstance(n_trajectories, (int, np.integer)):
+        raise ConfigurationError(
+            f"the trajectory count must be an integer, got {n_trajectories!r}")
+    if n_trajectories < least:
+        need = "one trajectory" if least == 1 else "two trajectories"
+        raise ConfigurationError(f"need at least {need}, got {n_trajectories}")
+
+
 def monte_carlo(problem: Problem, n_trajectories: int, q: float = 4.0,
                 quantiles=(0.5, 0.9)) -> EnsembleStats:
     """Ensemble statistics: pointwise mean/variance and path sup-norm moments."""
-    if n_trajectories < 2:
-        raise ConfigurationError("need at least two trajectories for ensemble statistics")
+    _check_trajectory_count(n_trajectories, 2)
     if not 0.0 < q < math.inf:  # also false for NaN
         raise ConfigurationError(f"the sup-norm moment q must be finite and positive, got {q}")
     bad = [p for p in quantiles if not 0.0 <= p <= 1.0]
@@ -79,7 +88,7 @@ def monte_carlo(problem: Problem, n_trajectories: int, q: float = 4.0,
         sup_moment=float(np.mean(sups ** q)),
         q=float(q),
         sup_quantiles={float(p): float(np.quantile(sups, p)) for p in quantiles},
-        n_trajectories=n_trajectories,
+        n_trajectories=int(n_trajectories),
     )
 
 
@@ -205,8 +214,7 @@ def einf_norm_rows(rows):
 def estimate_holder_exponent(problem: Problem, lags, n_trajectories: int,
                              norm: str = "E2", burn_fraction: float = 0.25) -> ExponentEstimate:
     """Empirical temporal Hölder exponent of the state in E2 or sup norm."""
-    if n_trajectories < 1:
-        raise ConfigurationError(f"need at least one trajectory, got {n_trajectories}")
+    _check_trajectory_count(n_trajectories, 1)
     if norm == "E2":
         norm_fn = e2_norm_rows(problem.system)
     elif norm == "Einf":
@@ -251,8 +259,7 @@ def estimate_strong_order(problem: Problem, dt_ladder, n_trajectories: int,
     ``LADDER_STORE_BYTES`` (64 MiB); each level draws the blocks past the cap
     again.
     """
-    if n_trajectories < 1:
-        raise ConfigurationError(f"need at least one trajectory, got {n_trajectories}")
+    _check_trajectory_count(n_trajectories, 1)
     ladder = np.sort(np.asarray(dt_ladder, dtype=float))
     if ladder.size < 4:
         raise LadderTooShort(
@@ -301,11 +308,16 @@ def vertex_residual(trajectory: TrajectorySet, system: DiscreteSystem) -> np.nda
 
     For each vertex the residual adds the coupling term M q to the signed
     weighted boundary fluxes; edge derivatives at the endpoints use the
-    one-sided piecewise-linear slopes of the stored states.
+    one-sided piecewise-linear slopes of the stored states.  The fluxes go
+    through the paper's weighted incidence matrices Phi+_w and Phi-_w, whose
+    column j holds mu_j c_j(0) at edge j's start and mu_j c_j(1) at its end.
     """
-    mesh = system.mesh
-    w_plus, w_minus = weighted_incidence(mesh.graph, system.fields.weights,
-                                         system.fields.conductance_endpoints())
+    mesh, fields = system.mesh, system.fields
+    ends, edges = mesh.graph.edge_array(), np.arange(mesh.n_edges)
+    w_plus = np.zeros((mesh.graph.n_vertices, mesh.n_edges))
+    w_minus = np.zeros_like(w_plus)
+    w_plus[ends[:, 0], edges] = fields.weights * [float(c(0.0)) for c in fields.conductance]
+    w_minus[ends[:, 1], edges] = fields.weights * [float(c(1.0)) for c in fields.conductance]
     states = np.atleast_2d(trajectory.states)
     dofs = mesh.edge_dofs
     d_start = (states[:, dofs[:, 1]] - states[:, dofs[:, 0]]) / mesh.h

@@ -23,7 +23,7 @@ from .errors import (
     NonpositiveWeight,
 )
 from .expressions import Expression, parse_expression
-from .graph import MetricGraph, edge_indices_at_vertex
+from .graph import MetricGraph
 from .report import Check, ValidationReport
 
 
@@ -126,10 +126,6 @@ class EdgeFieldSet:
     @property
     def n_edges(self) -> int:
         return len(self.conductance)
-
-    def conductance_endpoints(self) -> np.ndarray:
-        """(m, 2) array of c_j evaluated at the edge endpoints."""
-        return np.array([[float(c(0.0)), float(c(1.0))] for c in self.conductance])
 
     def checked_samples(self, x, where: str = ""):
         """Samples of every c_j and p_j at local coordinates ``x``, as two
@@ -293,15 +289,16 @@ def validate_drift(spec: DriftSpec, graph: MetricGraph, horizon: float = 1.0,
     lead_min, lead_max, other_max = float(lead_min), float(lead_max), float(other_max)
 
     worst_mismatch = 0.0
-    for i in range(1, graph.n_vertices + 1):
-        incident = sorted(edge_indices_at_vertex(graph, i))
+    ends = graph.edge_array()
+    for i in range(graph.n_vertices):
+        incident = np.flatnonzero((ends == i).any(axis=1))
         if len(incident) < 2:
             continue
         # local coordinate of vertex i on each incident edge
-        coords = [0.0 if graph.edges[j - 1][0] == i else 1.0 for j in incident]
+        coords = np.where(ends[incident, 0] == i, 0.0, 1.0)
         for l in range(d + 1):
             traces = np.array([
-                float_samples(spec.coefficients[j - 1][l], ts, np.full_like(ts, cx))
+                float_samples(spec.coefficients[j][l], ts, np.full_like(ts, cx))
                 for j, cx in zip(incident, coords)
             ])
             worst_mismatch = np.maximum(worst_mismatch, np.ptp(traces, axis=0).max())

@@ -3,8 +3,8 @@
 Vertices carry ids 1..n and edges are numbered 1..m in the order supplied,
 matching the conventions used in run configurations.  Each edge is
 parametrized on [0,1] with the first vertex of the pair at 0 and the second
-at 1.  Matrix rows/columns are 0-based numpy indices, so row ``i-1`` of an
-incidence matrix belongs to vertex ``i``.
+at 1.  Other modules read the topology from ``MetricGraph.edge_array()``
+alone: row ``j-1`` holds edge ``j``'s (start, end) as 0-based vertex indices.
 """
 
 from __future__ import annotations
@@ -21,8 +21,6 @@ from .errors import (
     DisconnectedGraph,
     EmptyEdgeList,
     LoopEdge,
-    NonpositiveConductance,
-    NonpositiveWeight,
     VertexIdOutOfRange,
 )
 from .report import Check, ValidationReport
@@ -69,53 +67,6 @@ def build_graph(n_vertices: int, edge_list) -> MetricGraph:
     if connected_components(adjacency, directed=False, return_labels=False) != 1:
         raise DisconnectedGraph("graph is not connected (orientation ignored)")
     return MetricGraph(n_vertices=n, edges=tuple(edges))
-
-
-def incidence_matrices(graph: MetricGraph):
-    """Return (phi_plus, phi_minus, phi) as dense (n, m) arrays.
-
-    ``phi_plus[i-1, j-1] = 1`` iff edge j starts at vertex i, ``phi_minus``
-    marks edge ends, and ``phi = phi_plus - phi_minus``.
-    """
-    n, m = graph.n_vertices, graph.n_edges
-    plus = np.zeros((n, m))
-    minus = np.zeros((n, m))
-    for j, (a, b) in enumerate(graph.edge_array()):
-        plus[a, j] = 1.0
-        minus[b, j] = 1.0
-    return plus, minus, plus - minus
-
-
-def edge_indices_at_vertex(graph: MetricGraph, vertex: int) -> set[int]:
-    """Set of 1-based edge indices with an endpoint at the given vertex."""
-    if not (1 <= vertex <= graph.n_vertices):
-        raise VertexIdOutOfRange(f"vertex id {vertex} outside 1..{graph.n_vertices}")
-    v = vertex - 1
-    return {j + 1 for j, (a, b) in enumerate(graph.edge_array()) if a == v or b == v}
-
-
-def weighted_incidence(graph: MetricGraph, mu, c_at_endpoints):
-    """The incidence matrices with column j scaled by ``mu_j * c_j(0)`` and by
-    ``mu_j * c_j(1)``, used by the Kirchhoff flux balance.
-
-    ``mu`` holds the positive edge weights and ``c_at_endpoints[j]`` the pair
-    (c_j(0), c_j(1)) of conductance endpoint values, finite and positive, so
-    every entry off the incidence is an exact zero.
-    """
-    m = graph.n_edges
-    mu = np.asarray(mu, dtype=float)
-    if mu.shape != (m,):
-        raise DimensionMismatch(f"mu must have one entry per edge ({m}), got shape {mu.shape}")
-    if np.any(mu <= 0.0):
-        raise NonpositiveWeight(f"edge weights must be positive, got {mu}")
-    ends = np.asarray(c_at_endpoints, dtype=float)
-    if ends.shape != (m, 2):
-        raise DimensionMismatch(f"c_at_endpoints must have shape ({m}, 2), got {ends.shape}")
-    if not np.all((ends > 0.0) & (ends < np.inf)):
-        raise NonpositiveConductance(
-            f"conductance endpoint values must be finite and positive, got {ends.tolist()}")
-    plus, minus, _ = incidence_matrices(graph)
-    return plus * (mu * ends[:, 0]), minus * (mu * ends[:, 1])
 
 
 @dataclass(frozen=True)

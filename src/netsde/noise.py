@@ -222,8 +222,7 @@ def colored_noise_operator(system: DiscreteSystem, decay: float, seed: int = 0,
     m = mesh.n_edges
     if n_modes is None:
         n_modes = mesh.n_interior + 1
-    if isinstance(n_modes, bool) or not isinstance(n_modes, (int, np.integer)):
-        raise ConfigurationError(f"the noise mode count must be an integer, got {n_modes!r}")
+    n_modes = _integer(n_modes, "the noise mode count")
     if n_modes < 1:
         raise ConfigurationError(f"need at least one noise mode per edge, got {n_modes}")
     amp = per_edge_numbers(1.0 if amplitudes is None else amplitudes, m, "noise amplitude")
@@ -238,6 +237,14 @@ def colored_noise_operator(system: DiscreteSystem, decay: float, seed: int = 0,
     return NoiseModel(SineFactor(mesh, edge_weights[:, None] * mode_weights), int(seed))
 
 
+def _integer(value, what: str) -> int:
+    """``value`` as an int: a ConfigurationError naming ``what`` unless it is
+    an integer, a numpy one included and a bool not."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ConfigurationError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _philox_state(seed: int, trajectory_id: int) -> dict:
     """A trajectory's Philox state at step 0 with an empty output buffer;
     counter word 1 holds the step."""
@@ -245,7 +252,7 @@ def _philox_state(seed: int, trajectory_id: int) -> dict:
         "bit_generator": "Philox",
         "state": {
             "counter": np.zeros(4, dtype=np.uint64),
-            "key": np.array([int(trajectory_id) & _MASK64, int(seed) & _MASK64],
+            "key": np.array([trajectory_id, int(seed) & _MASK64],
                             dtype=np.uint64),
         },
         "buffer": np.zeros(4, dtype=np.uint64),
@@ -273,7 +280,9 @@ class IncrementSampler:
 
     ``sampler(step)`` is the increment of step ``step`` in ``[0, n_steps)``,
     the factor times that step's normals scaled by ``sqrt(dt)``; ``dt``, which
-    must be finite and nonnegative, is fixed when the sampler is built.  Steps
+    must be finite and nonnegative, is fixed when the sampler is built.  The
+    trajectory id must be an integer in [0, 2^64), the Philox key word it
+    fills, and ``n_steps`` an integer, so no two ids share a stream.  Steps
     fall into aligned blocks of ``block_steps(factor.shape)`` steps.  The
     first draw of a step outside the current block fills that step's block:
     for each of its steps, counter word 1 of the one Philox state dict is
@@ -298,10 +307,12 @@ class IncrementSampler:
                  store: dict | None = None):
         if not 0.0 <= dt < math.inf:  # also false for NaN
             raise ConfigurationError(f"a sampler's dt must be finite and nonnegative, got {dt}")
+        self.trajectory_id = _integer(trajectory_id, "a trajectory id")
+        if not 0 <= self.trajectory_id <= _MASK64:
+            raise ConfigurationError(f"a trajectory id must lie in [0, 2^64), got {trajectory_id}")
         self.noise = noise
-        self.trajectory_id = int(trajectory_id)
         self._scale = math.sqrt(dt)
-        self._n_steps = int(n_steps)
+        self._n_steps = _integer(n_steps, "a sampler's step count")
         self._state = _philox_state(noise.seed, self.trajectory_id)
         self._counter = self._state["state"]["counter"]
         self._bitgen = np.random.Philox(key=0)
@@ -356,7 +367,7 @@ def coupled_sampler(noise: NoiseModel, trajectory_id: int, ratio: int, n_steps: 
     store per trajectory, a ladder draws and applies the fine stream once, up
     to the store's budget ``LADDER_STORE_BYTES``.
     """
-    ratio = int(ratio)
+    ratio = _integer(ratio, "a coupled sampler's ratio")
     if ratio < 1:
         raise ConfigurationError(f"a coupled sampler's ratio must be at least 1, got {ratio}")
     fine = IncrementSampler(noise, trajectory_id, dt / ratio, ratio * n_steps, store)

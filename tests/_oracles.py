@@ -23,8 +23,10 @@ drift and diffusion references evaluate every coefficient edge by edge on
 the dofs that map gives each edge (the drift adds its zero terms unless
 every edge holds the same constants).  The
 edge-by-edge assembly is the one that preceded the one-pass assembly.  The
-weighted incidence matrices are filled entry by entry, as before they were
-built from the incidence matrices.
+weighted incidence matrices are filled entry by entry, one edge at a time,
+and the drift's vertex mismatch gathers each vertex's edges as a set of
+1-based indices, the loop ``validate_drift`` ran before it read them off
+``MetricGraph.edge_array()``.
 """
 
 import numpy as np
@@ -36,7 +38,7 @@ from netsde.assembly import arrowhead_solver
 from netsde.config import config_hash
 from netsde.errors import SchemaViolation, VertexMismatch
 from netsde.expressions import parse_expression
-from netsde.fields import edge_functions
+from netsde.fields import edge_functions, float_samples
 from netsde.graph import build_graph
 from netsde.mesh import build_mesh
 from netsde.noise import IncrementSampler
@@ -311,8 +313,9 @@ def random_multigraph_mesh(rng):
 
 
 def reference_weighted_incidence(graph, mu, c_at_endpoints):
-    """The weighted incidence matrices built entry by entry, the loop that
-    preceded their construction from ``incidence_matrices``."""
+    """The weighted incidence matrices (Phi+_w, Phi-_w) built entry by entry:
+    column j holds ``mu[j] * c_at_endpoints[j, 0]`` in the row of edge j's
+    start and ``mu[j] * c_at_endpoints[j, 1]`` in the row of its end."""
     n, m = graph.n_vertices, graph.n_edges
     mu = np.asarray(mu, dtype=float)
     ends = np.asarray(c_at_endpoints, dtype=float)
@@ -322,6 +325,28 @@ def reference_weighted_incidence(graph, mu, c_at_endpoints):
         w_plus[a, j] = mu[j] * ends[j, 0]
         w_minus[b, j] = mu[j] * ends[j, 1]
     return w_plus, w_minus
+
+
+def reference_vertex_mismatch(spec, graph, horizon=1.0, n_time=64):
+    """The worst spread, over the time grid, of any drift coefficient's
+    traces at a vertex across its edges: ``validate_drift``'s measured
+    ``vertex_compatibility``, from its per-vertex loop over sets of 1-based
+    edge indices."""
+    ts = np.linspace(0.0, horizon, n_time)
+    worst = 0.0
+    for i in range(1, graph.n_vertices + 1):
+        incident = sorted({j + 1 for j, (a, b) in enumerate(graph.edges) if i in (a, b)})
+        if len(incident) < 2:
+            continue
+        # local coordinate of vertex i on each incident edge
+        coords = [0.0 if graph.edges[j - 1][0] == i else 1.0 for j in incident]
+        for l in range(spec.top_power + 1):
+            traces = np.array([
+                float_samples(spec.coefficients[j - 1][l], ts, np.full_like(ts, cx))
+                for j, cx in zip(incident, coords)
+            ])
+            worst = np.maximum(worst, np.ptp(traces, axis=0).max())
+    return float(worst)
 
 
 def linear_implicit_moments(system, initial, dt, n_steps, covariance=None):

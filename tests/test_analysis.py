@@ -41,7 +41,9 @@ from _oracles import (
     colored_factor,
     linear_implicit_moments,
     linear_multiplicative_moments,
+    random_multigraph_mesh,
     reference_dof_map,
+    reference_weighted_incidence,
     robin_eigenfunction,
     robin_eigenvalues,
 )
@@ -491,6 +493,36 @@ def _refuse_march(*args, **kwargs):
     raise _Marched
 
 
+_ESTIMATORS = {
+    "monte_carlo": lambda problem, count: monte_carlo(problem, count),
+    "holder": lambda problem, count: estimate_holder_exponent(
+        problem, np.array([4, 8, 16, 32]) * 1e-3, count),
+    "strong_order": lambda problem, count: estimate_strong_order(
+        problem, [2.5e-4, 1e-3, 2e-3, 4e-3], count),
+}
+
+
+@pytest.mark.parametrize("estimator", sorted(_ESTIMATORS))
+@pytest.mark.parametrize("count", [2.5, 2.0, True, "2"])
+def test_trajectory_count_must_be_an_integer(estimator, count, monkeypatch):
+    monkeypatch.setattr(Stepper, "march", _refuse_march)
+    with pytest.raises(ConfigurationError,
+                       match=f"trajectory count must be an integer, got {count!r}"):
+        _ESTIMATORS[estimator](heat_noise_problem(t_end=0.064), count)
+
+
+def test_numpy_integer_trajectory_count_accepted():
+    problem = heat_noise_problem(t_end=0.01)
+    stats = monte_carlo(problem, np.int64(2))
+    assert stats.n_trajectories == 2
+    assert np.array_equal(stats.mean, monte_carlo(problem, 2).mean)
+
+
+def test_trajectory_ids_must_be_integers():
+    with pytest.raises(ConfigurationError, match="trajectory id must be an integer, got 1.5"):
+        run_trajectories(heat_noise_problem(t_end=0.01), [1.5])
+
+
 class TestTimeGrid:
     """The whole-multiple rule at its four sites, and the estimators' grid
     errors, which come before the first step."""
@@ -626,6 +658,31 @@ class TestVertexResidual:
             residuals.append(vertex_residual(traj, system)[0])
         rates = np.diff(np.log(residuals)) / np.log(0.5)
         assert np.all(rates > 0.9)
+
+    def test_matches_weighted_incidence_oracle(self):
+        rng = np.random.default_rng(20261019)
+        for _ in range(200):
+            mesh = random_multigraph_mesh(rng)
+            n, m = mesh.graph.n_vertices, mesh.n_edges
+            mu = rng.uniform(0.1, 10.0, m)
+            ends = rng.uniform(0.1, 10.0, (m, 2))
+            # c_j(x) = a + (b - a) x, so c_j(0) = a exactly
+            fields = build_edge_fields(m, [f"{a!r} + {b - a!r}*x" for a, b in ends.tolist()],
+                                       weights=mu)
+            ends = [(float(c(0.0)), float(c(1.0))) for c in fields.conductance]
+            off = rng.uniform(0.0, 1.0, (n, n))
+            off = off + off.T
+            M = off - np.diag(off.sum(axis=1) + 1.0)
+            system = assemble_form(mesh, fields, VertexMatrix(M))
+            states = rng.standard_normal((3, system.ndof))
+            w_plus, w_minus = reference_weighted_incidence(mesh.graph, mu, ends)
+            dofs = mesh.edge_dofs
+            d_start = (states[:, dofs[:, 1]] - states[:, dofs[:, 0]]) / mesh.h
+            d_end = (states[:, dofs[:, -1]] - states[:, dofs[:, -2]]) / mesh.h
+            expected = np.abs(states[:, mesh.vertex_dofs] @ M.T + d_start @ w_plus.T
+                              - d_end @ w_minus.T).max(axis=1)
+            got = vertex_residual(TrajectorySet(np.arange(3.0), states, 0.0), system)
+            assert got.tobytes() == expected.tobytes()
 
     def test_stochastic_residual_is_finite_but_not_small(self):
         problem = heat_noise_problem(t_end=0.05)

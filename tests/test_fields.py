@@ -21,6 +21,8 @@ from netsde.fields import (
 )
 from netsde.graph import build_graph
 
+from _oracles import random_multigraph_mesh, reference_vertex_mismatch
+
 
 class TestEdgeFields:
     def test_constant_fields_valid(self):
@@ -30,9 +32,9 @@ class TestEdgeFields:
 
     def test_variable_conductance(self):
         fields = build_edge_fields(1, conductance=parse_expression("1 + x/2", ("x",)))
-        assert fields.conductance[0](0.0) == 1.0
-        assert fields.conductance[0](1.0) == 1.5
-        np.testing.assert_array_equal(fields.conductance_endpoints(), [[1.0, 1.5]])
+        c = fields.conductance[0]
+        assert float(c(0.0)) == 1.0 and float(c(1.0)) == 1.5
+        np.testing.assert_array_equal(c(np.array([0.0, 0.5, 1.0])), [1.0, 1.25, 1.5])
 
     def test_negative_potential_rejected(self):
         with pytest.raises(NegativePotential):
@@ -153,6 +155,22 @@ class TestDrift:
         report = validate_drift(d, g)
         assert "vertex_compatibility" in report.failed_names()
         assert report.check("vertex_compatibility").measured == pytest.approx(1.0)
+
+    def test_vertex_mismatch_matches_per_vertex_oracle(self):
+        # parallel edges in both orientations; each graph's rows come from a
+        # pool of one to three, so some vertices agree and others do not
+        rng = np.random.default_rng(20261022)
+        choices = ["1", "2", "t", "x", "1 - x", "t*x"]
+        measured = []
+        for _ in range(200):
+            graph = random_multigraph_mesh(rng).graph
+            pool = rng.choice(choices, size=(int(rng.integers(1, 4)), 4)).tolist()
+            rows = [pool[k] for k in rng.integers(len(pool), size=graph.n_edges)]
+            spec = polynomial_drift(1, rows, graph.n_edges)
+            got = validate_drift(spec, graph, horizon=2.0).check("vertex_compatibility").measured
+            assert got == reference_vertex_mismatch(spec, graph, horizon=2.0)
+            measured.append(got)
+        assert min(measured) == 0.0 < max(measured)
 
     def test_validate_flags_vanishing_leading_coefficient(self):
         g = build_graph(2, [(1, 2)])

@@ -4,11 +4,13 @@ Every ``src/netsde/*.py`` module is parsed with ``ast``: no module imports
 another netsde module's private (underscore) name, and only ``assembly.py``
 imports SciPy's private ``_sparsetools``, through ``assembly.bind_matvec``.
 Every relative import is a module-level statement, and the graph of
-``from .module import ...`` edges has no cycle.  Every name the package
-exports has a reader: a module reads it outside its own definition, the
-README names it, or an acceptance test reads it.  Every name a module other
-than ``__init__.py`` (whose imports are the exports) binds by an import is
-read in that module.
+``from .module import ...`` edges has no cycle.  Every public name a module
+defines (a top-level function, class or assigned name, or a method or
+property of a top-level class), exports included, has a reader: a module,
+its own included, reads it outside its own definition, the README names it,
+or an acceptance test reads it.  Every name a module other than
+``__init__.py`` (whose imports are the exports) binds by an import is read
+in that module.
 """
 
 import ast
@@ -79,32 +81,50 @@ def _import_cycle(paths):
     return None
 
 
-def _exports(init: Path):
-    """The names that a package's ``__init__`` imports from its modules."""
-    return [alias.asname or alias.name for node in ast.parse(init.read_text(encoding="utf-8")).body
-            if isinstance(node, ast.ImportFrom) and node.level for alias in node.names]
+def _public_names(path: Path):
+    """The public names the file defines, in order: its top-level functions,
+    classes and assigned names, and the methods and properties of its
+    top-level classes."""
+    names = []
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [target.id for target in targets if isinstance(target, ast.Name)]
+        if isinstance(node, ast.ClassDef):
+            names += [item.name for item in node.body if isinstance(item, ast.FunctionDef)]
+    return [name for name in names if not name.startswith("_")]
 
 
 def _reads(path: Path) -> set:
     """The names the file reads, as a bare name or an attribute, outside the
-    top-level statement that defines them; an import alone reads nothing."""
+    function or class (at any depth) that defines the same name; an import or
+    an assignment alone reads nothing."""
     reads = set()
-    for statement in ast.parse(path.read_text(encoding="utf-8")).body:
-        names = {node.id if isinstance(node, ast.Name) else node.attr
-                 for node in ast.walk(statement) if isinstance(node, (ast.Name, ast.Attribute))}
-        reads |= names - {getattr(statement, "name", None)}
+
+    def visit(node, defining):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and \
+                node.id not in defining:
+            reads.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load) and \
+                node.attr not in defining:
+            reads.add(node.attr)
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defining = defining | {node.name}
+        for child in ast.iter_child_nodes(node):
+            visit(child, defining)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), frozenset())
     return reads
 
 
-def _unread_exports(init: Path, modules, readme: str, acceptance: Path):
-    """The exports of ``init`` that none of ``modules``, the ``readme`` text
-    and the ``acceptance`` tests reads, sorted."""
-    readers = _reads(acceptance)
-    for path in modules:
-        if path != init:
-            readers |= _reads(path)
-    return sorted(name for name in _exports(init) if name not in readers
-                  and not re.search(rf"\b{re.escape(name)}\b", readme))
+def _unread_public_names(modules, readme: str, acceptance: Path):
+    """``module.name`` for every public name of ``modules`` that none of
+    ``modules``, the ``readme`` text and the ``acceptance`` tests reads."""
+    readers = _reads(acceptance).union(*map(_reads, modules))
+    return [f"{path.stem}.{name}" for path in modules for name in _public_names(path)
+            if name not in readers and not re.search(rf"\b{re.escape(name)}\b", readme)]
 
 
 def _unread_imports(path: Path):
@@ -174,30 +194,33 @@ def test_the_rules_catch_a_violation(tmp_path):
 
 
 def test_every_export_has_a_reader():
-    unread = _unread_exports(ROOT / "src" / "netsde" / "__init__.py", SOURCES,
-                             (ROOT / "README.md").read_text(encoding="utf-8"),
-                             ROOT / "tests" / "test_acceptance.py")
-    assert not unread, f"exports that no module, README line or acceptance test reads: {unread}"
+    unread = _unread_public_names(SOURCES, (ROOT / "README.md").read_text(encoding="utf-8"),
+                                  ROOT / "tests" / "test_acceptance.py")
+    assert not unread, f"public names no module, README line or acceptance test reads: {unread}"
 
 
 def test_the_export_rule_catches_a_planted_orphan(tmp_path):
     planted = {
         "__init__.py": "from .a import documented, orphan, recursive, used\n"
                        "from .b import accepted\n",
-        "a.py": "def used():\n    return 1\n\n\ndef orphan():\n    return 2\n\n\n"
+        "a.py": "LIMIT = 3\nUNUSED: int = 4\n\n\ndef used():\n    return LIMIT\n\n\n"
+                "def orphan():\n    return 2\n\n\n"
                 "def recursive(n):\n    return recursive(n - 1)\n\n\n"
-                "def documented():\n    return 3\n",
-        "b.py": "from .a import orphan, used\n\nVALUE = used()\n\n\n"
+                "def documented():\n    return 3\n\n\n"
+                "class Box:\n    def size(self):\n        return self.size() + self.width\n\n"
+                "    @property\n    def width(self):\n        return 1\n\n"
+                "    def _hidden(self):\n        return 0\n",
+        "b.py": "from .a import Box, orphan, used\n\nVALUE = used()\nBox.stale = None\n\n\n"
                 "def accepted():\n    return 4\n",
         "test_acceptance.py": "import pkg\n\npkg.accepted()\n",
     }
     for name, source in planted.items():
         (tmp_path / name).write_text(source)
     modules = [tmp_path / name for name in ("__init__.py", "a.py", "b.py")]
-    unread = _unread_exports(tmp_path / "__init__.py", modules, "Call `documented()`.",
-                             tmp_path / "test_acceptance.py")
-    # an import alone is no read, and neither is a call inside the definition
-    assert unread == ["orphan", "recursive"]
+    unread = _unread_public_names(modules, "Call `documented()`.", tmp_path / "test_acceptance.py")
+    # an import or an assignment alone is no read, and neither is a call
+    # inside the definition; a method read only by itself is unread as well
+    assert unread == ["a.UNUSED", "a.orphan", "a.recursive", "a.size", "b.VALUE"]
 
 
 @pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "__init__.py"],

@@ -109,10 +109,12 @@ class TestSamplerMatchesOracle:
             assert np.array_equal(second(step), philox_increment(noise, 1, step, 0.01))
 
     def test_ids_are_masked_to_64_bits(self, kind):
+        # the seed keeps its low 64 bits; the largest id fills its key word
         noise = star_noise(kind, seed=(1 << 64) + 5)
-        draw = IncrementSampler(noise, trajectory_id=-1, dt=0.5, n_steps=10)(9)
-        assert np.array_equal(draw, philox_increment(noise, -1, 9, 0.5))
-        masked = IncrementSampler(replace(noise, seed=5), (1 << 64) - 1, 0.5, 10)
+        top = (1 << 64) - 1
+        draw = IncrementSampler(noise, trajectory_id=top, dt=0.5, n_steps=10)(9)
+        assert np.array_equal(draw, philox_increment(noise, top, 9, 0.5))
+        masked = IncrementSampler(replace(noise, seed=5), top, 0.5, 10)
         assert np.array_equal(draw, masked(9))
 
     def test_coupled_sampler_sums_oracle_draws(self, kind):
@@ -275,6 +277,28 @@ class TestSamplerArguments:
     def test_coupled_ratio_must_be_at_least_one(self, ratio):
         with pytest.raises(ConfigurationError, match=f"ratio must be at least 1, got {ratio}"):
             coupled_sampler(star_noise("white"), 0, ratio, 10, 0.1)
+
+    # a truncated id would share another id's stream, and a truncated ratio
+    # or step count would change the grid the sampler serves
+    @pytest.mark.parametrize("trajectory_id", [1.5, 2.0, True, "1", -1, 1 << 64])
+    def test_trajectory_id_must_be_an_integer_in_key_range(self, trajectory_id):
+        with pytest.raises(ConfigurationError, match="a trajectory id must"):
+            IncrementSampler(star_noise("white"), trajectory_id, 0.1, 10)
+
+    @pytest.mark.parametrize("n_steps", [10.5, 10.0, True])
+    def test_step_count_must_be_an_integer(self, n_steps):
+        with pytest.raises(ConfigurationError, match="step count must be an integer"):
+            IncrementSampler(star_noise("white"), 0, 0.1, n_steps)
+
+    @pytest.mark.parametrize("ratio", [2.5, 2.0, True])
+    def test_coupled_ratio_must_be_an_integer(self, ratio):
+        with pytest.raises(ConfigurationError, match="ratio must be an integer"):
+            coupled_sampler(star_noise("white"), 0, ratio, 10, 0.1)
+
+    def test_numpy_integers_accepted(self):
+        noise = star_noise("white")
+        given = coupled_sampler(noise, np.uint64(3), np.int64(2), np.int32(5), 0.1)
+        assert np.array_equal(given(4), coupled_sampler(noise, 3, 2, 5, 0.1)(4))
 
 
 class TestColoredNoise:
